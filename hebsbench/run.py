@@ -12,8 +12,8 @@ is the benchmark's JSON result.
 Extra modes:
     --heldout-seed <m>   run the workload on a second seed as well and
                          compare its end-to-end metrics with the first
-                         seed's against the bounds in BENCHMARK.json
-    --threads <n>        session worker threads (default: nproc)
+                         seed's against the bounds in BENCHMARK.json;
+                         exits 1 when a metric falls outside its bound
     --self-test          build and run the statistics self-test
 """
 import argparse
@@ -84,8 +84,6 @@ def run_binary(binary, args, seed):
     cmd = [binary, "--workload", args.workload, "--seed", str(seed),
            "--seconds", str(args.seconds), "--trace", str(args.trace),
            "--git-sha", git_sha(), "--source-digest", source_digest()]
-    if args.threads:
-        cmd += ["--threads", str(args.threads)]
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True)
     try:
         out, _ = proc.communicate(timeout=RUN_TIMEOUT_S)
@@ -107,15 +105,19 @@ def heldout_report(first, second, seeds):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bounds = {m["name"]: m["bound"] for m in json.load(fh)["end_to_end"]}
     print("held-out check: seed %d against seed %d" % (seeds[1], seeds[0]))
+    outside = []
     for name, m in first["metrics"].items():
         a, b = m["value"], second["metrics"][name]["value"]
         rel = (b - a) / abs(a) if a else 0.0
         bound = bounds.get(name)
         verdict = ("" if bound is None else
                    "within" if abs(rel) <= bound else "OUTSIDE")
+        if verdict == "OUTSIDE":
+            outside.append(name)
         print("  %-14s %14.4f %14.4f %+8.2f%%  bound %s %s" % (
             name, a, b, 100 * rel,
             "-" if bound is None else "%g" % bound, verdict))
+    return outside
 
 
 def main():
@@ -125,7 +127,6 @@ def main():
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--seconds", type=float, default=20)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    p.add_argument("--threads", type=int, default=0)
     p.add_argument("--heldout-seed", type=int)
     p.add_argument("--self-test", action="store_true")
     args = p.parse_args()
@@ -141,13 +142,17 @@ def main():
     binary = build(build_dir, "hebsbench")
     lines, result = run_binary(binary, args, args.seed)
     print("\n".join(lines))
+    outside = []
     if args.heldout_seed is not None:
         held_lines, held = run_binary(binary, args, args.heldout_seed)
         print("\n".join(held_lines))
         print(json.dumps(held))
         if not args.trace:
-            heldout_report(result, held, (args.seed, args.heldout_seed))
+            outside = heldout_report(result, held,
+                                     (args.seed, args.heldout_seed))
     print(json.dumps(result))
+    if outside:
+        fail("held-out seed outside the bounds on " + ", ".join(outside))
 
 
 if __name__ == "__main__":

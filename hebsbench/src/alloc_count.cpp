@@ -1,9 +1,8 @@
 // Counts every allocation made through the global operator new — the
 // library's rasters, curves, memo nodes and buffer-pool blocks all come
 // from it — so the traced run can report allocation churn per frame
-// (util.allocs_per_frame, util.alloc_mb_per_frame) even though the
-// benchmark keeps freed memory in its heap (main.cpp).  One relaxed
-// atomic add per allocation; frees are not counted.
+// (util.allocs_per_frame, util.alloc_mb_per_frame).  One relaxed atomic
+// add per allocation; frees are not counted.
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>

@@ -96,6 +96,10 @@ class Workload {
   virtual void generate(std::uint64_t seed) = 0;
   virtual std::size_t calls_per_pass() const = 0;
   virtual std::size_t frames_per_call() const = 0;
+  /// The percentile frame_p95_ms reports, fixed per workload so that it
+  /// never depends on how many calls a run makes.  Every run makes at
+  /// least stats::samples_needed(tail_level()) calls to back it.
+  virtual double tail_level() const { return 0.95; }
   /// Issues facade call k (mod calls_per_pass) and checks its outputs.
   virtual CallResult call(hebs::Session& session, std::size_t k) = 0;
 
@@ -136,7 +140,6 @@ struct Options {
   std::uint64_t seed = 1;
   double seconds = 10.0;
   bool trace = false;
-  int threads = 0;  ///< session workers; 0 = nproc
   std::string git_sha = "unknown";
   std::string source_digest = "unknown";
 };

@@ -1,18 +1,19 @@
 // hebsbench: the end-to-end benchmark of the HEBS library.
 //
 //   hebsbench --workload <name> --seed <n> --seconds <s> --trace <0|1>
-//             [--threads <n>] [--git-sha <sha>] [--source-digest <hex>]
+//             [--git-sha <sha>] [--source-digest <hex>]
 //
 // --trace 0 measures the end-to-end metrics with tracing off: set-up
-// (Session::create plus the warm-up call, median of three), then a
+// (Session::create plus the warm-up call, median of five), then a
 // closed loop of facade calls for --seconds (and at least one full
-// pass).  --trace 1 is the separate traced run that prints the
-// per-layer metrics and the sum-to-whole table (layers.cpp).  Both
-// check every frame and print the workload's decision digest.  The
-// last line of stdout is the JSON result:
+// pass, and enough calls to back the workload's tail level), under the
+// library's default allocator, as any caller runs it.  --trace 1 is the
+// separate traced run that prints the per-layer metrics and the
+// sum-to-whole table (layers.cpp).  Both check every frame and print
+// the workload's decision digest.  The last line of stdout is the JSON
+// result:
 //   {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 // Run through run.py, which builds this binary first.
-#include <malloc.h>
 #include <sys/resource.h>
 
 #include <cmath>
@@ -43,7 +44,7 @@ using namespace hebsbench;
   std::fprintf(stderr,
                "hebsbench: %s\n"
                "usage: hebsbench --workload <name> --seed <n> --seconds <s> "
-               "--trace <0|1> [--threads <n>] [--git-sha <sha>] "
+               "--trace <0|1> [--git-sha <sha>] "
                "[--source-digest <hex>]\nworkloads:",
                why);
   for (const std::string& n : workload_names()) {
@@ -69,8 +70,6 @@ Options parse(int argc, char** argv) {
       o.seconds = std::atof(v);
     } else if (flag == "--trace") {
       o.trace = std::strcmp(v, "0") != 0;
-    } else if (flag == "--threads") {
-      o.threads = std::atoi(v);
     } else if (flag == "--git-sha") {
       o.git_sha = v;
     } else if (flag == "--source-digest") {
@@ -108,8 +107,7 @@ double peak_rss_mb() {
   return static_cast<double>(ru.ru_maxrss) / 1024.0;  // KiB -> MiB
 }
 
-void print_context(const Options& o, const Workload& w, int nproc,
-                   int threads) {
+void print_context(const Options& o, const Workload& w, int threads) {
   const int effective =
       hebs::pipeline::ThreadPool(threads).effective_concurrency();
   std::printf(
@@ -117,12 +115,12 @@ void print_context(const Options& o, const Workload& w, int nproc,
       "\"cpu\": \"%s\", \"backend\": \"%s\", \"build_type\": \"%s\", "
       "\"workload\": \"%s\", \"frame_size\": \"%s\", "
       "\"session_threads\": %d, \"seed\": %llu, \"seconds\": %g, "
-      "\"trace\": %d, \"malloc\": \"heap retained\", \"git_sha\": \"%s\", "
+      "\"trace\": %d, \"frame_p95_ms_level\": %g, \"git_sha\": \"%s\", "
       "\"source_digest\": \"%s\"}\n",
-      nproc, effective, cpu_model().c_str(), hebs::kernels::active().name,
+      threads, effective, cpu_model().c_str(), hebs::kernels::active().name,
       HEBSBENCH_BUILD_TYPE, w.name(), w.frame_size().c_str(), threads,
       static_cast<unsigned long long>(o.seed), o.seconds, o.trace ? 1 : 0,
-      o.git_sha.c_str(), o.source_digest.c_str());
+      w.tail_level(), o.git_sha.c_str(), o.source_digest.c_str());
 }
 
 /// Checks the loop's outputs; prints the digest line.
@@ -166,31 +164,14 @@ void print_result(bool correct, const LoopStats& loop,
 
 }  // namespace
 
-/// Keeps freed memory in the process heap.  Left to glibc's defaults,
-/// the library's frame-sized buffers return to the kernel after each
-/// call and come back as fresh page faults on the next (process() alone
-/// takes ~26k per 384x384 frame, ~40% of its time in the kernel).  On a
-/// VM that hands freed pages back to its host, each such fault is a
-/// host round trip whose cost drifts with the host: on a 4-vCPU Xeon
-/// VM, ten back-to-back photo-single runs fell from 12.4 to 7.2
-/// frames/s.  With the heap retained the same runs stay within ~10%
-/// and measure the library's own work.  The churn itself is reported
-/// per frame by the traced run (util.allocs_per_frame and
-/// util.alloc_mb_per_frame).
-void retain_heap() {
-  mallopt(M_MMAP_THRESHOLD, 32 << 20);
-  mallopt(M_TRIM_THRESHOLD, 1 << 30);
-}
-
 int main(int argc, char** argv) {
-  retain_heap();
   const Options opts = parse(argc, argv);
   auto workload = make_workload(opts.workload);
   if (!workload) usage(("unknown workload " + opts.workload).c_str());
-  const int nproc =
+  // The session runs nproc workers.
+  const int threads =
       std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  const int threads = opts.threads > 0 ? opts.threads : nproc;
-  print_context(opts, *workload, nproc, threads);
+  print_context(opts, *workload, threads);
 
   const double g0 = now_s();
   workload->generate(opts.seed);
@@ -209,24 +190,22 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Set-up three times; the last session runs the timed loop.
+  // Set up five times; the last session runs the timed loop.
   std::vector<double> setups;
   std::unique_ptr<hebs::Session> session;
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 5; ++i) {
     session.reset();
     setups.push_back(setup_session(*workload, threads, &session));
   }
-  // A workload of single-frame calls runs long enough for its p95.
-  const std::size_t min_calls =
-      std::max(workload->calls_per_pass(),
-               workload->frames_per_call() == 1 ? stats::samples_needed(0.95)
-                                                : 0);
+  // Every run makes enough calls to back the workload's tail level.
+  const double tail = workload->tail_level();
+  const std::size_t min_calls = std::max(workload->calls_per_pass(),
+                                         stats::samples_needed(tail));
   const LoopStats loop =
       run_loop(*workload, *session, opts.seconds, min_calls);
   const bool correct = check_loop(*workload, loop);
 
   const std::size_t n = loop.frame_ms.size();
-  const double tail = stats::tail_level(n, 0.95);
   const std::vector<Metric> metrics = {
       {"setup_s", stats::median(setups), "s"},
       {"frames_per_s", stats::median(loop.pass_fps), "frames/s"},
@@ -237,14 +216,10 @@ int main(int argc, char** argv) {
   };
   const auto q = stats::quartiles(loop.frame_ms);
   std::printf("samples: %zu calls, %zu frames in %.2f s (%.2f CPU s); "
-              "frame ms quartiles %.3f / %.3f / %.3f; frame_p95_ms %s\n",
+              "frame ms quartiles %.3f / %.3f / %.3f; frame_p95_ms is the "
+              "p%ld\n",
               n, loop.frames, loop.wall_s, loop.cpu_s, q[0], q[1], q[2],
-              tail == 0.95 ? "is the p95 (>= 10 samples beyond it)"
-                           : ("reported at p" +
-                              std::to_string(std::lround(tail * 100)) +
-                              ": fewer than 200 calls, so p95 has under 10 "
-                              "samples beyond it")
-                                 .c_str());
+              std::lround(tail * 100));
   std::printf("frames/s per pass:");
   for (const double fps : loop.pass_fps) std::printf(" %.3f", fps);
   std::printf("\n");

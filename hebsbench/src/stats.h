@@ -8,8 +8,7 @@
 //
 // A tail percentile is only reported when it is backed by data: at
 // least kMinBeyond samples must lie beyond it (p95 therefore needs 200
-// samples).  tail_percentile() picks the highest of the requested
-// percentile and the best-backed lower one.
+// samples).
 #pragma once
 
 #include <algorithm>
@@ -78,16 +77,6 @@ inline bool percentile_defined(std::size_t n, double p) {
 inline std::size_t samples_needed(double p) {
   return static_cast<std::size_t>(
       std::ceil(static_cast<double>(kMinBeyond) / (1.0 - p) - 1e-9));
-}
-
-/// The highest percentile <= p that n samples back, in whole percent
-/// (0.95 -> 95); 50 when even the median has fewer than kMinBeyond
-/// samples beyond it.
-inline double tail_level(std::size_t n, double p) {
-  for (int pct = static_cast<int>(std::lround(p * 100)); pct > 50; --pct) {
-    if (percentile_defined(n, pct / 100.0)) return pct / 100.0;
-  }
-  return 0.5;
 }
 
 }  // namespace hebsbench::stats
