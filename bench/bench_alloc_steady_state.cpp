@@ -9,7 +9,9 @@
 // HEBS search — cold and through the TemporalReuse fast path.  After a
 // warm-up pass over the clip (free lists fill, vector capacities reach
 // their high-water marks), steady-state frames must allocate nothing:
-// every raster, integral table, curve and memo node is recycled.
+// every raster, integral table, curve and memo node is recycled.  A last
+// row drives Session::process end to end and gates on the session's
+// pool-miss count instead (its results must leave the pool).
 //
 // Exit code 1 when any steady-state configuration allocates — this is
 // deterministic (no timing), so CI gates on it.
@@ -25,6 +27,7 @@
 #include "hebs/advanced/pipeline.h"
 #include "hebs/advanced/power.h"
 #include "hebs/advanced/util.h"
+#include "hebs/hebs.h"
 
 namespace {
 
@@ -233,6 +236,41 @@ int main(int argc, char** argv) {
         });
     hebs::obs::stop_tracing();
     report("temporal + tracing on", allocs, 3 * frames_per_pass);
+  }
+
+  {
+    // The facade's single-frame path: Session::process on the engine's
+    // persistent slot.  The gate is the pool-miss counter — after
+    // warm-up no per-frame scratch may need a fresh pool block.  The
+    // operator-new count is printed, not gated: each FrameResult's owned
+    // rasters and curve vectors leave the pool by design.
+    auto session = hebs::Session::create(hebs::SessionConfig());
+    if (!session) {
+      std::fprintf(stderr, "%s\n", session.status().to_string().c_str());
+      return 1;
+    }
+    bool decided = true;
+    const auto call = [&](const hebs::image::GrayImage& frame) {
+      const auto result = session->process(
+          {hebs::ImageView::gray8(frame.pixels().data(), frame.width(),
+                                  frame.height()),
+           kBudget});
+      decided = decided && result.has_value() && !result->degraded;
+    };
+    (void)measure(clip, 2, call);
+    const std::uint64_t fresh_before = session->stats().pool_fresh;
+    const std::uint64_t allocs = measure(clip, 3, call);
+    const std::uint64_t fresh = session->stats().pool_fresh - fresh_before;
+    const std::uint64_t n_frames = 3 * frames_per_pass;
+    const bool pass = fresh == 0 && decided;
+    std::printf("  %-24s: %6llu fresh pool blocks / %llu frames  %s\n",
+                "Session::process", static_cast<unsigned long long>(fresh),
+                static_cast<unsigned long long>(n_frames),
+                pass ? "OK" : "FAIL");
+    std::printf("    operator new: %.2f per frame (FrameResult outputs, "
+                "not gated)\n",
+                static_cast<double>(allocs) / static_cast<double>(n_frames));
+    ok = ok && pass;
   }
 
   std::printf("\n%s\n", ok ? "steady state is allocation-free"

@@ -280,9 +280,8 @@ int cmd_transform(int argc, char** argv) {
   report(*result);
   image::write_pgm(to_gray(result->displayed), out_path);
   std::printf("wrote %s\n", out_path.c_str());
-  // The single-frame path fails the call rather than degrading, but a
-  // session-wide fault spec can still mark batch-shaped internals; keep
-  // the exit-code contract uniform anyway.
+  // A contained fault or a missed deadline leaves the identity fallback
+  // (written above); exit 3 says the run completed degraded.
   if (result->degraded) return report_degraded(0, *result);
   return 0;
 }

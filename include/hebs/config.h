@@ -166,14 +166,14 @@ class SessionConfig {
   }
   int pool_max_mb() const noexcept { return pool_max_mb_; }
 
-  /// Soft per-frame deadline for batch/video processing, microseconds;
-  /// 0 = none.  A frame whose decision takes longer still completes,
-  /// but its result is replaced by the identity fallback (β = 1,
-  /// identity transform — zero distortion, zero saving) and marked
-  /// degraded with kDeadlineExceeded (FrameResult::status).  Soft: the
-  /// check runs after the frame's work, so an overrun is detected, not
-  /// preempted.  The single-frame process() path has no deadline (the
-  /// caller already observes its latency directly).  Default 0.
+  /// Soft per-frame deadline, microseconds; 0 = none.  Applies to
+  /// process() under the hebs-* policies, to batches and to video.  A
+  /// frame whose decision takes longer still completes, but its result
+  /// is replaced by the identity fallback (β = 1, identity transform —
+  /// zero distortion, zero saving) and marked degraded with
+  /// kDeadlineExceeded (FrameResult::status).  Soft: the check runs
+  /// after the frame's work, so an overrun is detected, not preempted.
+  /// bbhe and the DLS/CBCS baselines ignore it.  Default 0.
   SessionConfig& frame_deadline_us(std::int64_t us) {
     frame_deadline_us_ = us;
     return *this;

@@ -213,13 +213,14 @@ struct FrameResult {
   double hue_error = 0.0;
   /// Per-frame observability breakdown (single-frame process() only).
   FrameBreakdown breakdown;
-  /// Batch/video fault containment (DESIGN.md §14): true when this
-  /// frame's pipeline work failed or blew the session's frame deadline
-  /// and the result is the identity fallback (β = 1, identity Λ, the
-  /// unmodified frame displayed — zero distortion, zero saving) rather
-  /// than a computed decision.  The call as a whole still succeeds;
-  /// `status` says why this frame degraded.  Frames after a degraded
-  /// one are unaffected (bit-identical to a run without the fault).
+  /// Fault containment (DESIGN.md §14; process, batch and video frames
+  /// the engine runs — the hebs-* policies): true when this frame's
+  /// pipeline work failed or blew the session's frame deadline and the
+  /// result is the identity fallback (β = 1, identity Λ, the unmodified
+  /// frame displayed — zero distortion, zero saving) rather than a
+  /// computed decision.  The call as a whole still succeeds; `status`
+  /// says why this frame degraded.  Frames after a degraded one are
+  /// unaffected (bit-identical to a run without the fault).
   bool degraded = false;
   /// kOk for a computed frame; for a degraded frame, the containment
   /// cause — kIoError, kDeadlineExceeded, or kInternal — with a message

@@ -58,6 +58,18 @@ class Session {
   /// point (displayed_rgb, applied per the session's color_mode) and
   /// its hue_error; the decision itself is always made on BT.601 luma
   /// and is bit-identical to processing the pre-converted luma frame.
+  ///
+  /// The hebs-* policies run the frame on the engine's persistent
+  /// single-frame slot (a FrameContext and buffer pool kept across
+  /// calls) with the containment of a one-frame process_batch: a frame
+  /// whose work fails or misses frame_deadline_us still returns a
+  /// result, with `degraded` set, β = 1, the unmodified frame displayed
+  /// and a typed status (kInternal, kIoError or kDeadlineExceeded)
+  /// naming frame 0 and the stage; the next call starts from a fresh
+  /// context.  Invalid requests and precondition violations still fail
+  /// the call.  Concurrent calls on one session run in parallel: a call
+  /// that finds the slot busy runs on a one-off context and pool, with
+  /// identical results.
   Expected<FrameResult> process(const FrameRequest& request);
 
   /// Processes many frames at a shared distortion budget.  The hebs-*

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <exception>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -177,6 +178,16 @@ Status fault_status(const pipeline::FrameFault& f) {
 void fill_fault(const pipeline::FrameFault& f, FrameResult& out) {
   out.degraded = f.degraded;
   out.status = fault_status(f);
+}
+
+/// The facade result of a one-frame engine call, with its containment
+/// record applied.
+FrameResult single_frame_result(
+    const std::vector<core::HebsResult>& results,
+    const std::vector<pipeline::FrameFault>& faults) {
+  FrameResult out = to_frame_result(results.front());
+  fill_fault(faults.front(), out);
+  return out;
 }
 
 /// The trace destination this config asks for: the explicit option, or
@@ -392,8 +403,13 @@ struct Session::Impl {
                                        hebs_opts.distortion));
   }
 
+  /// One 8-bit frame.  The hebs-* policies run as a one-frame engine
+  /// batch, on the engine's persistent single-frame slot: process()
+  /// shares the batch path's pool, containment and deadline.
   Expected<FrameResult> run_one(const FrameRequest& request,
                                 const hebs::image::GrayImage& img) {
+    const std::span<const hebs::image::GrayImage> one(&img, 1);
+    std::vector<pipeline::FrameFault> faults;
     if (request.fixed_range > 0) {
       if (!is_hebs_policy()) {
         return Status(StatusCode::kInvalidOption,
@@ -401,16 +417,20 @@ struct Session::Impl {
                       "(policy is \"" +
                           policy->entry.name + "\")");
       }
-      return to_frame_result(
-          core::hebs_at_range(img, request.fixed_range, hebs_opts, model));
+      return single_frame_result(
+          engine.process_batch_at_range(one, request.fixed_range, &faults),
+          faults);
     }
     switch (policy->kind) {
       case PolicyKind::kHebsExact:
-        return to_frame_result(
-            core::hebs_exact(img, request.d_max_percent, hebs_opts, model));
+        return single_frame_result(
+            engine.process_batch(one, request.d_max_percent, &faults),
+            faults);
       case PolicyKind::kHebsCurve:
-        return to_frame_result(core::hebs_with_curve(
-            img, request.d_max_percent, ensure_curve(), hebs_opts, model));
+        return single_frame_result(
+            engine.process_batch_with_curve(one, request.d_max_percent,
+                                            ensure_curve(), &faults),
+            faults);
       case PolicyKind::kBbhe: {
         pipeline::FrameContext ctx(img, hebs_opts, model);
         return to_frame_result(
@@ -421,8 +441,9 @@ struct Session::Impl {
     }
   }
 
-  /// Deep-pixel twin of run_one: the same staged pipeline through a
-  /// FrameContext bound on the frame's own level lattice.
+  /// Deep-pixel twin of run_one, on the frame's own level lattice:
+  /// hebs-exact on the engine's single-frame slot, bbhe through its own
+  /// context.
   Expected<FrameResult> run_one16(const FrameRequest& request,
                                   const hebs::image::GrayImage16& img) {
     if (request.fixed_range > 0 && policy->kind != PolicyKind::kHebsExact) {
@@ -431,17 +452,23 @@ struct Session::Impl {
                     "\"hebs-exact\" (policy is \"" +
                         policy->entry.name + "\")");
     }
-    pipeline::FrameContext ctx(img, hebs_opts, model);
+    const std::span<const hebs::image::GrayImage16> one(&img, 1);
+    std::vector<pipeline::FrameFault> faults;
     if (request.fixed_range > 0) {
-      return to_frame_result(ctx.at_range(request.fixed_range));
+      return single_frame_result(
+          engine.process_batch_at_range16(one, request.fixed_range, &faults),
+          faults);
     }
     switch (policy->kind) {
       case PolicyKind::kHebsExact:
-        return to_frame_result(
-            pipeline::run_exact(ctx, request.d_max_percent));
-      case PolicyKind::kBbhe:
+        return single_frame_result(
+            engine.process_batch16(one, request.d_max_percent, &faults),
+            faults);
+      case PolicyKind::kBbhe: {
+        pipeline::FrameContext ctx(img, hebs_opts, model);
         return to_frame_result(
             pipeline::run_bbhe(ctx, request.d_max_percent));
+      }
       default:
         return unsupported_deep_policy();
     }
@@ -698,7 +725,13 @@ Expected<FrameResult> Session::process(const FrameRequest& request) {
       const hebs::image::GrayImage luma = rgb.to_luma();
       auto result = impl_->run_one(request, luma);
       if (!result) return result.status();
-      impl_->render_color(rgb, luma, *result);
+      if (result->degraded) {
+        // The identity fallback displays the input unmodified: nothing
+        // to render, zero chroma drift (as in the color batch path).
+        fill_color(rgb, 0.0, *result);
+      } else {
+        impl_->render_color(rgb, luma, *result);
+      }
       fill_breakdown(counters_before, elapsed_ms(), *result);
       return result;
     }

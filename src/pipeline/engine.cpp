@@ -20,12 +20,6 @@
 
 namespace hebs::pipeline {
 
-PipelineEngine::PipelineEngine(EngineOptions opts,
-                               hebs::power::LcdSubsystemPower power_model)
-    : opts_(std::move(opts)),
-      model_(std::move(power_model)),
-      pool_(opts_.num_threads) {}
-
 namespace {
 
 std::unique_ptr<util::BufferPool> make_pool(const EngineOptions& opts) {
@@ -145,24 +139,33 @@ class PoolRowExecutor final : public util::RowExecutor {
   const std::function<void(std::size_t, int)> runner_;
 };
 
+}  // namespace
+
+PipelineEngine::PipelineEngine(EngineOptions opts,
+                               hebs::power::LcdSubsystemPower power_model)
+    : opts_(std::move(opts)),
+      model_(std::move(power_model)),
+      pool_(opts_.num_threads) {
+  slot_.pool = make_pool(opts_);
+}
+
 /// Runs `per_frame` for every image on the pool, each worker reusing one
-/// rebound FrameContext drawing from its own recycling buffer pool.
+/// rebound FrameContext drawing from its own recycling buffer pool; a
+/// single image runs inline on the engine's persistent slot instead.
 /// Results land at their frame's index, so output order never depends
 /// on scheduling.
 ///
 /// Containment: a frame whose work throws (or blows the frame deadline)
 /// lands `fallback(i)` at its index instead of failing the batch, and
-/// the worker's context is discarded — its memo state may be mid-update,
-/// and no later frame may read poisoned caches.  The next frame on that
-/// worker starts from a fresh context, so post-fault frames are
+/// the worker's (or slot's) context is discarded — its memo state may be
+/// mid-update, and no later frame may read poisoned caches.  The next
+/// frame there starts from a fresh context, so post-fault frames are
 /// bit-identical to a cold run.
 template <typename Result, typename Image, typename PerFrame,
           typename Fallback>
-std::vector<Result> map_frames(ThreadPool& pool, const EngineOptions& opts,
-                               std::span<const Image> images,
-                               const hebs::power::LcdSubsystemPower& model,
-                               PerFrame&& per_frame, Fallback&& fallback,
-                               std::vector<FrameFault>* faults) {
+std::vector<Result> PipelineEngine::map_frames(
+    std::span<const Image> images, PerFrame&& per_frame, Fallback&& fallback,
+    std::vector<FrameFault>* faults) {
   if (faults != nullptr) {
     faults->clear();
     faults->resize(images.size());
@@ -176,13 +179,15 @@ std::vector<Result> map_frames(ThreadPool& pool, const EngineOptions& opts,
     const auto start = DeadlineClock::now();
     try {
       util::fault::maybe_fail(util::fault::Point::kWorkerTask);
-      if (!ctx) ctx = std::make_unique<FrameContext>(opts.hebs, model);
+      if (!ctx) ctx = std::make_unique<FrameContext>(opts_.hebs, model_);
       ctx->rebind(images[i]);
       results[i] = per_frame(*ctx, i);
     } catch (const util::InvalidArgument&) {
       // Precondition violations are caller bugs, not runtime faults:
       // degrading would hide them, so they propagate out of the batch
-      // (the pool rethrows the first one after the barrier).
+      // (the pool rethrows the first one after the barrier).  The
+      // context may be mid-update all the same, so it goes too.
+      ctx.reset();
       throw;
     } catch (const std::exception& e) {
       ctx.reset();  // quarantine
@@ -192,12 +197,12 @@ std::vector<Result> map_frames(ThreadPool& pool, const EngineOptions& opts,
                    fault_message("search", i, e.what()));
       return;
     }
-    if (deadline_blown(opts, start)) {
+    if (deadline_blown(opts_, start)) {
       obs::add(obs::Counter::kDeadlineMiss);
       util::fault::SuppressScope no_refire;
       results[i] = fallback(i);
       record_fault(faults, i, /*io=*/false,
-                   deadline_message("search", i, opts.frame_deadline_us),
+                   deadline_message("search", i, opts_.frame_deadline_us),
                    /*deadline=*/true);
     }
   };
@@ -206,25 +211,42 @@ std::vector<Result> map_frames(ThreadPool& pool, const EngineOptions& opts,
     // the calling thread (no pool wake) and repurpose the idle workers
     // for intra-frame row parallelism instead — this is what lets extra
     // threads cut single-frame latency rather than add dispatch cost.
-    auto buffer_pool = make_pool(opts);
-    util::PoolScope scope(buffer_pool.get());
-    std::optional<PoolRowExecutor> rows;
-    std::optional<util::ParallelScope> rows_scope;
-    if (pool.effective_concurrency() > 1) {
-      rows.emplace(pool);
-      rows_scope.emplace(&*rows);
+    const auto run_inline = [&](std::unique_ptr<FrameContext>& ctx,
+                                util::BufferPool* buffers, bool row_fanout) {
+      util::PoolScope scope(buffers);
+      std::optional<PoolRowExecutor> rows;
+      std::optional<util::ParallelScope> rows_scope;
+      if (row_fanout && pool_.effective_concurrency() > 1) {
+        rows.emplace(pool_);
+        rows_scope.emplace(&*rows);
+      }
+      obs::ScopedSpan frame_span(obs::Span::kFrame, 0);
+      run_contained(ctx, 0);
+    };
+    if (slot_mu_.try_lock()) {
+      // The persistent slot: back-to-back calls recycle one context and
+      // one pool instead of building both.
+      util::MutexLock lock(slot_mu_, std::adopt_lock);
+      run_inline(slot_.ctx, slot_.pool.get(), /*row_fanout=*/true);
+    } else {
+      // Another caller holds the slot: run on a one-off pool and
+      // context rather than queue, so concurrent callers of one engine
+      // still run in parallel.  The callers already occupy the cores,
+      // so this frame's rows stay on its own thread instead of queuing
+      // on the workers.  The context is declared after its pool, so it
+      // releases its pooled caches first.
+      const auto buffers = make_pool(opts_);
+      std::unique_ptr<FrameContext> ctx;
+      run_inline(ctx, buffers.get(), /*row_fanout=*/false);
     }
-    std::unique_ptr<FrameContext> ctx;
-    obs::ScopedSpan frame_span(obs::Span::kFrame, 0);
-    run_contained(ctx, 0);
     return results;
   }
-  const auto workers = static_cast<std::size_t>(pool.thread_count());
+  const auto workers = static_cast<std::size_t>(pool_.thread_count());
   std::vector<std::unique_ptr<FrameContext>> contexts(workers);
   std::vector<std::unique_ptr<util::BufferPool>> pools(workers);
-  pool.parallel_for(images.size(), [&](std::size_t i, int worker) {
+  pool_.parallel_for(images.size(), [&](std::size_t i, int worker) {
     const auto w = static_cast<std::size_t>(worker);
-    if (!pools[w]) pools[w] = make_pool(opts);
+    if (!pools[w]) pools[w] = make_pool(opts_);
     util::PoolScope scope(pools[w].get());
     obs::ScopedSpan frame_span(obs::Span::kFrame,
                                static_cast<std::int32_t>(i));
@@ -237,13 +259,11 @@ std::vector<Result> map_frames(ThreadPool& pool, const EngineOptions& opts,
   return results;
 }
 
-}  // namespace
-
 std::vector<core::HebsResult> PipelineEngine::process_batch(
     std::span<const hebs::image::GrayImage> images, double d_max_percent,
     std::vector<FrameFault>* faults) {
   return map_frames<core::HebsResult>(
-      pool_, opts_, images, model_,
+      images,
       [d_max_percent](FrameContext& ctx, std::size_t) {
         return run_exact(ctx, d_max_percent);
       },
@@ -255,7 +275,7 @@ std::vector<core::HebsResult> PipelineEngine::process_batch_at_range(
     std::span<const hebs::image::GrayImage> images, int range,
     std::vector<FrameFault>* faults) {
   return map_frames<core::HebsResult>(
-      pool_, opts_, images, model_,
+      images,
       [range](FrameContext& ctx, std::size_t) {
         return ctx.at_range(range);
       },
@@ -267,7 +287,7 @@ std::vector<core::HebsResult> PipelineEngine::process_batch_with_curve(
     std::span<const hebs::image::GrayImage> images, double d_max_percent,
     const core::DistortionCurve& curve, std::vector<FrameFault>* faults) {
   return map_frames<core::HebsResult>(
-      pool_, opts_, images, model_,
+      images,
       [d_max_percent, &curve](FrameContext& ctx, std::size_t) {
         return run_with_curve(ctx, d_max_percent, curve);
       },
@@ -279,7 +299,7 @@ std::vector<core::HebsResult> PipelineEngine::process_batch16(
     std::span<const hebs::image::GrayImage16> images, double d_max_percent,
     std::vector<FrameFault>* faults) {
   return map_frames<core::HebsResult>(
-      pool_, opts_, images, model_,
+      images,
       [d_max_percent](FrameContext& ctx, std::size_t) {
         return run_exact(ctx, d_max_percent);
       },
@@ -291,7 +311,7 @@ std::vector<core::HebsResult> PipelineEngine::process_batch_at_range16(
     std::span<const hebs::image::GrayImage16> images, int range,
     std::vector<FrameFault>* faults) {
   return map_frames<core::HebsResult>(
-      pool_, opts_, images, model_,
+      images,
       [range](FrameContext& ctx, std::size_t) {
         return ctx.at_range(range);
       },
@@ -531,7 +551,7 @@ std::vector<ColorBatchResult> PipelineEngine::process_batch_color(
   // context binding.
   const auto lumas = materialize_lumas(images);
   return map_frames<ColorBatchResult>(
-      pool_, opts_, std::span<const hebs::image::GrayImage>(lumas), model_,
+      std::span<const hebs::image::GrayImage>(lumas),
       [&images, &lumas, d_max_percent, mode](FrameContext& ctx,
                                              std::size_t i) {
         ColorBatchResult r;

@@ -6,7 +6,10 @@
 // FrameContext that it rebinds per frame, so frame-side caches are
 // reused without cross-thread sharing.  Results are written by frame
 // index — output order (and every computed bit) is independent of the
-// thread count.
+// thread count.  A one-frame batch (what Session::process runs) instead
+// runs inline on the calling thread, on a persistent slot — one
+// FrameContext and one buffer pool the engine keeps across calls — and
+// lends the idle workers to intra-frame row parallelism.
 //
 // Stream mode (video) splits each frame's work into the parallelizable
 // per-frame HEBS search and the inherently ordered flicker-control
@@ -19,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -29,6 +33,9 @@
 #include "histogram/streaming.h"
 #include "pipeline/executor.h"
 #include "pipeline/frame_context.h"
+#include "util/mutex.h"
+#include "util/pool.h"
+#include "util/thread_annotations.h"
 
 namespace hebs::core {
 class DistortionCurve;
@@ -219,9 +226,30 @@ class PipelineEngine {
       std::vector<FrameFault>* faults = nullptr);
 
  private:
+  /// The engine's persistent single-frame state (DESIGN.md §9): every
+  /// one-frame call rebinds `ctx`, drawing from `pool`, instead of
+  /// building both per call.  Members destroy in reverse order, so the
+  /// context releases its pooled caches before the pool detaches.
+  struct FrameSlot {
+    std::unique_ptr<util::BufferPool> pool;  ///< null = plain heap
+    std::unique_ptr<FrameContext> ctx;       ///< null = cold/quarantined
+  };
+
+  /// Runs `per_frame` on every image with per-frame fault containment
+  /// (defined in engine.cpp, next to its only callers).
+  template <typename Result, typename Image, typename PerFrame,
+            typename Fallback>
+  std::vector<Result> map_frames(std::span<const Image> images,
+                                 PerFrame&& per_frame, Fallback&& fallback,
+                                 std::vector<FrameFault>* faults);
+
   EngineOptions opts_;
   hebs::power::LcdSubsystemPower model_;
   ThreadPool pool_;
+  /// Held by the one single-frame call running on the slot; a call that
+  /// finds it taken runs on a one-off context instead of waiting.
+  util::Mutex slot_mu_;
+  FrameSlot slot_ HEBS_GUARDED_BY(slot_mu_);
 };
 
 }  // namespace hebs::pipeline

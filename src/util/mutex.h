@@ -8,7 +8,8 @@
 //   * Mutex       — std::mutex with HEBS_CAPABILITY + annotated
 //                   lock/unlock/try_lock (zero state added);
 //   * MutexLock   — scoped lock_guard equivalent (HEBS_SCOPED_CAPABILITY
-//                   so the analysis tracks its RAII acquire/release);
+//                   so the analysis tracks its RAII acquire/release),
+//                   including std::adopt_lock after a try_lock;
 //   * CondVar     — std::condition_variable adapter whose wait() takes
 //                   the Mutex itself and is annotated HEBS_REQUIRES(mu),
 //                   so a wait outside the lock is a compile error under
@@ -54,6 +55,9 @@ class HEBS_CAPABILITY("mutex") Mutex {
 class HEBS_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mu) HEBS_ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
+  /// Takes custody of a lock the caller already holds (after a
+  /// successful try_lock), releasing it on scope exit.
+  MutexLock(Mutex& mu, std::adopt_lock_t) HEBS_REQUIRES(mu) : mu_(mu) {}
   ~MutexLock() HEBS_RELEASE() { mu_.unlock(); }
 
   MutexLock(const MutexLock&) = delete;

@@ -678,6 +678,71 @@ TEST_F(FaultFacadeTest, VideoDeadlineMissIsTypedDeadlineExceeded) {
   EXPECT_EQ(stats.frames_degraded, frames.size());
 }
 
+TEST_F(FaultFacadeTest, ProcessContainsLikeAOneFrameBatch) {
+  // Session::process runs on the engine's single-frame slot: a fault
+  // degrades the frame instead of failing the call, and the quarantined
+  // slot serves the next call from a fresh context.
+  const auto images = small_album(3, 48);
+  const auto views = views_of(images);
+  auto session = hebs::Session::create(
+      hebs::SessionConfig().threads(2).fault_spec("worker-task:first=2"));
+  ASSERT_TRUE(session) << session.status().to_string();
+  auto first = session->process({views[0], 10.0});
+  auto second = session->process({views[1], 10.0});
+  auto third = session->process({views[2], 10.0});
+  fault::clear_all();
+  ASSERT_TRUE(first && second && third);
+  const auto stats = session->stats();
+  EXPECT_EQ(stats.frames_degraded, 1u);
+  EXPECT_EQ(stats.fault_worker_task, 1u);
+
+  EXPECT_FALSE(first->degraded);
+  EXPECT_TRUE(second->degraded);
+  EXPECT_EQ(second->beta, 1.0);
+  EXPECT_EQ(second->distortion_percent, 0.0);
+  EXPECT_EQ(second->saving_percent, 0.0);
+  const auto input = images[1].pixels();
+  EXPECT_TRUE(std::equal(second->displayed.pixels().begin(),
+                         second->displayed.pixels().end(), input.begin(),
+                         input.end()));
+  EXPECT_EQ(second->status.code(), hebs::StatusCode::kInternal);
+  const std::string& why = second->status.message();
+  EXPECT_NE(why.find("frame 0"), std::string::npos) << why;
+  EXPECT_NE(why.find("search stage"), std::string::npos) << why;
+  EXPECT_NE(why.find(fault::point_name(fault::Point::kWorkerTask)),
+            std::string::npos)
+      << why;
+
+  EXPECT_FALSE(third->degraded);
+  EXPECT_TRUE(third->status.ok());
+  auto fresh = hebs::Session::create(hebs::SessionConfig().threads(2));
+  ASSERT_TRUE(fresh) << fresh.status().to_string();
+  auto want = fresh->process({views[2], 10.0});
+  ASSERT_TRUE(want) << want.status().to_string();
+  EXPECT_EQ(third->beta, want->beta);
+  EXPECT_EQ(third->lambda, want->lambda);
+  EXPECT_EQ(third->distortion_percent, want->distortion_percent);
+  EXPECT_EQ(third->displayed, want->displayed);
+}
+
+TEST_F(FaultFacadeTest, ProcessDeadlineMissIsTypedDeadlineExceeded) {
+  // No 48x48 search finishes within 1 us: the frame completes, then
+  // degrades to the identity fallback.
+  const auto images = small_album(1, 48);
+  const auto views = views_of(images);
+  auto session =
+      hebs::Session::create(hebs::SessionConfig().frame_deadline_us(1));
+  ASSERT_TRUE(session) << session.status().to_string();
+  auto result = session->process({views[0], 10.0});
+  ASSERT_TRUE(result) << result.status().to_string();
+  EXPECT_TRUE(result->degraded);
+  EXPECT_EQ(result->status.code(), hebs::StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(result->beta, 1.0);
+  const auto stats = session->stats();
+  EXPECT_EQ(stats.deadline_misses, 1u);
+  EXPECT_EQ(stats.frames_degraded, 1u);
+}
+
 TEST_F(FaultFacadeTest, CurveIoFaultSurfacesAsIoErrorAtCreate) {
   // The curve loads at create; the injected IoError keeps its typed
   // code end to end.

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <mutex>
 #include <set>
@@ -298,17 +299,30 @@ TEST(ThreadPool, PoolSurvivesAndReusesAfterBodyException) {
 TEST(ThreadPool, ExceptionStopsFurtherClaims) {
   // After the first failure workers stop claiming fresh indices: the
   // count of executed bodies never reaches n (with slack for indices
-  // already claimed when the failure landed).
+  // already claimed when the failure landed).  Every other body waits
+  // until index 0 has thrown, so no worker can run through the batch
+  // while the one holding index 0 is descheduled before its throw; each
+  // then sleeps 1 ms, so outrunning the short throw-to-flag window would
+  // need the failing worker off-CPU for the ~10 s the rest would take.
+  constexpr int kN = 10'000;
   ThreadPool pool(2);
+  std::atomic<bool> thrown{false};
   std::atomic<int> executed{0};
-  EXPECT_THROW(pool.parallel_for(10'000,
-                                 [&](std::size_t i, int) {
-                                   executed.fetch_add(
-                                       1, std::memory_order_relaxed);
-                                   if (i == 0) throw std::runtime_error("x");
-                                 }),
+  EXPECT_THROW(pool.parallel_for(
+                   kN,
+                   [&](std::size_t i, int) {
+                     executed.fetch_add(1, std::memory_order_relaxed);
+                     if (i == 0) {
+                       thrown.store(true, std::memory_order_release);
+                       throw std::runtime_error("x");
+                     }
+                     while (!thrown.load(std::memory_order_acquire)) {
+                       std::this_thread::yield();
+                     }
+                     std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                   }),
                std::runtime_error);
-  EXPECT_LT(executed.load(), 10'000);
+  EXPECT_LT(executed.load(), kN);
 }
 
 TEST(ThreadPool, EveryWorkerThrowingStillUnwindsOnce) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <span>
+#include <thread>
 #include <vector>
 
 #include "hebs/advanced/core.h"
@@ -124,6 +126,33 @@ TEST(Engine, BatchAtRangeMatchesSerial) {
   for (std::size_t i = 0; i < images.size(); ++i) {
     expect_same_result(batch[i],
                        core::hebs_at_range(images[i], 150, {}, model()));
+  }
+}
+
+TEST(Engine, ConcurrentSingleFrameCallsShareTheSlotSafely) {
+  // One-frame calls from several threads: one runs on the engine's
+  // single-frame slot, the others on one-off contexts, and the slot
+  // sees alternating sizes; every result matches the serial call.
+  std::vector<GrayImage> images = small_album(2, 48);
+  for (GrayImage& img : small_album(2, 40)) images.push_back(std::move(img));
+  EngineOptions opts;
+  opts.num_threads = 2;
+  PipelineEngine engine(opts, model());
+  std::vector<std::vector<core::HebsResult>> got(images.size());
+  std::vector<std::thread> callers;
+  for (std::size_t t = 0; t < images.size(); ++t) {
+    callers.emplace_back([&, t] {
+      for (int rep = 0; rep < 3; ++rep) {
+        got[t] = engine.process_batch(
+            std::span<const GrayImage>(&images[t], 1), 10.0);
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (std::size_t t = 0; t < images.size(); ++t) {
+    ASSERT_EQ(got[t].size(), 1u);
+    expect_same_result(got[t][0],
+                       core::hebs_exact(images[t], 10.0, {}, model()));
   }
 }
 
