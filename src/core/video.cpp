@@ -36,14 +36,19 @@ FrameDecision VideoBacklightController::process(
 }
 
 FrameDecision VideoBacklightController::apply_flicker_control(
-    hebs::pipeline::FrameContext& ctx, const HebsResult& raw) {
-  FrameDecision decision;
-  decision.raw_beta = raw.point.beta;
+    const hebs::pipeline::FrameContext& ctx, const HebsResult& raw) {
+  FrameDecision decision = plan_flicker(ctx.exact_histogram(), raw.point.beta);
+  rederive(ctx, raw, decision);
+  return decision;
+}
 
-  // Scene-cut detection from histogram change.  Always the exact
-  // histogram — a decimated estimate may drive the pipeline's statistics
-  // stages, but the cut detector compares what is actually on screen.
-  const auto& hist = ctx.exact_histogram();
+FrameDecision VideoBacklightController::plan_flicker(
+    const hebs::histogram::Histogram& hist, double raw_beta) {
+  FrameDecision decision;
+  decision.raw_beta = raw_beta;
+
+  // Scene-cut detection from histogram change, on the exact histogram:
+  // the cut detector compares what is actually on screen.
   decision.scene_cut =
       prev_hist_.has_value() &&
       hebs::histogram::l1_distance(*prev_hist_, hist) >
@@ -60,11 +65,20 @@ FrameDecision VideoBacklightController::apply_flicker_control(
   }
   decision.beta = applied_beta;
 
+  prev_beta_ = applied_beta;
+  prev_hist_ = hist;
+  return decision;
+}
+
+void VideoBacklightController::rederive(
+    const hebs::pipeline::FrameContext& ctx, const HebsResult& raw,
+    FrameDecision& decision) const {
   // Re-derive the transform for the applied β.  Two candidates: (a)
   // compress the frame into the range the applied backlight displays
   // without clipping, and (b) keep the per-frame optimal Λ and accept
   // top clipping at the applied β (the concurrent-scaling trade).  Keep
   // whichever distorts less.
+  const double applied_beta = decision.beta;
   const int applied_range =
       std::max(opts_.hebs.min_range, gmax_for_beta(applied_beta));
   const HebsResult& compressed = ctx.at_range_lean(applied_range);
@@ -83,10 +97,6 @@ FrameDecision VideoBacklightController::apply_flicker_control(
     decision.evaluation = compress_eval;
   }
   ctx.materialize_transformed(decision.evaluation);
-
-  prev_beta_ = applied_beta;
-  prev_hist_ = hist;
-  return decision;
 }
 
 FrameDecision VideoBacklightController::apply_degraded(

@@ -36,9 +36,13 @@ struct VideoOptions {
   double ema_alpha = 0.5;
   /// Histogram L1 distance (0..2) above which a scene cut is declared.
   double scene_cut_threshold = 0.5;
-  /// Worker threads for process_clip's engine-backed per-frame search;
-  /// <= 0 selects the hardware concurrency.  Decisions are identical for
-  /// every thread count.
+  /// Worker threads for process_clip's engine-backed per-frame search
+  /// and applied-β re-derivation; <= 0 selects the hardware concurrency.
+  /// With temporal_reuse = false, decisions are identical for every
+  /// thread count.  With temporal reuse on, a slot's warm starts depend
+  /// on which frames share its chain, so β may differ by quantization
+  /// wiggles between thread counts; every decision stays within the
+  /// distortion budget either way (DESIGN.md §9).
   int num_threads = 0;
   /// Temporal-coherence fast path in process_clip (duplicate-frame
   /// reuse, incremental histograms, warm-started searches).  Decisions
@@ -79,10 +83,11 @@ class VideoBacklightController {
   FrameDecision process(const hebs::image::GrayImage& frame);
 
   /// Processes a whole clip and returns one decision per frame.  Backed
-  /// by the PipelineEngine: the per-frame HEBS searches run on the pool
-  /// (opts.num_threads wide) while flicker control is applied strictly
-  /// in frame order, so the decisions match serial process() calls
-  /// bit-for-bit.
+  /// by the PipelineEngine: the per-frame HEBS searches and applied-β
+  /// re-derivations run on the pool (opts.num_threads wide) while the β
+  /// recurrence advances strictly in frame order, so with
+  /// opts.temporal_reuse = false the decisions match serial process()
+  /// calls bit-for-bit.
   std::vector<FrameDecision> process_clip(
       const std::vector<hebs::image::GrayImage>& frames);
 
@@ -99,23 +104,37 @@ class VideoBacklightController {
   static double max_flicker_step(const std::vector<FrameDecision>& clip);
 
  private:
-  // The ordered post-stage: given the raw per-frame HEBS result (from
-  // `ctx`'s frame), applies scene-cut detection and the β rate limit,
-  // re-derives the transform for the applied β, and advances the
-  // controller's stream state.  Private because calling it out of frame
-  // order corrupts the flicker filter's history; process() and the
-  // engine's stream mode (the befriended PipelineEngine) are the only
-  // ordered consumers.
+  // The post-stage, split at its only ordering dependency.  Private
+  // because planning out of frame order corrupts the flicker filter's
+  // history; process() and the engine's stream mode (the befriended
+  // PipelineEngine) are the only ordered consumers.
   friend class hebs::pipeline::PipelineEngine;
-  FrameDecision apply_flicker_control(hebs::pipeline::FrameContext& ctx,
+
+  /// The ordered scalar step: scene-cut detection from the frame's exact
+  /// histogram and the EMA + rate limit that turn `raw_beta` into the
+  /// applied β.  Advances the stream state and returns the decision with
+  /// raw_beta, beta and scene_cut filled; point and evaluation are left
+  /// for rederive.  Costs microseconds — no raster work.
+  FrameDecision plan_flicker(const hebs::histogram::Histogram& hist,
+                             double raw_beta);
+
+  /// The per-frame raster work: re-derives the transform for the planned
+  /// β on `ctx`'s frame and fills decision.point and decision.evaluation
+  /// (transformed raster materialized).  Reads no stream state, so the
+  /// frames of a round re-derive concurrently, each on its own context.
+  void rederive(const hebs::pipeline::FrameContext& ctx,
+                const HebsResult& raw, FrameDecision& decision) const;
+
+  /// plan_flicker then rederive for one frame: the serial post-stage.
+  FrameDecision apply_flicker_control(const hebs::pipeline::FrameContext& ctx,
                                       const HebsResult& raw);
 
-  /// The ordered post-stage for a frame whose search was contained as a
-  /// fault (engine stream mode): emits the identity decision carried by
-  /// `fallback` (β = 1 — the provably-safe point; dimming through a
-  /// rate-limited β would need the quarantined frame state to re-derive
-  /// Λ) and resets the flicker history, treating the degraded frame as
-  /// a stream discontinuity.  This is what makes every frame after a
+  /// The ordered post-stage for a frame whose search or re-derivation
+  /// was contained as a fault (engine stream mode): emits the identity
+  /// decision carried by `fallback` (β = 1 — the provably-safe point;
+  /// dimming through a rate-limited β would need the quarantined frame
+  /// state to re-derive Λ) and resets the flicker history, treating the
+  /// degraded frame as a stream discontinuity.  This is what makes every frame after a
   /// fault bit-identical to a cold run started there: the controller
   /// restarts exactly as it would at a clip boundary.
   FrameDecision apply_degraded(const HebsResult& fallback);

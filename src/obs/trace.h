@@ -42,7 +42,8 @@ enum class Span : std::uint8_t {
   kBetaProbe,     ///< one β candidate evaluation; arg = round(β * 1e6)
   kLutApply,      ///< displayed-raster materialization (LUT application)
   kColorRender,   ///< color post-stage rendering of one frame
-  kFlickerPost,   ///< ordered flicker-control application; arg = frame index
+  kFlickerPost,   ///< video applied-β re-derivation on a worker (or a
+                  ///< containment replay on the caller); arg = frame index
   kSpanCount_,
 };
 

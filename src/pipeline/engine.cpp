@@ -329,32 +329,21 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
     faults->resize(frames.size());
   }
 
-  // Optional sampling front end: estimate per-frame histograms with the
-  // decimating estimator.  Ingestion is ordered (the estimator is
-  // stateful), so snapshots are taken serially up front.
-  std::vector<hebs::histogram::Histogram> estimates;
-  if (opts_.use_streaming_histogram) {
-    hebs::histogram::StreamingHistogram estimator(opts_.streaming);
-    estimates.reserve(frames.size());
-    for (const auto& frame : frames) {
-      estimator.ingest(frame);
-      estimates.push_back(estimator.estimate());
-    }
-  }
-
-  // The clip is processed in rounds of `slots` frames: the per-frame
-  // searches run on the pool, then the ordered post-stage consumes the
-  // round strictly in frame order, so peak memory stays at `slots`
-  // cached contexts and the controller's state advances exactly as
-  // serial processing would.  Each slot owns a persistent FrameContext,
-  // a recycling BufferPool, and — temporal mode — the coherence state
-  // of its fixed-stride frame chain (slot k sees frames k, k + slots,
-  // k + 2·slots, …; with one worker the chain is the clip itself).
-  // Round boundaries cannot change any value: per-frame raw searches
-  // are independent (temporal reuse is verified, see temporal.h), and
-  // flicker control consumes them in frame order either way.
-  const bool temporal =
-      opts_.temporal_reuse && !opts_.use_streaming_histogram;
+  // The clip is processed in rounds of `slots` frames, each in four
+  // steps: the per-frame searches run on the pool; the controller plans
+  // the round's applied β values in frame order on the calling thread
+  // (the scalar recurrence — the only truly ordered work); the
+  // applied-β re-derivations run on the pool, each frame on its own
+  // slot; and the decisions land by frame index.  Peak memory stays at
+  // `slots` cached contexts and the controller's state advances exactly
+  // as serial processing would.  Each slot owns a persistent
+  // FrameContext, a recycling BufferPool, and — temporal mode — the
+  // coherence state of its fixed-stride frame chain (slot k sees frames
+  // k, k + slots, k + 2·slots, …; with one worker the chain is the clip
+  // itself).  Round boundaries cannot change any value: per-frame raw
+  // searches are independent (temporal reuse is verified, see
+  // temporal.h), the plan consumes them in frame order either way, and
+  // a re-derivation reads only its own frame's context and plan.
   const auto threads = static_cast<std::size_t>(pool_.thread_count());
   const std::size_t slots = std::max<std::size_t>(
       1, std::min(frames.size(), threads == 1 ? 1 : 2 * threads));
@@ -364,6 +353,13 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
     std::unique_ptr<FrameContext> ctx;
     TemporalReuse reuse;
     core::HebsResult raw;
+    // Containment flags for the slot's frame of the current round:
+    // `degraded` — `raw` carries the identity fallback (search or
+    // re-derivation fault); `rederive_fault` — the fault hit the
+    // re-derivation.  Written by the slot's worker, read on the calling
+    // thread after the step's barrier.
+    bool degraded = false;
+    bool rederive_fault = false;
     Slot(const EngineOptions& opts, bool temporal_on)
         : pool(make_pool(opts)), reuse(slot_reuse_options(temporal_on)) {}
 
@@ -376,29 +372,30 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
   std::vector<Slot> slot_states;
   slot_states.reserve(slots);
   for (std::size_t k = 0; k < slots; ++k) {
-    slot_states.emplace_back(opts_, temporal);
+    slot_states.emplace_back(opts_, opts_.temporal_reuse);
   }
 
   std::vector<core::FrameDecision> decisions;
   decisions.reserve(frames.size());
 
-  // Per-round containment flags: degraded[k] marks slot k's frame of
-  // the current round as carrying the identity fallback.  Written by
-  // the slot's worker, read by the ordered post-stage after the round's
-  // barrier.
-  std::vector<std::uint8_t> degraded(slots, 0);
-
-  // Full quarantine of a faulted slot: its context's memo state and its
+  // Containment of a faulted frame: its context's memo state and its
   // temporal chain may be poisoned (mid-update when the fault unwound),
   // so both are discarded — the slot's next frame runs the cold path on
-  // a fresh context, exactly as a cold run started there would.
-  const auto quarantine = [](Slot& s) {
+  // a fresh context, exactly as a cold run started there would — and
+  // the frame carries the identity fallback.
+  const auto contain = [&](Slot& s, std::size_t i, bool io,
+                           std::string message, bool deadline = false) {
     s.ctx.reset();
     s.reuse.reset();
+    util::fault::SuppressScope no_refire;
+    s.raw = identity_fallback(frames[i]);
+    s.degraded = true;
+    record_fault(faults, i, io, std::move(message), deadline);
   };
 
-  // One callable for the whole clip (constructing a std::function per
-  // round would put an allocation back into the steady state).
+  // One callable per step for the whole clip (constructing a
+  // std::function per round would put an allocation back into the
+  // steady state).
   std::size_t begin = 0;
   const std::function<void(std::size_t, int)> search_round =
       [&](std::size_t k, int) {
@@ -407,7 +404,8 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
         util::PoolScope scope(s.pool.get());
         obs::ScopedSpan frame_span(obs::Span::kFrame,
                                    static_cast<std::int32_t>(i));
-        degraded[k] = 0;
+        s.degraded = false;
+        s.rederive_fault = false;
         const auto start = DeadlineClock::now();
         try {
           util::fault::maybe_fail(util::fault::Point::kWorkerTask);
@@ -415,24 +413,14 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
             s.ctx = std::make_unique<FrameContext>(vopts.hebs,
                                                    controller.power_model());
           }
-          if (!estimates.empty()) {
-            s.ctx->rebind(frames[i]);
-            s.ctx->set_histogram_estimate(estimates[i]);
-            s.raw = run_exact(*s.ctx, vopts.d_max_percent);
-          } else {
-            // TemporalReuse handles both modes: disabled, it degrades to
-            // rebind + run_exact (the cold path).
-            s.raw = s.reuse.process(*s.ctx, frames[i], vopts.d_max_percent);
-          }
+          // TemporalReuse handles both modes: disabled, it degrades to
+          // rebind + run_exact (the cold path).
+          s.raw = s.reuse.process(*s.ctx, frames[i], vopts.d_max_percent);
         } catch (const util::InvalidArgument&) {
           throw;  // caller bug, not a runtime fault — see map_frames
         } catch (const std::exception& e) {
-          quarantine(s);
-          util::fault::SuppressScope no_refire;
-          s.raw = identity_fallback(frames[i]);
-          degraded[k] = 1;
-          record_fault(faults, i, is_io_error(e),
-                       fault_message("stream search", i, e.what()));
+          contain(s, i, is_io_error(e),
+                  fault_message("stream search", i, e.what()));
           return;
         }
         if (deadline_blown(opts_, start)) {
@@ -441,57 +429,86 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
           // decision is the fallback and the controller treats it as a
           // discontinuity, so the slot restarts cold too (uniform
           // degradation contract: one recovery story for every fault).
-          quarantine(s);
-          util::fault::SuppressScope no_refire;
-          s.raw = identity_fallback(frames[i]);
-          degraded[k] = 1;
-          record_fault(
-              faults, i, /*io=*/false,
-              deadline_message("stream search", i, opts_.frame_deadline_us),
-              /*deadline=*/true);
+          contain(s, i, /*io=*/false,
+                  deadline_message("stream search", i,
+                                   opts_.frame_deadline_us),
+                  /*deadline=*/true);
         }
       };
 
-  // The ordered post-stage's scratch (applied-β re-derivations) has its
-  // own pool: it runs on the calling thread across all slots.
-  auto post_pool = make_pool(opts_);
+  const std::function<void(std::size_t, int)> rederive_round =
+      [&](std::size_t k, int) {
+        Slot& s = slot_states[k];
+        if (s.degraded) return;  // planned as a discontinuity already
+        const std::size_t i = begin + k;
+        util::PoolScope scope(s.pool.get());
+        obs::ScopedSpan post_span(obs::Span::kFlickerPost,
+                                  static_cast<std::int32_t>(i));
+        try {
+          controller.rederive(*s.ctx, s.raw, decisions[i]);
+        } catch (const util::InvalidArgument&) {
+          throw;  // caller bug, not a runtime fault — see map_frames
+        } catch (const std::exception& e) {
+          s.rederive_fault = true;
+          contain(s, i, is_io_error(e),
+                  fault_message("flicker re-derivation", i, e.what()));
+        }
+      };
+
   for (begin = 0; begin < frames.size(); begin += slots) {
     const std::size_t count = std::min(slots, frames.size() - begin);
 
-    // Parallel stage: the per-frame exact HEBS search.  Contexts stay
-    // alive into the post-stage, which reuses their caches for the
-    // applied-β re-derivation.
+    // 1. The per-frame exact HEBS search.  Contexts stay alive into the
+    // re-derivation, which reuses their caches.
     pool_.parallel_for(count, search_round);
 
-    // Ordered post-stage: flicker control advances the controller's
-    // state exactly as serial per-frame processing would.  A frame
-    // degraded in the search stage bypasses flicker control (its slot
-    // context is gone) and resets the controller's history instead; a
-    // fault inside the post-stage itself is contained the same way.
-    util::PoolScope scope(post_pool.get());
+    // 2. The ordered plan: scene cuts and the β recurrence, in frame
+    // order.  A frame degraded in the search resets the controller (a
+    // stream discontinuity) instead of advancing it.
     for (std::size_t k = 0; k < count; ++k) {
+      Slot& s = slot_states[k];
+      if (s.degraded) {
+        // Copying the pooled fallback result must not re-fire a
+        // persistent injected allocation fault.
+        util::fault::SuppressScope no_refire;
+        decisions.push_back(controller.apply_degraded(s.raw));
+      } else {
+        decisions.push_back(controller.plan_flicker(s.ctx->exact_histogram(),
+                                                    s.raw.point.beta));
+      }
+    }
+
+    // 3. The applied-β re-derivations, each on its own slot.
+    pool_.parallel_for(count, rederive_round);
+
+    // 4. Emit: the decisions already sit at their frame index.  Only a
+    // re-derivation fault leaves work here — the containment replay.
+    // The first frame whose re-derivation faulted degrades and resets
+    // the controller; the frames after it were planned on the history
+    // that reset discards, so they are re-planned and re-derived in
+    // order from the reset controller (serially: the path is rare),
+    // exactly as a cold run started after the fault computes them.
+    std::size_t k = 0;
+    while (k < count && !slot_states[k].rederive_fault) ++k;
+    for (; k < count; ++k) {
       const std::size_t i = begin + k;
       Slot& s = slot_states[k];
-      obs::ScopedSpan post_span(obs::Span::kFlickerPost,
-                                static_cast<std::int32_t>(i));
-      if (degraded[k]) {
-        // Containment path: copying the pooled fallback result must not
-        // re-fire a persistent injected allocation fault.
-        util::fault::SuppressScope no_refire;
-        decisions.push_back(controller.apply_degraded(s.raw));
-        continue;
+      if (!s.degraded) {
+        util::PoolScope scope(s.pool.get());
+        obs::ScopedSpan post_span(obs::Span::kFlickerPost,
+                                  static_cast<std::int32_t>(i));
+        try {
+          decisions[i] = controller.apply_flicker_control(*s.ctx, s.raw);
+        } catch (const util::InvalidArgument&) {
+          throw;  // caller bug, not a runtime fault — see map_frames
+        } catch (const std::exception& e) {
+          contain(s, i, is_io_error(e),
+                  fault_message("flicker re-derivation", i, e.what()));
+        }
       }
-      try {
-        decisions.push_back(controller.apply_flicker_control(*s.ctx, s.raw));
-      } catch (const util::InvalidArgument&) {
-        throw;  // caller bug, not a runtime fault — see map_frames
-      } catch (const std::exception& e) {
-        quarantine(s);
+      if (s.degraded) {
         util::fault::SuppressScope no_refire;
-        s.raw = identity_fallback(frames[i]);
-        decisions.push_back(controller.apply_degraded(s.raw));
-        record_fault(faults, i, is_io_error(e),
-                     fault_message("flicker post-stage", i, e.what()));
+        decisions[i] = controller.apply_degraded(s.raw);
       }
     }
   }

@@ -11,14 +11,12 @@
 // FrameContext and one buffer pool the engine keeps across calls — and
 // lends the idle workers to intra-frame row parallelism.
 //
-// Stream mode (video) splits each frame's work into the parallelizable
-// per-frame HEBS search and the inherently ordered flicker-control
-// post-stage: raw operating points are computed concurrently, then the
-// VideoBacklightController consumes them strictly in frame order,
-// producing exactly the decisions the serial controller makes.  A
-// decimated StreamingHistogram can optionally stand in for the exact
-// per-frame histogram, as a real video controller's sampling front end
-// would.
+// Stream mode (video) keeps only the flicker controller's scalar β
+// recurrence in frame order: raw operating points are searched
+// concurrently, the VideoBacklightController plans each frame's applied
+// β strictly in frame order, and the per-frame re-derivation for that β
+// runs concurrently again — producing exactly the decisions the serial
+// controller makes.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +28,6 @@
 #include "core/color.h"
 #include "core/hebs.h"
 #include "core/video.h"
-#include "histogram/streaming.h"
 #include "pipeline/executor.h"
 #include "pipeline/frame_context.h"
 #include "util/mutex.h"
@@ -51,11 +48,6 @@ struct EngineOptions {
   /// ignores this and uses the controller's VideoOptions::hebs instead
   /// (the controller defines the stream's semantics).
   core::HebsOptions hebs;
-  /// Stream mode: estimate per-frame histograms with a decimating
-  /// StreamingHistogram instead of touching every pixel.
-  bool use_streaming_histogram = false;
-  /// Estimator configuration when use_streaming_histogram is set.
-  hebs::histogram::StreamingOptions streaming;
   /// Per-worker recycling buffer pools: all per-frame scratch (rasters,
   /// integral tables, curves, memo nodes) recycles instead of hitting
   /// the heap — the engine's steady state allocates nothing per frame.
@@ -71,9 +63,7 @@ struct EngineOptions {
   /// monotone over the search interval (sub-0.1% quantization wiggles
   /// are the only exception; every decision honors the distortion
   /// budget either way — see DESIGN.md §9 and pipeline/temporal.h).
-  /// Disable for unconditional cold-path equality.  Ignored when
-  /// use_streaming_histogram is set (the stateful estimator makes
-  /// consecutive frames non-comparable).
+  /// Disable for unconditional cold-path equality.
   bool temporal_reuse = true;
   /// Cap on bytes checked out of each per-worker pool at once; 0 =
   /// unlimited.  Exhaustion degrades to counted plain-heap blocks
@@ -183,9 +173,10 @@ class PipelineEngine {
       std::vector<FrameFault>* faults = nullptr);
 
   /// Frame-adaptive video: per-frame raw operating points are searched
-  /// concurrently, then `controller` applies flicker control strictly in
-  /// frame order (its state advances exactly as if it had processed the
-  /// clip serially).
+  /// concurrently, `controller` plans the applied β strictly in frame
+  /// order (its state advances exactly as if it had processed the clip
+  /// serially), and each frame's transform is re-derived for its applied
+  /// β concurrently again.
   ///
   /// Fault containment: a faulted frame emits the identity decision
   /// (β = 1, identity LUT) and is treated as a stream discontinuity —

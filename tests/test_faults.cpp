@@ -421,6 +421,126 @@ TEST_F(FaultMatrixTest, StreamRecoveryBitIdenticalToColdRun) {
   }
 }
 
+TEST_F(FaultMatrixTest, StreamRederiveFaultReplaysTheRestOfItsRound) {
+  // A pool-alloc fault inside the parallel applied-β re-derivation.  The
+  // faulted frame degrades and resets the controller; the frames after
+  // it in the same round were planned on history that reset discards,
+  // so they must be re-planned to equal a cold run started after it.
+  const auto clip = hebs::image::make_video_clip(48, 48);
+  for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    // Stream rounds are 2 x threads frames (one frame at one thread);
+    // the clip spans three of them.
+    const std::size_t round = threads == 1 ? 1 : 2 * threads;
+    const std::vector<GrayImage> frames(
+        clip.begin(), clip.begin() + static_cast<std::ptrdiff_t>(3 * round));
+    EngineOptions opts;
+    opts.num_threads = threads;
+    opts.temporal_reuse = false;  // unconditional cold-path equality
+    core::VideoOptions vopts;
+    vopts.temporal_reuse = false;
+    vopts.num_threads = threads;
+
+    struct Run {
+      std::vector<core::FrameDecision> decisions;
+      std::vector<FrameFault> faults;
+      std::size_t fault_at = 0;
+      bool rederive = false;  // the fault hit the re-derivation stage
+    };
+    const auto run_with_fault_at_hit = [&](std::uint64_t hit) {
+      fault::clear_all();
+      fault::Spec spec;
+      spec.point = fault::Point::kPoolAlloc;
+      spec.first = hit;
+      fault::install(spec);
+      Run r;
+      r.decisions =
+          PipelineEngine(opts, model()).process_stream(frames, vopts, &r.faults);
+      fault::clear_all();
+      r.fault_at = frames.size();
+      for (std::size_t i = 0; i < r.faults.size(); ++i) {
+        if (!r.faults[i].degraded) continue;
+        EXPECT_EQ(r.fault_at, frames.size()) << "more than one degraded frame";
+        r.fault_at = i;
+        r.rederive =
+            r.faults[i].message.find("re-derivation") != std::string::npos;
+      }
+      return r;
+    };
+
+    // A clean run counts the pool allocations.  The hits run round by
+    // round and, within a round, search before re-derivation, so the
+    // (round, stage) a hit index lands in grows with the index: bisect
+    // for the first hit of round 1's re-derivation.
+    fault::Spec never;
+    never.point = fault::Point::kPoolAlloc;
+    never.first = std::uint64_t{1} << 62;
+    fault::install(never);
+    const auto clean =
+        PipelineEngine(opts, model()).process_stream(frames, vopts);
+    const std::uint64_t total_hits = fault::hit_count(fault::Point::kPoolAlloc);
+    fault::clear_all();
+    const auto stage_key = [&](const Run& r) {
+      return 2 * (r.fault_at / round) + (r.rederive ? 1 : 0);
+    };
+    std::uint64_t lo = 1;
+    std::uint64_t hi = total_hits;
+    while (lo < hi) {
+      const std::uint64_t mid = lo + (hi - lo) / 2;
+      if (stage_key(run_with_fault_at_hit(mid)) >= 3) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    const Run run = run_with_fault_at_hit(lo);
+    ASSERT_LT(run.fault_at, frames.size());
+    ASSERT_TRUE(run.rederive) << run.faults[run.fault_at].message;
+    ASSERT_EQ(run.fault_at / round, 1u);
+    const std::size_t fault_at = run.fault_at;
+
+    // Exactly that frame degrades to the identity decision.
+    EXPECT_EQ(run.decisions[fault_at].beta, 1.0);
+    EXPECT_EQ(run.decisions[fault_at].raw_beta, 1.0);
+    EXPECT_EQ(run.decisions[fault_at].evaluation.transformed,
+              frames[fault_at]);
+
+    // The frames after it, the rest of its round included, equal a cold
+    // run started just after it.
+    EngineOptions ref_opts;
+    ref_opts.num_threads = 1;
+    ref_opts.temporal_reuse = false;
+    core::VideoOptions ref_vopts = vopts;
+    ref_vopts.num_threads = 1;
+    const std::span<const GrayImage> suffix(frames.data() + fault_at + 1,
+                                            frames.size() - fault_at - 1);
+    const auto ref =
+        PipelineEngine(ref_opts, model()).process_stream(suffix, ref_vopts);
+    ASSERT_EQ(ref.size(), suffix.size());
+    for (std::size_t j = 0; j < ref.size(); ++j) {
+      SCOPED_TRACE("suffix frame " + std::to_string(j));
+      expect_same_decision(run.decisions[fault_at + 1 + j], ref[j]);
+    }
+    // The replay is what makes them equal: without the fault, a frame
+    // after it in its round decides differently from that cold run.
+    if (threads > 1) {
+      bool history_matters = false;
+      for (std::size_t i = fault_at + 1; i < 2 * round; ++i) {
+        history_matters |= clean[i].beta != ref[i - fault_at - 1].beta;
+      }
+      EXPECT_TRUE(history_matters);
+    }
+    // The prefix is unchanged.
+    const std::span<const GrayImage> prefix(frames.data(), fault_at);
+    const auto pre =
+        PipelineEngine(ref_opts, model()).process_stream(prefix, ref_vopts);
+    for (std::size_t j = 0; j < pre.size(); ++j) {
+      SCOPED_TRACE("prefix frame " + std::to_string(j));
+      expect_same_decision(run.decisions[j], pre[j]);
+    }
+  }
+}
+
 TEST_F(FaultMatrixTest, StreamTemporalQuarantineRebuildsCleanly) {
   // Temporal mode: the faulted slot's TemporalReuse chain is discarded;
   // under the §9 monotone-distortion contract the recovered frames are

@@ -2,8 +2,10 @@
 // counts, bit-identity with the serial path, ordered flicker control.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -180,29 +182,44 @@ core::VideoOptions fast_video_options(int threads) {
 }
 
 TEST(EngineStream, MatchesSerialControllerBitForBit) {
-  const auto clip = hebs::image::make_video_clip(10, 48);
+  // A slow pan, a static run, then frames that cut between scenes: at
+  // least three stream rounds (2 x threads frames each) at 8 threads.
+  auto clip = hebs::image::make_video_clip(16, 48);
+  const GrayImage still = clip.back();
+  for (int i = 0; i < 8; ++i) clip.push_back(still);
+  for (GrayImage& img : small_album(12, 48)) clip.push_back(std::move(img));
 
   // Serial reference: one controller fed frame by frame.
   core::VideoBacklightController serial(fast_video_options(1), model());
   std::vector<core::FrameDecision> expected;
   for (const auto& frame : clip) expected.push_back(serial.process(frame));
+  ASSERT_TRUE(std::any_of(expected.begin(), expected.end(),
+                          [](const auto& d) { return d.scene_cut; }));
 
-  EngineOptions eopts;
-  eopts.num_threads = 4;
-  PipelineEngine engine(eopts, model());
-  const auto streamed = engine.process_stream(clip, fast_video_options(4));
+  for (int threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    EngineOptions eopts;
+    eopts.num_threads = threads;
+    eopts.temporal_reuse = false;
+    PipelineEngine engine(eopts, model());
+    core::VideoOptions vopts = fast_video_options(threads);
+    vopts.temporal_reuse = false;
+    const auto streamed = engine.process_stream(clip, vopts);
 
-  ASSERT_EQ(streamed.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(streamed[i].raw_beta, expected[i].raw_beta) << "frame " << i;
-    EXPECT_EQ(streamed[i].beta, expected[i].beta) << "frame " << i;
-    EXPECT_EQ(streamed[i].scene_cut, expected[i].scene_cut) << "frame " << i;
-    EXPECT_EQ(streamed[i].evaluation.distortion_percent,
-              expected[i].evaluation.distortion_percent)
-        << "frame " << i;
-    EXPECT_EQ(streamed[i].evaluation.transformed,
-              expected[i].evaluation.transformed)
-        << "frame " << i;
+    ASSERT_EQ(streamed.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      SCOPED_TRACE("frame " + std::to_string(i));
+      EXPECT_EQ(streamed[i].raw_beta, expected[i].raw_beta);
+      EXPECT_EQ(streamed[i].beta, expected[i].beta);
+      EXPECT_EQ(streamed[i].scene_cut, expected[i].scene_cut);
+      EXPECT_EQ(streamed[i].point.beta, expected[i].point.beta);
+      EXPECT_EQ(streamed[i].point.luminance_transform.points(),
+                expected[i].point.luminance_transform.points());
+      EXPECT_EQ(streamed[i].evaluation.distortion_percent,
+                expected[i].evaluation.distortion_percent);
+      EXPECT_EQ(streamed[i].evaluation.transformed,
+                expected[i].evaluation.transformed);
+    }
   }
 }
 
@@ -234,31 +251,6 @@ TEST(EngineStream, FlickerStaysRateLimited) {
   EXPECT_EQ(decisions.size(), clip.size());
   EXPECT_LE(core::VideoBacklightController::max_flicker_step(decisions),
             opts.max_beta_step + 1e-9);
-}
-
-TEST(EngineStream, StreamingHistogramModeHonorsBetaLimits) {
-  const auto clip = hebs::image::make_video_clip(10, 48);
-  const auto opts = fast_video_options(2);
-  EngineOptions eopts;
-  eopts.num_threads = 2;
-  eopts.use_streaming_histogram = true;
-  eopts.streaming.decimation = 4;
-  eopts.streaming.blend = 0.5;
-  PipelineEngine engine(eopts, model());
-  const auto decisions = engine.process_stream(clip, opts);
-  ASSERT_EQ(decisions.size(), clip.size());
-  EXPECT_LE(core::VideoBacklightController::max_flicker_step(decisions),
-            opts.max_beta_step + 1e-9);
-  for (const auto& d : decisions) {
-    EXPECT_GT(d.beta, 0.0);
-    EXPECT_LE(d.beta, 1.0);
-  }
-  // Deterministic: a second identical run reproduces every decision.
-  PipelineEngine engine2(eopts, model());
-  const auto again = engine2.process_stream(clip, opts);
-  for (std::size_t i = 0; i < decisions.size(); ++i) {
-    EXPECT_EQ(again[i].beta, decisions[i].beta);
-  }
 }
 
 }  // namespace
