@@ -7,8 +7,10 @@
 // individually and reports p50/p99 per configuration:
 //
 //   cold-1t         engine, 1 thread, coarse-to-fine search (default)
-//   cold-2t         engine, 2 threads (intra-frame row parallelism)
-//   cold-8t         engine, 8 threads
+//   cold-2t         engine, 2 threads
+//   cold-8t         engine, 8 threads (a single frame runs inline on
+//                   the caller at every thread count, so the thread
+//                   rows must match cold-1t: gated at 1.25x)
 //   cold-1t-bisect  engine, 1 thread, coarse_search off (the frozen
 //                   oracle bisection -- the before picture)
 //   warm-1t         streaming steady state: marginal cost per duplicate
@@ -325,25 +327,21 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Extra threads must help single-frame latency where they exist at
-  // all.  On a box whose effective parallelism is 1 (CI containers) the
-  // 8-thread engine degenerates to the 1-thread path plus pool wakes,
-  // so only sanity-check it there instead of requiring a win.
+  // A single frame runs inline on the calling thread at every thread
+  // count, so extra threads must not cost single-frame latency.  One
+  // gate for every effective parallelism: cold-8t within 1.25x of
+  // cold-1t (the retired intra-frame row fan-out measured 2.1x here).
+  constexpr double kMaxThreadCost = 1.25;
   const int effective = hebs::pipeline::ThreadPool(8).effective_concurrency();
-  if (effective > 1) {
-    std::printf("  8t vs 1t (p50): %.2fx (effective parallelism %d)\n",
-                p50_coarse / p50_8t, effective);
-    if (p50_8t >= p50_coarse) {
-      std::fprintf(stderr,
-                   "FAIL: cold-8t p50 (%.3f ms) not below cold-1t p50 "
-                   "(%.3f ms) with effective parallelism %d\n",
-                   p50_8t / 1e6, p50_coarse / 1e6, effective);
-      return 1;
-    }
-  } else {
-    std::printf("  8t vs 1t: skipped (effective parallelism 1); "
-                "8t p50 %.3f ms within 1.5x of 1t: %s\n",
-                p50_8t / 1e6, p50_8t <= 1.5 * p50_coarse ? "yes" : "NO");
+  std::printf("  8t / 1t (p50): %.2fx (effective parallelism %d, gate "
+              "<= %.2fx)\n",
+              p50_8t / p50_coarse, effective, kMaxThreadCost);
+  if (p50_8t > kMaxThreadCost * p50_coarse) {
+    std::fprintf(stderr,
+                 "FAIL: cold-8t p50 (%.3f ms) above %.2fx cold-1t p50 "
+                 "(%.3f ms) with effective parallelism %d\n",
+                 p50_8t / 1e6, kMaxThreadCost, p50_coarse / 1e6, effective);
+    return 1;
   }
 
   hebs::bench::merge_bench_json("BENCH_pipeline.json", "frame_latency",

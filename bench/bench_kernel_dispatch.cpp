@@ -107,16 +107,12 @@ int main(int argc, char** argv) {
   const image::GrayImage* mix[3] = {&flat, &gradient, &frame};
   const image::RgbImage rgb = image::RgbImage::from_gray(frame);
   std::vector<double> fa(n);
-  std::vector<double> fb(n);
   for (std::size_t i = 0; i < n; ++i) {
     fa[i] = static_cast<double>(frame.pixels()[i]) / 255.0;
-    fb[i] = static_cast<double>(frame.pixels()[n - 1 - i]) / 255.0;
   }
   std::uint8_t lut8[256];
-  double lut64[256];
   for (int i = 0; i < 256; ++i) {
     lut8[i] = static_cast<std::uint8_t>((i * 150) / 255);
-    lut64[i] = static_cast<double>(i) / 255.0 * 0.8;
   }
 
   // Deep-pixel bench data: the photo frame ratio-widened onto the
@@ -193,22 +189,6 @@ int main(int argc, char** argv) {
       {"sum_u16", n,
        [&](const kernels::KernelSet& k) {
          sink = sink + k.sum_u16(frame16.pixels().data(), n);
-       }},
-      {"lut_apply_f64", n,
-       [&](const kernels::KernelSet& k) {
-         k.lut_apply_f64(frame.pixels().data(), n, lut64, outf.data());
-         sink = sink + static_cast<std::uint64_t>(outf[n / 2] * 255.0);
-       }},
-      {"mul_f64", n,
-       [&](const kernels::KernelSet& k) {
-         k.mul_f64(fa.data(), fb.data(), outf.data(), n);
-         sink = sink + static_cast<std::uint64_t>(outf[n / 2] * 255.0);
-       }},
-      {"saxpy_f64", n,
-       [&](const kernels::KernelSet& k) {
-         std::memcpy(outf.data(), fa.data(), n * sizeof(double));
-         k.saxpy_f64(0.5, fb.data(), outf.data(), n);
-         sink = sink + static_cast<std::uint64_t>(outf[n / 2] * 255.0);
        }},
       {"blur_row_f64", n,
        [&](const kernels::KernelSet& k) {

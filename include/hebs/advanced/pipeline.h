@@ -8,5 +8,6 @@
 #include "pipeline/engine.h"  // IWYU pragma: export
 #include "pipeline/executor.h"  // IWYU pragma: export
 #include "pipeline/frame_context.h"  // IWYU pragma: export
+#include "pipeline/policy.h"  // IWYU pragma: export
 #include "pipeline/stages.h"  // IWYU pragma: export
 #include "pipeline/temporal.h"  // IWYU pragma: export

@@ -8,7 +8,6 @@
 #include "util/error.h"  // IWYU pragma: export
 #include "util/faultpoint.h"  // IWYU pragma: export
 #include "util/mathutil.h"  // IWYU pragma: export
-#include "util/parallel.h"  // IWYU pragma: export
 #include "util/pool.h"  // IWYU pragma: export
 #include "util/rng.h"  // IWYU pragma: export
 #include "util/table.h"  // IWYU pragma: export

@@ -77,9 +77,11 @@ class SessionConfig {
   /// the default), or 10/16 for deep-pixel gray16 views.  A deep
   /// session decides on the frame's own level lattice (1024 or 65536
   /// histogram bins) with the same staged pipeline; supported policies
-  /// are "hebs-exact" and "bbhe" (plus fixed_range requests), and
-  /// frames must arrive as ImageView::gray16 whose samples stay below
-  /// 2^bit_depth.  Mismatched view/depth combinations are typed errors
+  /// are "hebs-exact" (including fixed_range requests) and "bbhe" —
+  /// any other policy is a kInvalidOption at process time, as are
+  /// color and video calls — and frames must arrive as
+  /// ImageView::gray16 whose samples stay below 2^bit_depth.
+  /// Mismatched view/depth combinations are typed errors
   /// (kUnknownDepth / kInvalidImage), never silent rescales.
   SessionConfig& bit_depth(int bits) {
     bit_depth_ = bits;
@@ -167,13 +169,13 @@ class SessionConfig {
   int pool_max_mb() const noexcept { return pool_max_mb_; }
 
   /// Soft per-frame deadline, microseconds; 0 = none.  Applies to
-  /// process() under the hebs-* policies, to batches and to video.  A
-  /// frame whose decision takes longer still completes, but its result
-  /// is replaced by the identity fallback (β = 1, identity transform —
-  /// zero distortion, zero saving) and marked degraded with
-  /// kDeadlineExceeded (FrameResult::status).  Soft: the check runs
-  /// after the frame's work, so an overrun is detected, not preempted.
-  /// bbhe and the DLS/CBCS baselines ignore it.  Default 0.
+  /// every policy on every entry point: process(), batches and video.
+  /// A frame whose decision (for color output, decision + rendering)
+  /// takes longer still completes, but its result is replaced by the
+  /// identity fallback (β = 1, identity transform — zero distortion,
+  /// zero saving) and marked degraded with kDeadlineExceeded
+  /// (FrameResult::status).  Soft: the check runs after the frame's
+  /// work, so an overrun is detected, not preempted.  Default 0.
   SessionConfig& frame_deadline_us(std::int64_t us) {
     frame_deadline_us_ = us;
     return *this;

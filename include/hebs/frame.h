@@ -136,7 +136,8 @@ struct FrameRequest {
   /// When > 0: skip the budget search and run the HEBS pipeline at
   /// this fixed dynamic range, in [2, max_pixel - g_min_floor] where
   /// max_pixel is 2^bit_depth - 1 (255 for the default 8-bit session).
-  /// Supported by the hebs-* policies only.
+  /// Supported by the hebs-* policies only (on deep sessions, by
+  /// hebs-exact only).
   int fixed_range = 0;
   /// Request a color rendering: the result additionally carries the
   /// transformed RGB raster (displayed_rgb, applied per the session's
@@ -214,7 +215,7 @@ struct FrameResult {
   /// Per-frame observability breakdown (single-frame process() only).
   FrameBreakdown breakdown;
   /// Fault containment (DESIGN.md §14; process, batch and video frames
-  /// the engine runs — the hebs-* policies): true when this frame's
+  /// under every policy): true when this frame's
   /// pipeline work failed or blew the session's frame deadline and the
   /// result is the identity fallback (β = 1, identity Λ, the unmodified
   /// frame displayed — zero distortion, zero saving) rather than a

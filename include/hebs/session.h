@@ -59,7 +59,7 @@ class Session {
   /// its hue_error; the decision itself is always made on BT.601 luma
   /// and is bit-identical to processing the pre-converted luma frame.
   ///
-  /// The hebs-* policies run the frame on the engine's persistent
+  /// Every policy runs the frame on the engine's persistent
   /// single-frame slot (a FrameContext and buffer pool kept across
   /// calls) with the containment of a one-frame process_batch: a frame
   /// whose work fails or misses frame_deadline_us still returns a
@@ -72,18 +72,18 @@ class Session {
   /// identical results.
   Expected<FrameResult> process(const FrameRequest& request);
 
-  /// Processes many frames at a shared distortion budget.  The hebs-*
-  /// policies fan out over the engine's thread pool; results are
-  /// index-aligned with `frames` and identical for every thread count.
+  /// Processes many frames at a shared distortion budget.  Every
+  /// policy fans out over the engine's thread pool with per-frame
+  /// containment and deadlines; results are index-aligned with `frames`
+  /// and identical for every thread count.
   Expected<std::vector<FrameResult>> process_batch(
       const std::vector<ImageView>& frames, double d_max_percent);
 
   /// Color batch: every frame must be an rgb8 view.  Decisions are
   /// bit-identical to process_batch on the pre-converted luma frames;
   /// each result additionally carries displayed_rgb/hue_error rendered
-  /// per the session's color_mode (the hebs-exact policy renders on
-  /// the worker that decided the frame; results are index-aligned and
-  /// thread-count independent).
+  /// per the session's color_mode on the worker that decided the frame
+  /// (results are index-aligned and thread-count independent).
   Expected<std::vector<FrameResult>> process_batch_color(
       const std::vector<ImageView>& frames, double d_max_percent);
 

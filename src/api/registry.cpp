@@ -1,37 +1,69 @@
 #include "hebs/registry.h"
 
 #include "api/registry_internal.h"
+#include "baseline/cbcs.h"
+#include "baseline/dls.h"
 #include "kernels/kernels.h"
 
 namespace hebs::api {
+
+namespace {
+
+using pipeline::DbsPolicyAdapter;
+
+std::unique_ptr<pipeline::Policy> make_dls(const PolicyEnv& env,
+                                           baseline::DlsMode mode) {
+  return std::make_unique<DbsPolicyAdapter>(
+      std::make_unique<baseline::DlsPolicy>(mode, env.distortion,
+                                            env.model));
+}
+
+}  // namespace
 
 const std::vector<PolicyInfo>& policy_table() {
   static const std::vector<PolicyInfo> table = {
       {{"hebs-exact",
         "HEBS oracle mode: bisects the dynamic range until the measured "
         "distortion lands on the budget (the Table 1 protocol)"},
-       PolicyKind::kHebsExact},
+       [](const PolicyEnv&) -> std::unique_ptr<pipeline::Policy> {
+         return std::make_unique<pipeline::ExactPolicy>();
+       },
+       /*deep=*/true, /*fixed_range=*/true, /*video=*/true},
       {{"hebs-curve",
         "HEBS deployed mode: range looked up from the distortion "
         "characteristic curve, no metric in the decision loop (Fig. 4)"},
-       PolicyKind::kHebsCurve},
+       [](const PolicyEnv& env) -> std::unique_ptr<pipeline::Policy> {
+         return std::make_unique<pipeline::CurvePolicy>(env.curve);
+       },
+       /*deep=*/false, /*fixed_range=*/true},
       {{"dls",
         "DLS baseline [4]: global brightness compensation, backlight "
         "bisected against the shared metric"},
-       PolicyKind::kDls},
+       [](const PolicyEnv& env) {
+         return make_dls(env, baseline::DlsMode::kBrightnessCompensation);
+       }},
       {{"dls-contrast",
         "DLS baseline [4]: global contrast enhancement, backlight "
         "bisected against the shared metric"},
-       PolicyKind::kDlsContrast},
+       [](const PolicyEnv& env) {
+         return make_dls(env, baseline::DlsMode::kContrastEnhancement);
+       }},
       {{"cbcs",
         "CBCS baseline [5]: histogram band truncation + concurrent "
         "brightness/contrast scaling, grid-searched"},
-       PolicyKind::kCbcs},
+       [](const PolicyEnv& env) -> std::unique_ptr<pipeline::Policy> {
+         return std::make_unique<DbsPolicyAdapter>(
+             std::make_unique<baseline::CbcsPolicy>(
+                 baseline::CbcsOptions{}, env.distortion, env.model));
+       }},
       {{"bbhe",
         "brightness-preserving bi-histogram equalization (Kim 1997): "
         "mean-split per-half equalization, backlight bisected against "
         "the measured distortion budget; depth-generic (8/10/16-bit)"},
-       PolicyKind::kBbhe},
+       [](const PolicyEnv&) -> std::unique_ptr<pipeline::Policy> {
+         return std::make_unique<pipeline::BbhePolicy>();
+       },
+       /*deep=*/true},
   };
   return table;
 }

@@ -1,30 +1,41 @@
 // Internal side of the public registries: each entry carries the
-// dispatch information Session needs (a policy kind, a metric enum)
-// next to the public name/description.  Only src/api/ includes this.
+// dispatch information Session needs (a policy factory and its
+// capabilities, a metric enum) next to the public name/description.
+// Only src/api/ includes this.
 #pragma once
 
+#include <functional>
+#include <memory>
 #include <optional>
 #include <string_view>
 #include <vector>
 
 #include "hebs/registry.h"
+#include "pipeline/policy.h"
+#include "power/lcd_power.h"
 #include "quality/distortion.h"
 
 namespace hebs::api {
 
-/// Built-in policy implementations Session can dispatch to.
-enum class PolicyKind {
-  kHebsExact,    ///< oracle mode: bisect range against measured distortion
-  kHebsCurve,    ///< deployed mode: range from the characteristic curve
-  kDls,          ///< DLS brightness compensation [4]
-  kDlsContrast,  ///< DLS contrast enhancement [4]
-  kCbcs,         ///< CBCS band grid search [5]
-  kBbhe,         ///< brightness-preserving bi-histogram equalization
+/// What a policy factory may capture from the session that owns it.
+struct PolicyEnv {
+  hebs::quality::DistortionOptions distortion;
+  hebs::power::LcdSubsystemPower model;
+  /// The session's distortion characteristic curve (loaded at create,
+  /// or characterized on first call).
+  std::function<const core::DistortionCurve&()> curve;
 };
 
 struct PolicyInfo {
   RegistryEntry entry;
-  PolicyKind kind;
+  std::unique_ptr<pipeline::Policy> (*make)(const PolicyEnv& env);
+  /// Decides deep-pixel (bit_depth 10/16) sessions.
+  bool deep = false;
+  /// Accepts FrameRequest::fixed_range (the HEBS pipeline at a range).
+  bool fixed_range = false;
+  /// Runs process_video / process_video_color (the flicker
+  /// re-derivation is HEBS-specific).
+  bool video = false;
 };
 
 struct MetricInfo {

@@ -12,8 +12,6 @@
 
 #include "api/registry_internal.h"
 #include "api/view_convert.h"
-#include "baseline/cbcs.h"
-#include "baseline/dls.h"
 #include "core/color.h"
 #include "core/distortion_curve.h"
 #include "core/hebs.h"
@@ -23,9 +21,8 @@
 #include "image/pixel_traits.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
-#include "pipeline/bbhe.h"
 #include "pipeline/engine.h"
-#include "pipeline/stages.h"
+#include "pipeline/policy.h"
 #include "power/lcd_power.h"
 #include "util/error.h"
 #include "util/faultpoint.h"
@@ -38,7 +35,6 @@ namespace {
 
 using hebs::api::MetricInfo;
 using hebs::api::PolicyInfo;
-using hebs::api::PolicyKind;
 
 std::vector<CurvePoint> to_api_points(const hebs::transform::PwlCurve& curve) {
   std::vector<CurvePoint> out;
@@ -63,16 +59,6 @@ OwnedImage16 to_owned(const hebs::image::GrayImage16& img) {
   const auto span = img.pixels();
   return OwnedImage16(img.width(), img.height(), img.levels(),
                       std::vector<std::uint16_t>(span.begin(), span.end()));
-}
-
-/// The operating point a FrameResult describes: its deployed curve Λ
-/// and β.  Reconstructing from the result's own points keeps the color
-/// stage a pure post-decision consumer of the stable result type.
-core::OperatingPoint point_of(const FrameResult& r) {
-  std::vector<hebs::transform::CurvePoint> pts;
-  pts.reserve(r.lambda.size());
-  for (const CurvePoint& p : r.lambda) pts.push_back({p.x, p.y});
-  return {hebs::transform::PwlCurve(std::move(pts)), r.beta};
 }
 
 void fill_color(const hebs::image::RgbImage& displayed, double hue_error,
@@ -124,15 +110,6 @@ FrameResult to_frame_result(const core::HebsResult& r) {
   return out;
 }
 
-/// Baseline policies have no GHE/PLC stages: the result is the chosen
-/// operating point's transform over the full grayscale.
-FrameResult to_frame_result(const core::EvaluatedPoint& eval) {
-  FrameResult out;
-  fill_evaluation(eval, out);
-  out.lambda = to_api_points(eval.point.luminance_transform);
-  return out;
-}
-
 FrameResult to_frame_result(const core::FrameDecision& d) {
   FrameResult out;
   fill_evaluation(d.evaluation, out);
@@ -180,13 +157,31 @@ void fill_fault(const pipeline::FrameFault& f, FrameResult& out) {
   out.status = fault_status(f);
 }
 
-/// The facade result of a one-frame engine call, with its containment
+/// The facade results of an engine batch, each with its containment
 /// record applied.
-FrameResult single_frame_result(
+std::vector<FrameResult> to_frame_results(
     const std::vector<core::HebsResult>& results,
     const std::vector<pipeline::FrameFault>& faults) {
-  FrameResult out = to_frame_result(results.front());
-  fill_fault(faults.front(), out);
+  std::vector<FrameResult> out;
+  out.reserve(results.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    out.push_back(to_frame_result(results[i]));
+    fill_fault(faults[i], out.back());
+  }
+  return out;
+}
+
+std::vector<FrameResult> to_frame_results(
+    const std::vector<pipeline::ColorBatchResult>& results,
+    const std::vector<pipeline::FrameFault>& faults) {
+  std::vector<FrameResult> out;
+  out.reserve(results.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    out.push_back(to_frame_result(results[i].luma));
+    fill_color(results[i].color.displayed, results[i].color.hue_error,
+               out.back());
+    fill_fault(faults[i], out.back());
+  }
   return out;
 }
 
@@ -226,7 +221,7 @@ void fill_breakdown(const obs::CounterSnapshot& before, double decide_ms,
 
 struct Session::Impl {
   SessionConfig cfg;
-  const PolicyInfo* policy = nullptr;
+  const PolicyInfo* info = nullptr;
   const MetricInfo* metric = nullptr;
   core::ColorMode color_mode = core::ColorMode::kSharedCurve;
   core::HebsOptions hebs_opts;
@@ -239,6 +234,8 @@ struct Session::Impl {
   /// returns stays valid to read outside the lock.
   util::Mutex curve_mu;
   std::optional<core::DistortionCurve> curve HEBS_GUARDED_BY(curve_mu);
+  /// The session's decision policy, built from its registry row.
+  std::unique_ptr<pipeline::Policy> policy;
   /// Counter registry state at create time: Session::stats() reports
   /// the delta against this baseline.
   obs::CounterSnapshot stats_baseline = obs::snapshot_counters();
@@ -260,10 +257,14 @@ struct Session::Impl {
 
   Impl(SessionConfig config, const PolicyInfo* p, const MetricInfo* m)
       : cfg(std::move(config)),
-        policy(p),
+        info(p),
         metric(m),
         hebs_opts(make_hebs_options(cfg, m)),
-        engine(make_engine_options(cfg, hebs_opts), model) {
+        engine(make_engine_options(cfg, hebs_opts), model),
+        policy(p->make({hebs_opts.distortion, model,
+                        [this]() -> const core::DistortionCurve& {
+                          return ensure_curve();
+                        }})) {
     // cfg.validate() vouched for the name; parse cannot fail here.
     (void)core::parse_color_mode(cfg.color_mode(), &color_mode);
   }
@@ -326,11 +327,6 @@ struct Session::Impl {
     return *curve;
   }
 
-  bool is_hebs_policy() const noexcept {
-    return policy->kind == PolicyKind::kHebsExact ||
-           policy->kind == PolicyKind::kHebsCurve;
-  }
-
   /// Deep-pixel session: frames arrive as gray16 views and decisions
   /// run on the configured level lattice instead of the 8-bit one.
   bool deep() const noexcept { return cfg.bit_depth() != 8; }
@@ -339,18 +335,23 @@ struct Session::Impl {
   }
   int max_pixel() const noexcept { return levels() - 1; }
 
-  /// Policies a deep session can dispatch (the depth-generic ones).
-  bool deep_capable_policy() const noexcept {
-    return policy->kind == PolicyKind::kHebsExact ||
-           policy->kind == PolicyKind::kBbhe;
-  }
-
-  Status unsupported_deep_policy() const {
-    return Status(StatusCode::kInvalidOption,
-                  "policy \"" + policy->entry.name +
-                      "\" does not support deep-pixel sessions; bit_depth " +
-                      std::to_string(cfg.bit_depth()) +
-                      " requires \"hebs-exact\" or \"bbhe\"");
+  /// The session policy's capabilities against this request shape:
+  /// deep sessions need a depth-generic policy, fixed_range a HEBS one.
+  Status check_policy(bool fixed_range) const {
+    if (deep() && !info->deep) {
+      return Status(StatusCode::kInvalidOption,
+                    "policy \"" + info->entry.name +
+                        "\" does not support deep-pixel sessions; bit_depth " +
+                        std::to_string(cfg.bit_depth()) +
+                        " requires \"hebs-exact\" or \"bbhe\"");
+    }
+    if (fixed_range && !info->fixed_range) {
+      return Status(StatusCode::kInvalidOption,
+                    "fixed_range is only supported by the hebs-* policies "
+                    "(policy is \"" +
+                        info->entry.name + "\")");
+    }
+    return Status();
   }
 
   /// The typed view/depth contract: a deep session takes exactly gray16
@@ -371,115 +372,47 @@ struct Session::Impl {
     return Status();
   }
 
-  Expected<FrameResult> run_baseline(const hebs::image::GrayImage& img,
-                                     double d_max_percent) {
-    core::OperatingPoint point;
-    switch (policy->kind) {
-      case PolicyKind::kDls:
-        point = hebs::baseline::DlsPolicy(
-                    hebs::baseline::DlsMode::kBrightnessCompensation,
-                    hebs_opts.distortion, model)
-                    .choose(img, d_max_percent);
-        break;
-      case PolicyKind::kDlsContrast:
-        point = hebs::baseline::DlsPolicy(
-                    hebs::baseline::DlsMode::kContrastEnhancement,
-                    hebs_opts.distortion, model)
-                    .choose(img, d_max_percent);
-        break;
-      case PolicyKind::kCbcs:
-        point = hebs::baseline::CbcsPolicy({}, hebs_opts.distortion, model)
-                    .choose(img, d_max_percent);
-        break;
-      default:
-        return Status(StatusCode::kInternal,
-                      "run_baseline: policy \"" + policy->entry.name +
-                          "\" (kind " +
-                          std::to_string(static_cast<int>(policy->kind)) +
-                          ") reached the baseline dispatcher unhandled");
+  /// Per-frame view checks of a multi-frame call, prefixed with the
+  /// frame index: interleaved rgb8 for `color`, otherwise a view
+  /// matching the session depth.
+  Status check_frames(const std::vector<ImageView>& frames, const char* what,
+                      bool color) const {
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      Status s = color ? require_rgb8(frames[i], what) : frames[i].validate();
+      if (s.ok() && !color) s = check_view_depth(frames[i], what);
+      if (!s.ok()) {
+        return Status(s.code(),
+                      "frame " + std::to_string(i) + ": " + s.message());
+      }
     }
-    return to_frame_result(
-        core::evaluate_operating_point(img, point, model,
-                                       hebs_opts.distortion));
+    return Status();
   }
 
-  /// One 8-bit frame.  The hebs-* policies run as a one-frame engine
-  /// batch, on the engine's persistent single-frame slot: process()
-  /// shares the batch path's pool, containment and deadline.
-  Expected<FrameResult> run_one(const FrameRequest& request,
-                                const hebs::image::GrayImage& img) {
-    const std::span<const hebs::image::GrayImage> one(&img, 1);
-    std::vector<pipeline::FrameFault> faults;
-    if (request.fixed_range > 0) {
-      if (!is_hebs_policy()) {
-        return Status(StatusCode::kInvalidOption,
-                      "fixed_range is only supported by the hebs-* policies "
-                      "(policy is \"" +
-                          policy->entry.name + "\")");
-      }
-      return single_frame_result(
-          engine.process_batch_at_range(one, request.fixed_range, &faults),
-          faults);
-    }
-    switch (policy->kind) {
-      case PolicyKind::kHebsExact:
-        return single_frame_result(
-            engine.process_batch(one, request.d_max_percent, &faults),
-            faults);
-      case PolicyKind::kHebsCurve:
-        return single_frame_result(
-            engine.process_batch_with_curve(one, request.d_max_percent,
-                                            ensure_curve(), &faults),
-            faults);
-      case PolicyKind::kBbhe: {
-        pipeline::FrameContext ctx(img, hebs_opts, model);
-        return to_frame_result(
-            pipeline::run_bbhe(ctx, request.d_max_percent));
-      }
-      default:
-        return run_baseline(img, request.d_max_percent);
-    }
-  }
-
-  /// Deep-pixel twin of run_one, on the frame's own level lattice:
-  /// hebs-exact on the engine's single-frame slot, bbhe through its own
-  /// context.
-  Expected<FrameResult> run_one16(const FrameRequest& request,
-                                  const hebs::image::GrayImage16& img) {
-    if (request.fixed_range > 0 && policy->kind != PolicyKind::kHebsExact) {
+  /// Shared validation of process_video and process_video_color.
+  Status check_video(const std::vector<ImageView>& frames,
+                     double d_max_percent, const char* what,
+                     bool color) const {
+    if (Status s = check_budget(d_max_percent); !s.ok()) return s;
+    if (deep()) {
       return Status(StatusCode::kInvalidOption,
-                    "fixed_range on a deep session is only supported by "
-                    "\"hebs-exact\" (policy is \"" +
-                        policy->entry.name + "\")");
+                    "video processing is not supported on deep-pixel sessions "
+                    "(bit_depth " +
+                        std::to_string(cfg.bit_depth()) + ")");
     }
-    const std::span<const hebs::image::GrayImage16> one(&img, 1);
-    std::vector<pipeline::FrameFault> faults;
-    if (request.fixed_range > 0) {
-      return single_frame_result(
-          engine.process_batch_at_range16(one, request.fixed_range, &faults),
-          faults);
+    if (!info->video) {
+      return Status(StatusCode::kInvalidOption,
+                    "video processing runs the per-frame exact search and "
+                    "requires policy \"hebs-exact\" (policy is \"" +
+                        cfg.policy() + "\")");
     }
-    switch (policy->kind) {
-      case PolicyKind::kHebsExact:
-        return single_frame_result(
-            engine.process_batch16(one, request.d_max_percent, &faults),
-            faults);
-      case PolicyKind::kBbhe: {
-        pipeline::FrameContext ctx(img, hebs_opts, model);
-        return to_frame_result(
-            pipeline::run_bbhe(ctx, request.d_max_percent));
-      }
-      default:
-        return unsupported_deep_policy();
-    }
+    return check_frames(frames, what, color);
   }
 
-  /// Deep-pixel arm of process_batch (views already validated and
-  /// depth-checked; policy already known deep-capable).  hebs-exact
-  /// fans out over the engine's pool exactly like the 8-bit batch;
-  /// bbhe loops serially over one reused context.
-  Expected<std::vector<FrameResult>> batch16(
-      const std::vector<ImageView>& frames, double d_max_percent) {
+  /// Copies gray16 views onto the session's level lattice; a sample
+  /// above the declared depth is the caller's frame (kInvalidImage), not
+  /// a library failure.
+  Expected<std::vector<hebs::image::GrayImage16>> materialize_deep(
+      std::span<const ImageView> frames) const {
     std::vector<hebs::image::GrayImage16> images;
     images.reserve(frames.size());
     for (std::size_t i = 0; i < frames.size(); ++i) {
@@ -490,34 +423,50 @@ struct Session::Impl {
                       "frame " + std::to_string(i) + ": " + e.what());
       }
     }
-    std::vector<FrameResult> out;
-    out.reserve(images.size());
-    if (policy->kind == PolicyKind::kHebsExact) {
-      std::vector<pipeline::FrameFault> faults;
-      for (auto& r : engine.process_batch16(images, d_max_percent, &faults)) {
-        out.push_back(to_frame_result(r));
-        fill_fault(faults[out.size() - 1], out.back());
-      }
-      return out;
-    }
-    pipeline::FrameContext ctx(hebs_opts, model);
-    for (const auto& img : images) {
-      ctx.rebind(img);
-      out.push_back(to_frame_result(pipeline::run_bbhe(ctx, d_max_percent)));
-    }
-    return out;
+    return images;
   }
 
-  /// Post-decision color stage for the serial facade paths: runs the
-  /// shared core::render_color on `result`'s operating point and
-  /// attaches the rendering + hue error to the result.  `luma` is the
-  /// decision-side raster (rgb.to_luma()), reused by the luma-ratio
-  /// rendering.
-  void render_color(const hebs::image::RgbImage& rgb,
-                    const hebs::image::GrayImage& luma, FrameResult& result) {
-    const core::ColorRendering rendering =
-        core::render_color(rgb, luma, point_of(result), color_mode);
-    fill_color(rendering.displayed, rendering.hue_error, result);
+  /// The one engine call behind process/process_batch: `policy` on
+  /// every frame, materialized at the session depth.
+  Expected<std::vector<FrameResult>> decide(std::span<const ImageView> frames,
+                                            const pipeline::Policy& p,
+                                            double d_max_percent) {
+    std::vector<pipeline::FrameFault> faults;
+    if (deep()) {
+      auto images = materialize_deep(frames);
+      if (!images) return images.status();
+      return to_frame_results(
+          engine.process_batch(std::span<const hebs::image::GrayImage16>(
+                                   *images),
+                               p, d_max_percent, &faults),
+          faults);
+    }
+    std::vector<hebs::image::GrayImage> images;
+    images.reserve(frames.size());
+    for (const ImageView& view : frames) {
+      images.push_back(api::materialize_gray(view));
+    }
+    return to_frame_results(
+        engine.process_batch(std::span<const hebs::image::GrayImage>(images),
+                             p, d_max_percent, &faults),
+        faults);
+  }
+
+  /// Same for rgb8 frames: the decision on BT.601 luma, then the color
+  /// stage on the deciding worker.
+  std::vector<FrameResult> decide_color(std::span<const ImageView> frames,
+                                        const pipeline::Policy& p,
+                                        double d_max_percent) {
+    std::vector<hebs::image::RgbImage> rgbs;
+    rgbs.reserve(frames.size());
+    for (const ImageView& view : frames) {
+      rgbs.push_back(api::materialize_rgb(view));
+    }
+    std::vector<pipeline::FrameFault> faults;
+    return to_frame_results(
+        engine.process_batch_color(rgbs, p, d_max_percent, color_mode,
+                                   &faults),
+        faults);
   }
 };
 
@@ -706,53 +655,32 @@ Expected<FrameResult> Session::process(const FrameRequest& request) {
                       "-bit domain (got " +
                       std::to_string(request.fixed_range) + ")");
   }
+  if (Status s = impl_->check_policy(request.fixed_range > 0); !s.ok()) {
+    return s;
+  }
   try {
     // Single-frame runs attribute exactly, so each result carries its
     // own counter-delta breakdown (hebs/frame.h).
     const auto counters_before = obs::snapshot_counters();
     const auto t0 = std::chrono::steady_clock::now();
-    const auto elapsed_ms = [&t0] {
-      return std::chrono::duration<double, std::milli>(
-                 std::chrono::steady_clock::now() - t0)
-          .count();
-    };
-    if (request.color_output) {
-      // The decision runs on BT.601 luma (same kernel as the gray
-      // ingestion path, so it is bit-identical to processing the
-      // pre-converted luma view); the color stage then renders the
-      // decided operating point onto the RGB raster.
-      const hebs::image::RgbImage rgb = api::materialize_rgb(request.image);
-      const hebs::image::GrayImage luma = rgb.to_luma();
-      auto result = impl_->run_one(request, luma);
-      if (!result) return result.status();
-      if (result->degraded) {
-        // The identity fallback displays the input unmodified: nothing
-        // to render, zero chroma drift (as in the color batch path).
-        fill_color(rgb, 0.0, *result);
-      } else {
-        impl_->render_color(rgb, luma, *result);
-      }
-      fill_breakdown(counters_before, elapsed_ms(), *result);
-      return result;
-    }
-    if (impl_->deep()) {
-      hebs::image::GrayImage16 img;
-      try {
-        img = api::materialize_gray16(request.image, impl_->levels());
-      } catch (const util::InvalidArgument& e) {
-        // A sample above the declared depth is the caller's frame, not
-        // a library failure.
-        return Status(StatusCode::kInvalidImage, e.what());
-      }
-      auto result = impl_->run_one16(request, img);
-      if (!result) return result.status();
-      fill_breakdown(counters_before, elapsed_ms(), *result);
-      return result;
-    }
-    const hebs::image::GrayImage img = api::materialize_gray(request.image);
-    auto result = impl_->run_one(request, img);
-    if (!result) return result.status();
-    fill_breakdown(counters_before, elapsed_ms(), *result);
+    // A one-frame engine batch, on the engine's persistent single-frame
+    // slot: process() shares the batch path's pool, containment and
+    // deadline.
+    const pipeline::AtRangePolicy at_range(request.fixed_range);
+    const pipeline::Policy* policy = impl_->policy.get();
+    if (request.fixed_range > 0) policy = &at_range;
+    const std::span<const ImageView> one(&request.image, 1);
+    Expected<std::vector<FrameResult>> results =
+        request.color_output
+            ? impl_->decide_color(one, *policy, request.d_max_percent)
+            : impl_->decide(one, *policy, request.d_max_percent);
+    if (!results) return results.status();
+    FrameResult result = std::move(results->front());
+    fill_breakdown(counters_before,
+                   std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count(),
+                   result);
     return result;
   } catch (const std::exception& e) {
     return from_exception(e, "process: frame 0");
@@ -762,73 +690,17 @@ Expected<FrameResult> Session::process(const FrameRequest& request) {
 Expected<std::vector<FrameResult>> Session::process_batch(
     const std::vector<ImageView>& frames, double d_max_percent) {
   if (Status s = check_budget(d_max_percent); !s.ok()) return s;
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    if (Status s = frames[i].validate(); !s.ok()) {
-      return Status(s.code(),
-                    "frame " + std::to_string(i) + ": " + s.message());
-    }
-    if (Status s = impl_->check_view_depth(frames[i], "process_batch");
-        !s.ok()) {
-      return Status(s.code(),
-                    "frame " + std::to_string(i) + ": " + s.message());
-    }
+  if (Status s = impl_->check_frames(frames, "process_batch", false);
+      !s.ok()) {
+    return s;
   }
-  if (impl_->deep() && !impl_->deep_capable_policy()) {
-    return impl_->unsupported_deep_policy();
-  }
+  if (Status s = impl_->check_policy(false); !s.ok()) return s;
   try {
-    if (impl_->deep()) return impl_->batch16(frames, d_max_percent);
-    std::vector<hebs::image::GrayImage> images;
-    images.reserve(frames.size());
-    for (const ImageView& view : frames) {
-      images.push_back(api::materialize_gray(view));
-    }
-    std::vector<FrameResult> out;
-    out.reserve(images.size());
-    std::vector<pipeline::FrameFault> faults;
-    switch (impl_->policy->kind) {
-      case PolicyKind::kHebsExact:
-        for (auto& r :
-             impl_->engine.process_batch(images, d_max_percent, &faults)) {
-          out.push_back(to_frame_result(r));
-          fill_fault(faults[out.size() - 1], out.back());
-        }
-        break;
-      case PolicyKind::kHebsCurve:
-        for (auto& r : impl_->engine.process_batch_with_curve(
-                 images, d_max_percent, impl_->ensure_curve(), &faults)) {
-          out.push_back(to_frame_result(r));
-          fill_fault(faults[out.size() - 1], out.back());
-        }
-        break;
-      case PolicyKind::kBbhe: {
-        // BBHE's decision is cheap (no range search); a serial loop
-        // over one reused context keeps it allocation-friendly without
-        // engine fan-out.
-        pipeline::FrameContext ctx(impl_->hebs_opts, impl_->model);
-        for (const auto& img : images) {
-          ctx.rebind(img);
-          out.push_back(
-              to_frame_result(pipeline::run_bbhe(ctx, d_max_percent)));
-        }
-        break;
-      }
-      default:
-        // The engine's fan-out is HEBS-specific; the baselines' own grid
-        // and bisection searches run per image on the calling thread.
-        for (const auto& img : images) {
-          auto result = impl_->run_baseline(img, d_max_percent);
-          if (!result) return result.status();
-          out.push_back(std::move(*result));
-        }
-        break;
-    }
-    return out;
+    return impl_->decide(frames, *impl_->policy, d_max_percent);
   } catch (const std::exception& e) {
     return from_exception(e, "process_batch");
   }
 }
-
 
 Expected<std::vector<FrameResult>> Session::process_batch_color(
     const std::vector<ImageView>& frames, double d_max_percent) {
@@ -839,82 +711,12 @@ Expected<std::vector<FrameResult>> Session::process_batch_color(
                   "(bit_depth " +
                       std::to_string(impl_->cfg.bit_depth()) + ")");
   }
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    if (Status s = require_rgb8(frames[i], "process_batch_color"); !s.ok()) {
-      return Status(s.code(),
-                    "frame " + std::to_string(i) + ": " + s.message());
-    }
+  if (Status s = impl_->check_frames(frames, "process_batch_color", true);
+      !s.ok()) {
+    return s;
   }
   try {
-    std::vector<hebs::image::RgbImage> rgbs;
-    rgbs.reserve(frames.size());
-    for (const ImageView& view : frames) {
-      rgbs.push_back(api::materialize_rgb(view));
-    }
-    std::vector<FrameResult> out;
-    out.reserve(rgbs.size());
-    std::vector<pipeline::FrameFault> faults;
-    switch (impl_->policy->kind) {
-      case PolicyKind::kHebsExact:
-        // The engine runs the color stage on the worker that decided
-        // the frame, so batch color scales with the pool like gray
-        // batches.
-        for (auto& r : impl_->engine.process_batch_color(
-                 rgbs, d_max_percent, impl_->color_mode, &faults)) {
-          FrameResult fr = to_frame_result(r.luma);
-          fill_color(r.color.displayed, r.color.hue_error, fr);
-          fill_fault(faults[out.size()], fr);
-          out.push_back(std::move(fr));
-        }
-        break;
-      case PolicyKind::kHebsCurve: {
-        // Curve lookups fan out over the pool exactly like the gray
-        // batch path; the color rendering then runs serially on the
-        // calling thread (it does not yet scale with the pool the way
-        // the hebs-exact color batch does).
-        std::vector<hebs::image::GrayImage> lumas;
-        lumas.reserve(rgbs.size());
-        for (const auto& rgb : rgbs) lumas.push_back(rgb.to_luma());
-        auto results = impl_->engine.process_batch_with_curve(
-            lumas, d_max_percent, impl_->ensure_curve(), &faults);
-        for (std::size_t i = 0; i < results.size(); ++i) {
-          FrameResult fr = to_frame_result(results[i]);
-          impl_->render_color(rgbs[i], lumas[i], fr);
-          fill_fault(faults[i], fr);
-          out.push_back(std::move(fr));
-        }
-        break;
-      }
-      case PolicyKind::kBbhe: {
-        // Serial like the gray bbhe batch; the color stage renders each
-        // decided operating point on the calling thread.
-        pipeline::FrameContext ctx(impl_->hebs_opts, impl_->model);
-        std::vector<hebs::image::GrayImage> lumas;
-        lumas.reserve(rgbs.size());
-        for (const auto& rgb : rgbs) lumas.push_back(rgb.to_luma());
-        for (std::size_t i = 0; i < rgbs.size(); ++i) {
-          ctx.rebind(lumas[i]);
-          FrameResult fr =
-              to_frame_result(pipeline::run_bbhe(ctx, d_max_percent));
-          impl_->render_color(rgbs[i], lumas[i], fr);
-          out.push_back(std::move(fr));
-        }
-        break;
-      }
-      default:
-        // The baselines' own grid and bisection searches run per image
-        // on the calling thread (as in process_batch); the color stage
-        // follows each decision.
-        for (const auto& rgb : rgbs) {
-          const hebs::image::GrayImage luma = rgb.to_luma();
-          auto result = impl_->run_baseline(luma, d_max_percent);
-          if (!result) return result.status();
-          impl_->render_color(rgb, luma, *result);
-          out.push_back(std::move(*result));
-        }
-        break;
-    }
-    return out;
+    return impl_->decide_color(frames, *impl_->policy, d_max_percent);
   } catch (const std::exception& e) {
     return from_exception(e, "process_batch_color");
   }
@@ -922,29 +724,10 @@ Expected<std::vector<FrameResult>> Session::process_batch_color(
 
 Expected<std::vector<VideoFrameResult>> Session::process_video(
     const std::vector<ImageView>& frames, double d_max_percent) {
-  if (Status s = check_budget(d_max_percent); !s.ok()) return s;
-  if (impl_->deep()) {
-    return Status(StatusCode::kInvalidOption,
-                  "video processing is not supported on deep-pixel sessions "
-                  "(bit_depth " +
-                      std::to_string(impl_->cfg.bit_depth()) + ")");
-  }
-  if (impl_->policy->kind != PolicyKind::kHebsExact) {
-    return Status(StatusCode::kInvalidOption,
-                  "video processing runs the per-frame exact search and "
-                  "requires policy \"hebs-exact\" (policy is \"" +
-                      impl_->cfg.policy() + "\")");
-  }
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    if (Status s = frames[i].validate(); !s.ok()) {
-      return Status(s.code(),
-                    "frame " + std::to_string(i) + ": " + s.message());
-    }
-    if (Status s = impl_->check_view_depth(frames[i], "process_video");
-        !s.ok()) {
-      return Status(s.code(),
-                    "frame " + std::to_string(i) + ": " + s.message());
-    }
+  if (Status s =
+          impl_->check_video(frames, d_max_percent, "process_video", false);
+      !s.ok()) {
+    return s;
   }
   try {
     std::vector<hebs::image::GrayImage> images;
@@ -970,24 +753,10 @@ Expected<std::vector<VideoFrameResult>> Session::process_video(
 
 Expected<std::vector<VideoFrameResult>> Session::process_video_color(
     const std::vector<ImageView>& frames, double d_max_percent) {
-  if (Status s = check_budget(d_max_percent); !s.ok()) return s;
-  if (impl_->deep()) {
-    return Status(StatusCode::kInvalidOption,
-                  "video processing is not supported on deep-pixel sessions "
-                  "(bit_depth " +
-                      std::to_string(impl_->cfg.bit_depth()) + ")");
-  }
-  if (impl_->policy->kind != PolicyKind::kHebsExact) {
-    return Status(StatusCode::kInvalidOption,
-                  "video processing runs the per-frame exact search and "
-                  "requires policy \"hebs-exact\" (policy is \"" +
-                      impl_->cfg.policy() + "\")");
-  }
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    if (Status s = require_rgb8(frames[i], "process_video_color"); !s.ok()) {
-      return Status(s.code(),
-                    "frame " + std::to_string(i) + ": " + s.message());
-    }
+  if (Status s = impl_->check_video(frames, d_max_percent,
+                                    "process_video_color", true);
+      !s.ok()) {
+    return s;
   }
   try {
     std::vector<hebs::image::RgbImage> rgbs;

@@ -5,7 +5,6 @@
 
 #include "kernels/kernels.h"
 #include "util/error.h"
-#include "util/parallel.h"
 #include "util/pool.h"
 
 namespace hebs::core {
@@ -123,28 +122,20 @@ PlcResult plc_coarsen(const hebs::transform::PwlCurve& exact, int segments) {
     const double* prev = best.data() + (s - 1) * n;
     double* cur = best.data() + s * n;
     std::size_t* par = parent.data() + s * n;
-    // Each column i depends only on row s-1, so the i-loop fans across
-    // the installed row executor.  The scan seed is only a performance
-    // hint (the kernel's result is always the lowest-j argmin, exactly
-    // a plain ascending scan with strict `<`), so chunk-first columns
-    // seeding with s-1 instead of par[i-1] cannot change any output.
-    hebs::util::parallel_rows(
-        static_cast<int>(n - s), [&](int begin, int end) {
-          hebs::kernels::PlcScanArgs args;
-          args.prev = prev;
-          args.j_begin = s - 1;
-          for (int t = begin; t < end; ++t) {
-            const std::size_t i = s + static_cast<std::size_t>(t);
-            chord.fill(args, i);
-            // Seed with the previous column's parent — usually near the
-            // optimum, so the kernel's prune bound is tight from the
-            // start.
-            args.j_seed = t > begin ? par[i - 1] : s - 1;
-            std::size_t pj = 0;
-            cur[i] = kn.plc_scan_f64(&args, &pj);
-            par[i] = pj;
-          }
-        });
+    hebs::kernels::PlcScanArgs args;
+    args.prev = prev;
+    args.j_begin = s - 1;
+    for (std::size_t i = s; i < n; ++i) {
+      chord.fill(args, i);
+      // Seed with the previous column's parent — usually near the
+      // optimum, so the kernel's prune bound is tight from the start.
+      // The seed is only a performance hint: the kernel always returns
+      // the lowest-j argmin.
+      args.j_seed = i > s ? par[i - 1] : s - 1;
+      std::size_t pj = 0;
+      cur[i] = kn.plc_scan_f64(&args, &pj);
+      par[i] = pj;
+    }
   }
 
   // The approximation may use fewer than m segments if that is already

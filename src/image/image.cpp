@@ -154,8 +154,8 @@ FloatImage FloatImage::from_gray(const GrayImage& g) {
     return t;
   }();
   FloatImage out(g.width(), g.height());
-  kernels::active().lut_apply_f64(g.pixels().data(), g.size(), norm.data(),
-                                  out.values_.data());
+  kernels::lut_apply_f64(g.pixels().data(), g.size(), norm.data(),
+                         out.values_.data());
   return out;
 }
 

@@ -80,11 +80,10 @@ GrayImage resize_bilinear(const GrayImage& img, int new_w, int new_h) {
   }
 
   // Per output row: gather-lerp the two source rows horizontally, then
-  // blend them vertically as one elementwise pass through the kernel
-  // layer.  lerp(top, bottom, wy) = top + wy*(bottom - top), built from
-  // a (-1)-saxpy (exact negation) and a wy-saxpy, so every pixel sees
+  // blend them vertically as one elementwise pass.
+  // lerp(top, bottom, wy) = top + wy*(bottom - top), built from a
+  // (-1)-saxpy (exact negation) and a wy-saxpy, so every pixel sees
   // exactly the arithmetic of the old scalar triple-lerp.
-  const auto& kernels = hebs::kernels::active();
   std::vector<double> top(static_cast<std::size_t>(new_w));
   std::vector<double> bottom(static_cast<std::size_t>(new_w));
   std::vector<double> diff(static_cast<std::size_t>(new_w));
@@ -99,8 +98,8 @@ GrayImage resize_bilinear(const GrayImage& img, int new_w, int new_h) {
       bottom[i] = util::lerp(img(xs0[i], y1), img(xs1[i], y1), wxs[i]);
     }
     diff = bottom;
-    kernels.saxpy_f64(-1.0, top.data(), diff.data(), diff.size());
-    kernels.saxpy_f64(wy, diff.data(), top.data(), top.size());
+    hebs::kernels::saxpy_f64(-1.0, top.data(), diff.data(), diff.size());
+    hebs::kernels::saxpy_f64(wy, diff.data(), top.data(), top.size());
     for (int x = 0; x < new_w; ++x) {
       out(x, y) = static_cast<std::uint8_t>(std::lround(
           util::clamp(top[static_cast<std::size_t>(x)], 0.0, 255.0)));

@@ -213,13 +213,6 @@ std::uint64_t sum_u8_avx2(const std::uint8_t* src, std::size_t n) {
   return total + ref::sum_u8(src + i, n - i);
 }
 
-// f64 LUT gathers were measured slower than the scalar two-load loop
-// on this generation's VPGATHERDPD (the table lives in L1 either way),
-// so the f64 lookup stays on the reference loop.  mul_f64/saxpy_f64 are
-// likewise pinned to the reference loops: one multiply (or FMA-less
-// multiply-add) per 8-byte element is memory-bound, and BENCH_kernels
-// measured the 256-bit versions at parity with scalar (DESIGN.md §8).
-
 void blur_row_f64_avx2(const double* src, double* dst, int w,
                        const double* taps, int radius) {
   const int x_lo = std::min(radius, w);
@@ -477,9 +470,6 @@ const KernelSet* kernelset_avx2() {
       &histogram_u16_avx2,
       &lut_apply_u16_avx2,
       &sum_u16_avx2,
-      &ref::lut_apply_f64,
-      &ref::mul_f64,
-      &ref::saxpy_f64,
       &blur_row_f64_avx2,
       &blur_col_f64_avx2,
       &ref::sum_f64,

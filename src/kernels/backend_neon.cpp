@@ -104,11 +104,6 @@ std::uint64_t sum_u8_neon(const std::uint8_t* src, std::size_t n) {
   return total + ref::sum_u8(src + i, n - i);
 }
 
-// mul_f64/saxpy_f64 are pinned to the scalar reference loops: both are
-// memory-bound at one 8-byte element per multiply, and the x86 backends
-// measured their 128/256-bit versions at parity with scalar — the same
-// arithmetic-to-bandwidth ratio applies here (DESIGN.md §8).
-
 void blur_row_f64_neon(const double* src, double* dst, int w,
                        const double* taps, int radius) {
   const int x_lo = std::min(radius, w);
@@ -178,9 +173,6 @@ const KernelSet* kernelset_neon() {
       &histogram_u16_neon,
       &lut_apply_u16_neon,
       &sum_u16_neon,
-      &ref::lut_apply_f64,
-      &ref::mul_f64,
-      &ref::saxpy_f64,
       &blur_row_f64_neon,
       &blur_col_f64_neon,
       &ref::sum_f64,

@@ -18,9 +18,6 @@ const KernelSet* kernelset_scalar() {
       &ref::histogram_u16,
       &ref::lut_apply_u16,
       &ref::sum_u16,
-      &ref::lut_apply_f64,
-      &ref::mul_f64,
-      &ref::saxpy_f64,
       &ref::blur_row_f64,
       &ref::blur_col_f64,
       &ref::sum_f64,
@@ -31,6 +28,19 @@ const KernelSet* kernelset_scalar() {
       &ref::plc_scan_f64,
   };
   return &set;
+}
+
+void lut_apply_f64(const std::uint8_t* src, std::size_t n, const double* lut,
+                   double* dst) {
+  ref::lut_apply_f64(src, n, lut, dst);
+}
+
+void mul_f64(const double* a, const double* b, double* dst, std::size_t n) {
+  ref::mul_f64(a, b, dst, n);
+}
+
+void saxpy_f64(double a, const double* x, double* y, std::size_t n) {
+  ref::saxpy_f64(a, x, y, n);
 }
 
 }  // namespace hebs::kernels

@@ -120,10 +120,6 @@ std::uint64_t sum_u8_sse42(const std::uint8_t* src, std::size_t n) {
   return total + ref::sum_u8(src + i, n - i);
 }
 
-// mul_f64/saxpy_f64 are pinned to the scalar reference loops: both are
-// memory-bound at one 8-byte element per multiply, and BENCH_kernels
-// measured the 128-bit versions at parity with scalar (DESIGN.md §8).
-
 void blur_row_f64_sse42(const double* src, double* dst, int w,
                         const double* taps, int radius) {
   const int x_lo = std::min(radius, w);
@@ -193,9 +189,6 @@ const KernelSet* kernelset_sse42() {
       &histogram_u16_sse42,
       &lut_apply_u16_sse42,
       &sum_u16_sse42,
-      &ref::lut_apply_f64,
-      &ref::mul_f64,
-      &ref::saxpy_f64,
       &blur_row_f64_sse42,
       &blur_col_f64_sse42,
       &ref::sum_f64,

@@ -96,14 +96,6 @@ struct KernelSet {
   std::uint64_t (*sum_u16)(const std::uint16_t* src, std::size_t n);
 
   // ------------------------- float kernels (elementwise, bit-exact)
-  /// dst[i] = lut[src[i]] for a 256-entry double table.
-  void (*lut_apply_f64)(const std::uint8_t* src, std::size_t n,
-                        const double* lut, double* dst);
-  /// dst[i] = a[i] * b[i].
-  void (*mul_f64)(const double* a, const double* b, double* dst,
-                  std::size_t n);
-  /// y[i] = y[i] + a * x[i].
-  void (*saxpy_f64)(double a, const double* x, double* y, std::size_t n);
   /// One horizontal blur row with clamped borders: for every x,
   /// dst[x] = sum_k taps[k] * src[clamp(x + k - radius, 0, w-1)],
   /// taps accumulated in k order (2*radius+1 taps).
@@ -163,6 +155,21 @@ struct KernelSet {
   /// backend prunes, so every backend returns identical (value, j).
   double (*plc_scan_f64)(const PlcScanArgs* args, std::size_t* out_j);
 };
+
+// ------------------------------- plain float loops (not dispatched)
+// Elementwise loops no backend beat the scalar reference on (they are
+// memory-bound; DESIGN.md §8), so each has one definition instead of a
+// KernelSet row.  Out of line in backend_scalar.cpp on purpose: that TU
+// is pinned to -ffp-contract=off, and inlining saxpy_f64 into an
+// unpinned TU would let AArch64 fuse its multiply-add.
+
+/// dst[i] = lut[src[i]] for a 256-entry double table.
+void lut_apply_f64(const std::uint8_t* src, std::size_t n, const double* lut,
+                   double* dst);
+/// dst[i] = a[i] * b[i].
+void mul_f64(const double* a, const double* b, double* dst, std::size_t n);
+/// y[i] = y[i] + a * x[i].
+void saxpy_f64(double a, const double* x, double* y, std::size_t n);
 
 /// One compiled-in backend plus whether this machine can run it.
 struct BackendInfo {

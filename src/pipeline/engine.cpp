@@ -1,21 +1,18 @@
 #include "pipeline/engine.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/distortion_curve.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
-#include "pipeline/stages.h"
 #include "pipeline/temporal.h"
 #include "util/error.h"
 #include "util/faultpoint.h"
-#include "util/parallel.h"
 #include "util/pool.h"
 
 namespace hebs::pipeline {
@@ -97,48 +94,6 @@ bool deadline_blown(const EngineOptions& opts,
              .count() > opts.frame_deadline_us;
 }
 
-/// RowExecutor backed by the engine's ThreadPool: fans one frame's
-/// independent row ranges across the pool's workers.  Installed only
-/// around work running inline on the calling thread while the pool is
-/// idle (parallel_for is not reentrant).  The runner closure is built
-/// once — a std::function per run() would put an allocation into the
-/// steady state the alloc bench gates.
-class PoolRowExecutor final : public util::RowExecutor {
- public:
-  explicit PoolRowExecutor(ThreadPool& pool)
-      : pool_(pool),
-        effective_(pool.effective_concurrency()),
-        runner_([this](std::size_t chunk, int) {
-          const int begin = static_cast<int>(chunk) * step_;
-          (*body_)(begin, std::min(n_, begin + step_));
-        }) {}
-
-  void run(int n, util::RowBody body) override {
-    // Fan out only when splitting can help: more than one worker that
-    // can actually run concurrently, and enough rows per chunk to
-    // amortize the pool wake.
-    constexpr int kMinChunkRows = 8;
-    if (effective_ < 2 || n < 2 * kMinChunkRows) {
-      body(0, n);
-      return;
-    }
-    const int chunks = std::min(effective_, n / kMinChunkRows);
-    n_ = n;
-    step_ = (n + chunks - 1) / chunks;
-    body_ = &body;
-    pool_.parallel_for(static_cast<std::size_t>(chunks), runner_);
-    body_ = nullptr;
-  }
-
- private:
-  ThreadPool& pool_;
-  const int effective_;
-  int n_ = 0;
-  int step_ = 0;
-  const util::RowBody* body_ = nullptr;
-  const std::function<void(std::size_t, int)> runner_;
-};
-
 }  // namespace
 
 PipelineEngine::PipelineEngine(EngineOptions opts,
@@ -208,18 +163,10 @@ std::vector<Result> PipelineEngine::map_frames(
   };
   if (images.size() == 1) {
     // Single frame: frame-level fan-out cannot help, so run inline on
-    // the calling thread (no pool wake) and repurpose the idle workers
-    // for intra-frame row parallelism instead — this is what lets extra
-    // threads cut single-frame latency rather than add dispatch cost.
+    // the calling thread (no pool wake).
     const auto run_inline = [&](std::unique_ptr<FrameContext>& ctx,
-                                util::BufferPool* buffers, bool row_fanout) {
+                                util::BufferPool* buffers) {
       util::PoolScope scope(buffers);
-      std::optional<PoolRowExecutor> rows;
-      std::optional<util::ParallelScope> rows_scope;
-      if (row_fanout && pool_.effective_concurrency() > 1) {
-        rows.emplace(pool_);
-        rows_scope.emplace(&*rows);
-      }
       obs::ScopedSpan frame_span(obs::Span::kFrame, 0);
       run_contained(ctx, 0);
     };
@@ -227,17 +174,15 @@ std::vector<Result> PipelineEngine::map_frames(
       // The persistent slot: back-to-back calls recycle one context and
       // one pool instead of building both.
       util::MutexLock lock(slot_mu_, std::adopt_lock);
-      run_inline(slot_.ctx, slot_.pool.get(), /*row_fanout=*/true);
+      run_inline(slot_.ctx, slot_.pool.get());
     } else {
       // Another caller holds the slot: run on a one-off pool and
       // context rather than queue, so concurrent callers of one engine
-      // still run in parallel.  The callers already occupy the cores,
-      // so this frame's rows stay on its own thread instead of queuing
-      // on the workers.  The context is declared after its pool, so it
-      // releases its pooled caches first.
+      // still run in parallel.  The context is declared after its pool,
+      // so it releases its pooled caches first.
       const auto buffers = make_pool(opts_);
       std::unique_ptr<FrameContext> ctx;
-      run_inline(ctx, buffers.get(), /*row_fanout=*/false);
+      run_inline(ctx, buffers.get());
     }
     return results;
   }
@@ -260,63 +205,35 @@ std::vector<Result> PipelineEngine::map_frames(
 }
 
 std::vector<core::HebsResult> PipelineEngine::process_batch(
+    std::span<const hebs::image::GrayImage> images, const Policy& policy,
+    double d_max_percent, std::vector<FrameFault>* faults) {
+  policy.prepare();
+  return map_frames<core::HebsResult>(
+      images,
+      [&policy, d_max_percent](FrameContext& ctx, std::size_t) {
+        return policy.decide(ctx, d_max_percent);
+      },
+      [&images](std::size_t i) { return identity_fallback(images[i]); },
+      faults);
+}
+
+std::vector<core::HebsResult> PipelineEngine::process_batch(
+    std::span<const hebs::image::GrayImage16> images, const Policy& policy,
+    double d_max_percent, std::vector<FrameFault>* faults) {
+  policy.prepare();
+  return map_frames<core::HebsResult>(
+      images,
+      [&policy, d_max_percent](FrameContext& ctx, std::size_t) {
+        return policy.decide(ctx, d_max_percent);
+      },
+      [&images](std::size_t i) { return identity_fallback(images[i]); },
+      faults);
+}
+
+std::vector<core::HebsResult> PipelineEngine::process_batch(
     std::span<const hebs::image::GrayImage> images, double d_max_percent,
     std::vector<FrameFault>* faults) {
-  return map_frames<core::HebsResult>(
-      images,
-      [d_max_percent](FrameContext& ctx, std::size_t) {
-        return run_exact(ctx, d_max_percent);
-      },
-      [&images](std::size_t i) { return identity_fallback(images[i]); },
-      faults);
-}
-
-std::vector<core::HebsResult> PipelineEngine::process_batch_at_range(
-    std::span<const hebs::image::GrayImage> images, int range,
-    std::vector<FrameFault>* faults) {
-  return map_frames<core::HebsResult>(
-      images,
-      [range](FrameContext& ctx, std::size_t) {
-        return ctx.at_range(range);
-      },
-      [&images](std::size_t i) { return identity_fallback(images[i]); },
-      faults);
-}
-
-std::vector<core::HebsResult> PipelineEngine::process_batch_with_curve(
-    std::span<const hebs::image::GrayImage> images, double d_max_percent,
-    const core::DistortionCurve& curve, std::vector<FrameFault>* faults) {
-  return map_frames<core::HebsResult>(
-      images,
-      [d_max_percent, &curve](FrameContext& ctx, std::size_t) {
-        return run_with_curve(ctx, d_max_percent, curve);
-      },
-      [&images](std::size_t i) { return identity_fallback(images[i]); },
-      faults);
-}
-
-std::vector<core::HebsResult> PipelineEngine::process_batch16(
-    std::span<const hebs::image::GrayImage16> images, double d_max_percent,
-    std::vector<FrameFault>* faults) {
-  return map_frames<core::HebsResult>(
-      images,
-      [d_max_percent](FrameContext& ctx, std::size_t) {
-        return run_exact(ctx, d_max_percent);
-      },
-      [&images](std::size_t i) { return identity_fallback(images[i]); },
-      faults);
-}
-
-std::vector<core::HebsResult> PipelineEngine::process_batch_at_range16(
-    std::span<const hebs::image::GrayImage16> images, int range,
-    std::vector<FrameFault>* faults) {
-  return map_frames<core::HebsResult>(
-      images,
-      [range](FrameContext& ctx, std::size_t) {
-        return ctx.at_range(range);
-      },
-      [&images](std::size_t i) { return identity_fallback(images[i]); },
-      faults);
+  return process_batch(images, ExactPolicy(), d_max_percent, faults);
 }
 
 std::vector<core::FrameDecision> PipelineEngine::process_stream(
@@ -561,18 +478,20 @@ bool same_bytes(const hebs::image::RgbImage& a,
 }  // namespace
 
 std::vector<ColorBatchResult> PipelineEngine::process_batch_color(
-    std::span<const hebs::image::RgbImage> images, double d_max_percent,
-    core::ColorMode mode, std::vector<FrameFault>* faults) {
+    std::span<const hebs::image::RgbImage> images, const Policy& policy,
+    double d_max_percent, core::ColorMode mode,
+    std::vector<FrameFault>* faults) {
+  policy.prepare();
   // Luma extraction is ordered-independent but cheap (one dispatched
   // kernel sweep per frame); done up front so the lumas outlive every
   // context binding.
   const auto lumas = materialize_lumas(images);
   return map_frames<ColorBatchResult>(
       std::span<const hebs::image::GrayImage>(lumas),
-      [&images, &lumas, d_max_percent, mode](FrameContext& ctx,
-                                             std::size_t i) {
+      [&images, &lumas, &policy, d_max_percent, mode](FrameContext& ctx,
+                                                      std::size_t i) {
         ColorBatchResult r;
-        r.luma = run_exact(ctx, d_max_percent);
+        r.luma = policy.decide(ctx, d_max_percent);
         r.color = run_color_stage(images[i], lumas[i], r.luma.point, mode);
         return r;
       },
@@ -587,6 +506,13 @@ std::vector<ColorBatchResult> PipelineEngine::process_batch_color(
         return r;
       },
       faults);
+}
+
+std::vector<ColorBatchResult> PipelineEngine::process_batch_color(
+    std::span<const hebs::image::RgbImage> images, double d_max_percent,
+    core::ColorMode mode, std::vector<FrameFault>* faults) {
+  return process_batch_color(images, ExactPolicy(), d_max_percent, mode,
+                             faults);
 }
 
 std::vector<ColorStreamResult> PipelineEngine::process_stream_color(

@@ -6,10 +6,11 @@
 // FrameContext that it rebinds per frame, so frame-side caches are
 // reused without cross-thread sharing.  Results are written by frame
 // index — output order (and every computed bit) is independent of the
-// thread count.  A one-frame batch (what Session::process runs) instead
-// runs inline on the calling thread, on a persistent slot — one
-// FrameContext and one buffer pool the engine keeps across calls — and
-// lends the idle workers to intra-frame row parallelism.
+// thread count.  Every batch runs one pipeline::Policy (policy.h) per
+// frame, so every policy gets the same containment, deadline, fan-out
+// and context reuse.  A one-frame batch (what Session::process runs)
+// instead runs inline on the calling thread, on a persistent slot — one
+// FrameContext and one buffer pool the engine keeps across calls.
 //
 // Stream mode (video) keeps only the flicker controller's scalar β
 // recurrence in frame order: raw operating points are searched
@@ -30,13 +31,10 @@
 #include "core/video.h"
 #include "pipeline/executor.h"
 #include "pipeline/frame_context.h"
+#include "pipeline/policy.h"
 #include "util/mutex.h"
 #include "util/pool.h"
 #include "util/thread_annotations.h"
-
-namespace hebs::core {
-class DistortionCurve;
-}
 
 namespace hebs::pipeline {
 
@@ -44,7 +42,7 @@ namespace hebs::pipeline {
 struct EngineOptions {
   /// Worker threads; <= 0 selects the hardware concurrency.
   int num_threads = 0;
-  /// Pipeline options applied by the batch entry points.  Stream mode
+  /// Pipeline options every batch FrameContext binds with.  Stream mode
   /// ignores this and uses the controller's VideoOptions::hebs instead
   /// (the controller defines the stream's semantics).
   core::HebsOptions hebs;
@@ -111,8 +109,9 @@ struct ColorFrameOutput {
 
 /// One color frame's decision + rendering (batch mode).
 struct ColorBatchResult {
-  /// The HEBS decision, computed on the frame's BT.601 luma — exactly
-  /// the result process_batch returns for the pre-converted luma.
+  /// The policy's decision, computed on the frame's BT.601 luma —
+  /// exactly the result process_batch returns for the pre-converted
+  /// luma.
   core::HebsResult luma;
   ColorFrameOutput color;
 };
@@ -134,8 +133,10 @@ class PipelineEngine {
   int thread_count() const noexcept { return pool_.thread_count(); }
   const EngineOptions& options() const noexcept { return opts_; }
 
-  /// Exact-search HEBS (the Table 1 protocol) for every image.
-  /// result[i] corresponds to images[i].
+  /// Runs `policy` on every image: result[i] is policy.decide() on a
+  /// context bound to images[i].  Deep-pixel images decide on their own
+  /// level lattice (images[i].levels() histogram bins); each call is one
+  /// depth.
   ///
   /// Fault containment (all batch/stream entry points): a frame whose
   /// work throws — or misses opts.frame_deadline_us — yields the
@@ -145,31 +146,15 @@ class PipelineEngine {
   /// a contained fault are bit-identical to a cold run: the faulted
   /// worker's FrameContext is discarded, never rebound.
   std::vector<core::HebsResult> process_batch(
+      std::span<const hebs::image::GrayImage> images, const Policy& policy,
+      double d_max_percent, std::vector<FrameFault>* faults = nullptr);
+  std::vector<core::HebsResult> process_batch(
+      std::span<const hebs::image::GrayImage16> images, const Policy& policy,
+      double d_max_percent, std::vector<FrameFault>* faults = nullptr);
+
+  /// process_batch with ExactPolicy (the Table 1 protocol).
+  std::vector<core::HebsResult> process_batch(
       std::span<const hebs::image::GrayImage> images, double d_max_percent,
-      std::vector<FrameFault>* faults = nullptr);
-
-  /// Fixed-range HEBS for every image.
-  std::vector<core::HebsResult> process_batch_at_range(
-      std::span<const hebs::image::GrayImage> images, int range,
-      std::vector<FrameFault>* faults = nullptr);
-
-  /// Deep-pixel twin of process_batch: the same exact-search decision on
-  /// each frame's own level lattice (images[i].levels() histogram bins).
-  /// Mixed-depth batches are not supported — each call is one depth.
-  std::vector<core::HebsResult> process_batch16(
-      std::span<const hebs::image::GrayImage16> images, double d_max_percent,
-      std::vector<FrameFault>* faults = nullptr);
-
-  /// Deep-pixel twin of process_batch_at_range.
-  std::vector<core::HebsResult> process_batch_at_range16(
-      std::span<const hebs::image::GrayImage16> images, int range,
-      std::vector<FrameFault>* faults = nullptr);
-
-  /// Deployed flow for every image: range looked up from the distortion
-  /// characteristic curve, no metric in the decision loop.
-  std::vector<core::HebsResult> process_batch_with_curve(
-      std::span<const hebs::image::GrayImage> images, double d_max_percent,
-      const core::DistortionCurve& curve,
       std::vector<FrameFault>* faults = nullptr);
 
   /// Frame-adaptive video: per-frame raw operating points are searched
@@ -195,10 +180,16 @@ class PipelineEngine {
       const core::VideoOptions& opts,
       std::vector<FrameFault>* faults = nullptr);
 
-  /// Color batch: the exact-search decision runs on each frame's
-  /// BT.601 luma (bit-identical to process_batch on pre-converted
-  /// lumas), then the post-decision color stage applies the chosen
-  /// operating point to the RGB raster in `mode` on the same worker.
+  /// Color batch: `policy` decides each frame's BT.601 luma
+  /// (bit-identical to process_batch on pre-converted lumas), then the
+  /// post-decision color stage applies the chosen operating point to the
+  /// RGB raster in `mode` on the same worker.
+  std::vector<ColorBatchResult> process_batch_color(
+      std::span<const hebs::image::RgbImage> images, const Policy& policy,
+      double d_max_percent, core::ColorMode mode,
+      std::vector<FrameFault>* faults = nullptr);
+
+  /// process_batch_color with ExactPolicy.
   std::vector<ColorBatchResult> process_batch_color(
       std::span<const hebs::image::RgbImage> images, double d_max_percent,
       core::ColorMode mode, std::vector<FrameFault>* faults = nullptr);

@@ -6,7 +6,6 @@
 
 #include "kernels/kernels.h"
 #include "util/mathutil.h"
-#include "util/parallel.h"
 #include "util/pool.h"
 
 namespace hebs::quality {
@@ -43,28 +42,21 @@ hebs::image::FloatImage gaussian_blur(const hebs::image::FloatImage& in,
   }
   for (auto& v : kernel) v /= norm;
 
-  // Each output row of either pass depends only on the pass's input
-  // raster, so both row loops fan across the installed row executor
-  // (bit-identical per row regardless of chunking — see parallel.h).
   const auto& kernels = hebs::kernels::active();
   hebs::image::FloatImage tmp(w, h);
   const double* src = in.values().data();
   double* mid = tmp.values().data();
-  hebs::util::parallel_rows(h, [&](int begin, int end) {
-    for (int y = begin; y < end; ++y) {
-      kernels.blur_row_f64(src + static_cast<std::size_t>(y) * w,
-                           mid + static_cast<std::size_t>(y) * w, w,
-                           kernel.data(), radius);
-    }
-  });
+  for (int y = 0; y < h; ++y) {
+    kernels.blur_row_f64(src + static_cast<std::size_t>(y) * w,
+                         mid + static_cast<std::size_t>(y) * w, w,
+                         kernel.data(), radius);
+  }
   hebs::image::FloatImage out(w, h);
   double* dst = out.values().data();
-  hebs::util::parallel_rows(h, [&](int begin, int end) {
-    for (int y = begin; y < end; ++y) {
-      kernels.blur_col_f64(mid, w, h, y, kernel.data(), radius,
-                           dst + static_cast<std::size_t>(y) * w);
-    }
-  });
+  for (int y = 0; y < h; ++y) {
+    kernels.blur_col_f64(mid, w, h, y, kernel.data(), radius,
+                         dst + static_cast<std::size_t>(y) * w);
+  }
   return out;
 }
 

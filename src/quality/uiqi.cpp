@@ -5,7 +5,6 @@
 #include "quality/widen.h"
 #include "quality/window_stats.h"
 #include "util/error.h"
-#include "util/parallel.h"
 #include "util/pool.h"
 
 namespace hebs::quality {
@@ -33,17 +32,15 @@ double uiqi_from_stats(const PairStats& stats, int width, int height,
       ref->windows_y() == height - opts.block_size + 1) {
     const int wx = ref->windows_x();
     const int wy = ref->windows_y();
-    // Window rows are independent: compute them through the q-row kernel
-    // under the installed row executor, then reduce serially in row-major
-    // order — the exact accumulation order of the loop below.
+    // Compute the window rows through the q-row kernel, then reduce
+    // serially in row-major order — the exact accumulation order of the
+    // loop below.
     hebs::util::PoolVector<double> q(static_cast<std::size_t>(wx) *
                                      static_cast<std::size_t>(wy));
     double* q_data = q.data();
-    hebs::util::parallel_rows(wy, [&](int begin, int end) {
-      for (int y = begin; y < end; ++y) {
-        stats.q_row(y, *ref, q_data + static_cast<std::size_t>(y) * wx);
-      }
-    });
+    for (int y = 0; y < wy; ++y) {
+      stats.q_row(y, *ref, q_data + static_cast<std::size_t>(y) * wx);
+    }
     double acc = 0.0;
     const std::size_t windows =
         static_cast<std::size_t>(wx) * static_cast<std::size_t>(wy);

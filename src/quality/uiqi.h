@@ -36,10 +36,9 @@ double uiqi(const hebs::image::FloatImage& a,
 ///
 /// `ref` optionally supplies cached reference-side per-window moments
 /// (matching block size and window grid, stride 1): the evaluation then
-/// runs row-wise through the kernel layer's q-row primitive and the
-/// installed row executor, with the final accumulation kept serial in
-/// row-major order — the result is bit-identical with or without the
-/// cache, on every backend and thread count.
+/// runs row-wise through the kernel layer's q-row primitive, with the
+/// final accumulation kept serial in row-major order — the result is
+/// bit-identical with or without the cache, on every backend.
 double uiqi_from_stats(const PairStats& stats, int width, int height,
                        const UiqiOptions& opts = {},
                        const RefWindowMoments* ref = nullptr);

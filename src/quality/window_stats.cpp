@@ -55,7 +55,7 @@ IntegralImage IntegralImage::of_squares(std::span<const double> values,
   const auto& kernels = hebs::kernels::active();
   for (int y = 0; y < height; ++y) {
     const double* row = values.data() + static_cast<std::size_t>(y) * width;
-    kernels.mul_f64(row, row, scratch.data(), scratch.size());
+    hebs::kernels::mul_f64(row, row, scratch.data(), scratch.size());
     kernels.prefix_row_f64(
         scratch.data(),
         out.table_.data() + static_cast<std::size_t>(y) * stride + 1,
@@ -78,9 +78,9 @@ IntegralImage IntegralImage::of_products(std::span<const double> a,
   hebs::util::PoolVector<double> scratch(static_cast<std::size_t>(width));
   const auto& kernels = hebs::kernels::active();
   for (int y = 0; y < height; ++y) {
-    kernels.mul_f64(a.data() + static_cast<std::size_t>(y) * width,
-                    b.data() + static_cast<std::size_t>(y) * width,
-                    scratch.data(), scratch.size());
+    hebs::kernels::mul_f64(a.data() + static_cast<std::size_t>(y) * width,
+                           b.data() + static_cast<std::size_t>(y) * width,
+                           scratch.data(), scratch.size());
     kernels.prefix_row_f64(
         scratch.data(),
         out.table_.data() + static_cast<std::size_t>(y) * stride + 1,

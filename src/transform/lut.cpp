@@ -107,8 +107,8 @@ hebs::image::FloatImage FloatLut::apply(
     const hebs::image::GrayImage& img) const {
   HEBS_REQUIRE(size() == kSize, "8-bit apply needs a 256-entry table");
   hebs::image::FloatImage out(img.width(), img.height());
-  kernels::active().lut_apply_f64(img.pixels().data(), img.size(),
-                                  table_.data(), out.values().data());
+  kernels::lut_apply_f64(img.pixels().data(), img.size(), table_.data(),
+                         out.values().data());
   return out;
 }
 

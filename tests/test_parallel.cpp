@@ -1,10 +1,7 @@
-// Tests for the intra-frame row-parallelism seam (util/parallel.h) and
-// the ThreadPool fork-join it rides on (pipeline/executor.h): executor
-// installation scoping, chunk coverage, concurrent external callers,
-// the effective-concurrency cap, exception propagation and the
-// deterministic ordered reduction the kernels rely on (DESIGN.md §11:
-// results must be bit-identical for every executor, chunking and
-// thread count).
+// Tests for the ThreadPool fork-join (pipeline/executor.h): index
+// coverage, concurrent external callers, the effective-concurrency cap,
+// exception propagation and the deterministic ordered reduction
+// (results must be bit-identical for every thread count).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,89 +20,6 @@
 namespace {
 
 using hebs::pipeline::ThreadPool;
-using hebs::util::ParallelScope;
-using hebs::util::parallel_rows;
-using hebs::util::RowBody;
-using hebs::util::row_executor;
-using hebs::util::RowExecutor;
-
-// Minimal pool-backed executor mirroring the engine's PoolRowExecutor
-// chunking: splits [0, n) into one contiguous chunk per worker.
-class ChunkedExecutor final : public RowExecutor {
- public:
-  explicit ChunkedExecutor(ThreadPool& pool, int chunks)
-      : pool_(pool), chunks_(chunks) {}
-
-  void run(int n, RowBody body) override {
-    const int step = (n + chunks_ - 1) / chunks_;
-    pool_.parallel_for(static_cast<std::size_t>(chunks_),
-                       [&](std::size_t chunk, int) {
-                         const int begin = static_cast<int>(chunk) * step;
-                         body(begin, std::min(n, begin + step));
-                       });
-  }
-
- private:
-  ThreadPool& pool_;
-  const int chunks_;
-};
-
-TEST(ParallelRows, SerialFallbackCoversRangeInOneCall) {
-  ASSERT_EQ(row_executor(), nullptr);
-  int calls = 0;
-  int seen_begin = -1;
-  int seen_end = -1;
-  parallel_rows(17, [&](int begin, int end) {
-    ++calls;
-    seen_begin = begin;
-    seen_end = end;
-  });
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(seen_begin, 0);
-  EXPECT_EQ(seen_end, 17);
-}
-
-TEST(ParallelRows, EmptyRangeNeverInvokesBody) {
-  bool called = false;
-  parallel_rows(0, [&](int, int) { called = true; });
-  parallel_rows(-3, [&](int, int) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-TEST(ParallelRows, ScopesNestAndRestore) {
-  ThreadPool pool(2);
-  ChunkedExecutor outer(pool, 2);
-  ChunkedExecutor inner(pool, 2);
-  ASSERT_EQ(row_executor(), nullptr);
-  {
-    ParallelScope a(&outer);
-    EXPECT_EQ(row_executor(), &outer);
-    {
-      ParallelScope b(&inner);
-      EXPECT_EQ(row_executor(), &inner);
-      ParallelScope c(nullptr);  // explicit uninstall nests too
-      EXPECT_EQ(row_executor(), nullptr);
-    }
-    EXPECT_EQ(row_executor(), &outer);
-  }
-  EXPECT_EQ(row_executor(), nullptr);
-}
-
-TEST(ParallelRows, ChunksAreDisjointAndCoverRange) {
-  ThreadPool pool(4);
-  ChunkedExecutor exec(pool, 4);
-  ParallelScope scope(&exec);
-  constexpr int kRows = 103;
-  std::vector<std::atomic<int>> touched(kRows);
-  parallel_rows(kRows, [&](int begin, int end) {
-    for (int i = begin; i < end; ++i) {
-      touched[static_cast<std::size_t>(i)].fetch_add(1);
-    }
-  });
-  for (int i = 0; i < kRows; ++i) {
-    EXPECT_EQ(touched[static_cast<std::size_t>(i)].load(), 1) << "row " << i;
-  }
-}
 
 TEST(ThreadPool, EveryIndexRunsExactlyOnce) {
   ThreadPool pool(4);

@@ -124,7 +124,8 @@ TEST(Engine, BatchAtRangeMatchesSerial) {
   EngineOptions opts;
   opts.num_threads = 2;
   PipelineEngine engine(opts, model());
-  const auto batch = engine.process_batch_at_range(images, 150);
+  const auto batch =
+      engine.process_batch(images, hebs::pipeline::AtRangePolicy(150), 0.0);
   for (std::size_t i = 0; i < images.size(); ++i) {
     expect_same_result(batch[i],
                        core::hebs_at_range(images[i], 150, {}, model()));
