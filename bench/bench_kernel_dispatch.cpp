@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
   for (int i = 0; i < kDeepLevels; ++i) {
     lut16[i] = static_cast<std::uint16_t>((i * 600) / (kDeepLevels - 1));
   }
-  const int radius = 2;
+  constexpr int radius = 2;
   const double taps[5] = {0.05, 0.25, 0.4, 0.25, 0.05};
 
   // Scratch buffers (shared across backends; parity is checked against
@@ -201,8 +201,16 @@ int main(int argc, char** argv) {
        }},
       {"blur_col_f64", n,
        [&](const kernels::KernelSet& k) {
+         // The caller-side border clamp, as the HVS blur and the
+         // row-streamed evaluator do it.
+         const double* rows[2 * radius + 1];
          for (int y = 0; y < size; ++y) {
-           k.blur_col_f64(fa.data(), size, size, y, taps, radius,
+           for (int j = 0; j <= 2 * radius; ++j) {
+             rows[j] = fa.data() + static_cast<std::size_t>(std::clamp(
+                                       y + j - radius, 0, size - 1)) *
+                                       size;
+           }
+           k.blur_col_f64(rows, size, taps, radius,
                           outf.data() + static_cast<std::size_t>(y) * size);
          }
          sink = sink + static_cast<std::uint64_t>(outf[n / 2] * 255.0);

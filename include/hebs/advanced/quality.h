@@ -11,4 +11,5 @@
 #include "quality/ms_ssim.h"  // IWYU pragma: export
 #include "quality/ssim.h"  // IWYU pragma: export
 #include "quality/uiqi.h"  // IWYU pragma: export
+#include "quality/uiqi_stream.h"  // IWYU pragma: export
 #include "quality/window_stats.h"  // IWYU pragma: export

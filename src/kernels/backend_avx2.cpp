@@ -47,11 +47,6 @@ int uniform16_avx2(const std::uint16_t* p) {
   return mask == -1 ? static_cast<int>(p[0]) : -1;
 }
 
-void histogram_u16_avx2(const std::uint16_t* src, std::size_t n,
-                        std::uint64_t* counts) {
-  tuned::histogram_u16_runs<16>(src, n, counts, &uniform16_avx2);
-}
-
 void lut_apply_u16_avx2(const std::uint16_t* src, std::size_t n,
                         const std::uint16_t* lut, std::uint16_t* dst) {
   tuned::lut_apply_u16_blocks<16>(
@@ -241,32 +236,18 @@ void blur_row_f64_avx2(const double* src, double* dst, int w,
   }
 }
 
-void blur_col_f64_avx2(const double* src, int w, int h, int y,
-                       const double* taps, int radius, double* out_row) {
-  const bool interior = y >= radius && y + radius < h;
+void blur_col_f64_avx2(const double* const* rows, int w, const double* taps,
+                       int radius, double* out_row) {
   int x = 0;
   for (; x + 4 <= w; x += 4) {
     __m256d acc = _mm256_setzero_pd();
     for (int k = 0; k <= 2 * radius; ++k) {
-      const int yy = interior ? y + k - radius
-                              : std::clamp(y + k - radius, 0, h - 1);
-      acc = _mm256_add_pd(
-          acc,
-          _mm256_mul_pd(_mm256_set1_pd(taps[k]),
-                        _mm256_loadu_pd(src + static_cast<std::size_t>(yy) * w +
-                                        x)));
+      acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(taps[k]),
+                                             _mm256_loadu_pd(rows[k] + x)));
     }
     _mm256_storeu_pd(out_row + x, acc);
   }
-  for (; x < w; ++x) {
-    double acc = 0.0;
-    for (int k = 0; k <= 2 * radius; ++k) {
-      const int yy = interior ? y + k - radius
-                              : std::clamp(y + k - radius, 0, h - 1);
-      acc += taps[k] * src[static_cast<std::size_t>(yy) * w + x];
-    }
-    out_row[x] = acc;
-  }
+  for (; x < w; ++x) out_row[x] = ref::blur_col_one(rows, x, taps, radius);
 }
 
 void uiqi_q_row_f64_avx2(const double* mean_a, const double* var_a,
@@ -467,7 +448,7 @@ const KernelSet* kernelset_avx2() {
       &lut_apply_rgb8_avx2,
       &luma_bt601_rgb8_avx2,
       &sum_u8_avx2,
-      &histogram_u16_avx2,
+      &ref::histogram_u16,
       &lut_apply_u16_avx2,
       &sum_u16_avx2,
       &blur_row_f64_avx2,

@@ -39,11 +39,6 @@ int uniform16_neon(const std::uint16_t* p) {
   return lo == hi ? static_cast<int>(lo) : -1;
 }
 
-void histogram_u16_neon(const std::uint16_t* src, std::size_t n,
-                        std::uint64_t* counts) {
-  tuned::histogram_u16_runs<16>(src, n, counts, &uniform16_neon);
-}
-
 void lut_apply_u16_neon(const std::uint16_t* src, std::size_t n,
                         const std::uint16_t* lut, std::uint16_t* dst) {
   tuned::lut_apply_u16_blocks<16>(
@@ -132,31 +127,18 @@ void blur_row_f64_neon(const double* src, double* dst, int w,
   }
 }
 
-void blur_col_f64_neon(const double* src, int w, int h, int y,
-                       const double* taps, int radius, double* out_row) {
-  const bool interior = y >= radius && y + radius < h;
+void blur_col_f64_neon(const double* const* rows, int w, const double* taps,
+                       int radius, double* out_row) {
   int x = 0;
   for (; x + 2 <= w; x += 2) {
     float64x2_t acc = vdupq_n_f64(0.0);
     for (int k = 0; k <= 2 * radius; ++k) {
-      const int yy = interior ? y + k - radius
-                              : std::clamp(y + k - radius, 0, h - 1);
-      acc = vaddq_f64(
-          acc, vmulq_f64(vdupq_n_f64(taps[k]),
-                         vld1q_f64(src + static_cast<std::size_t>(yy) * w +
-                                   x)));
+      acc = vaddq_f64(acc,
+                      vmulq_f64(vdupq_n_f64(taps[k]), vld1q_f64(rows[k] + x)));
     }
     vst1q_f64(out_row + x, acc);
   }
-  for (; x < w; ++x) {
-    double acc = 0.0;
-    for (int k = 0; k <= 2 * radius; ++k) {
-      const int yy = interior ? y + k - radius
-                              : std::clamp(y + k - radius, 0, h - 1);
-      acc += taps[k] * src[static_cast<std::size_t>(yy) * w + x];
-    }
-    out_row[x] = acc;
-  }
+  for (; x < w; ++x) out_row[x] = ref::blur_col_one(rows, x, taps, radius);
 }
 
 }  // namespace
@@ -170,7 +152,7 @@ const KernelSet* kernelset_neon() {
       &ref::lut_apply_rgb8,
       &luma_bt601_rgb8_neon,
       &sum_u8_neon,
-      &histogram_u16_neon,
+      &ref::histogram_u16,
       &lut_apply_u16_neon,
       &sum_u16_neon,
       &blur_row_f64_neon,

@@ -39,11 +39,6 @@ int uniform16_sse42(const std::uint16_t* p) {
   return _mm_movemask_epi8(eq) == 0xFFFF ? static_cast<int>(p[0]) : -1;
 }
 
-void histogram_u16_sse42(const std::uint16_t* src, std::size_t n,
-                         std::uint64_t* counts) {
-  tuned::histogram_u16_runs<16>(src, n, counts, &uniform16_sse42);
-}
-
 void lut_apply_u16_sse42(const std::uint16_t* src, std::size_t n,
                          const std::uint16_t* lut, std::uint16_t* dst) {
   tuned::lut_apply_u16_blocks<16>(
@@ -148,31 +143,18 @@ void blur_row_f64_sse42(const double* src, double* dst, int w,
   }
 }
 
-void blur_col_f64_sse42(const double* src, int w, int h, int y,
+void blur_col_f64_sse42(const double* const* rows, int w,
                         const double* taps, int radius, double* out_row) {
-  const bool interior = y >= radius && y + radius < h;
   int x = 0;
   for (; x + 2 <= w; x += 2) {
     __m128d acc = _mm_setzero_pd();
     for (int k = 0; k <= 2 * radius; ++k) {
-      const int yy = interior ? y + k - radius
-                              : std::clamp(y + k - radius, 0, h - 1);
-      acc = _mm_add_pd(
-          acc, _mm_mul_pd(_mm_set1_pd(taps[k]),
-                          _mm_loadu_pd(src + static_cast<std::size_t>(yy) * w +
-                                       x)));
+      acc = _mm_add_pd(acc, _mm_mul_pd(_mm_set1_pd(taps[k]),
+                                       _mm_loadu_pd(rows[k] + x)));
     }
     _mm_storeu_pd(out_row + x, acc);
   }
-  for (; x < w; ++x) {
-    double acc = 0.0;
-    for (int k = 0; k <= 2 * radius; ++k) {
-      const int yy = interior ? y + k - radius
-                              : std::clamp(y + k - radius, 0, h - 1);
-      acc += taps[k] * src[static_cast<std::size_t>(yy) * w + x];
-    }
-    out_row[x] = acc;
-  }
+  for (; x < w; ++x) out_row[x] = ref::blur_col_one(rows, x, taps, radius);
 }
 
 }  // namespace
@@ -186,7 +168,7 @@ const KernelSet* kernelset_sse42() {
       &ref::lut_apply_rgb8,
       &luma_bt601_rgb8_sse42,
       &sum_u8_sse42,
-      &histogram_u16_sse42,
+      &ref::histogram_u16,
       &lut_apply_u16_sse42,
       &sum_u16_sse42,
       &blur_row_f64_sse42,

@@ -84,6 +84,8 @@ struct KernelSet {
   // counts / lut arrays to the frame's level count; every sample is
   // < that count by the GrayImage16 invariant.  All three are pure
   // integer kernels, so backends are trivially bit-identical.
+  // histogram_u16 is the reference loop in every backend: its
+  // uniform-block variant measured slower than scalar (DESIGN.md §8).
   /// counts[v] += number of occurrences of v in src[0..n)
   /// (caller-sized bins; counts is accumulated into, not cleared).
   void (*histogram_u16)(const std::uint16_t* src, std::size_t n,
@@ -101,10 +103,14 @@ struct KernelSet {
   /// taps accumulated in k order (2*radius+1 taps).
   void (*blur_row_f64)(const double* src, double* dst, int w,
                        const double* taps, int radius);
-  /// One vertical blur output row y over the w x h raster `src`:
-  /// out_row[x] = sum_k taps[k] * src[clamp(y + k - radius, 0, h-1)][x].
-  void (*blur_col_f64)(const double* src, int w, int h, int y,
-                       const double* taps, int radius, double* out_row);
+  /// One vertical blur output row from 2*radius+1 input rows:
+  /// out_row[x] = sum_k taps[k] * rows[k][x], taps accumulated in k
+  /// order.  The caller resolves the border: for output row y of an
+  /// h-row raster, rows[k] is input row clamp(y + k - radius, 0, h-1),
+  /// so pointers repeat near the edges.  Any row storage works — a full
+  /// raster or a ring of line buffers (quality/uiqi_stream.cpp).
+  void (*blur_col_f64)(const double* const* rows, int w, const double* taps,
+                       int radius, double* out_row);
 
   // ------------- float kernels (scalar accumulation-order contract)
   /// Left-to-right sum of n doubles.  Backends must keep the scalar

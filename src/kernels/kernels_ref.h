@@ -113,18 +113,18 @@ inline void blur_row_f64(const double* src, double* dst, int w,
   for (int x = x_hi; x < w; ++x) dst[x] = blur_row_one(src, w, x, taps, radius);
 }
 
-inline void blur_col_f64(const double* src, int w, int h, int y,
-                         const double* taps, int radius, double* out_row) {
-  const bool interior = y >= radius && y + radius < h;
-  for (int x = 0; x < w; ++x) {
-    double acc = 0.0;
-    for (int k = 0; k <= 2 * radius; ++k) {
-      const int yy = interior ? y + k - radius
-                              : std::clamp(y + k - radius, 0, h - 1);
-      acc += taps[k] * src[static_cast<std::size_t>(yy) * w + x];
-    }
-    out_row[x] = acc;
-  }
+/// One output pixel of the vertical blur (the tail lanes of the vector
+/// backends).
+inline double blur_col_one(const double* const* rows, int x,
+                           const double* taps, int radius) {
+  double acc = 0.0;
+  for (int k = 0; k <= 2 * radius; ++k) acc += taps[k] * rows[k][x];
+  return acc;
+}
+
+inline void blur_col_f64(const double* const* rows, int w, const double* taps,
+                         int radius, double* out_row) {
+  for (int x = 0; x < w; ++x) out_row[x] = blur_col_one(rows, x, taps, radius);
 }
 
 inline double sum_f64(const double* v, std::size_t n) {

@@ -72,34 +72,6 @@ inline void histogram_u8_runs(const std::uint8_t* src, std::size_t n,
   }
 }
 
-/// Deep-pixel histogram with a uniform-block shortcut but no
-/// sub-tables: with up to 65536 bins, eight 32-bit copies would need
-/// 2 MiB of scratch — past L1/L2 the split costs more than the
-/// store-to-load chains it hides.  The uniform probe still pays: flat
-/// regions are just as common in deep content, and one compare per
-/// block replaces kBlock dependent increments.  `probe(p)` tests
-/// kBlock *samples* (not bytes): the sample value when all are equal,
-/// else -1.  Counts are integers, so the shortcut is bit-exact.
-template <int kBlock, typename UniformProbe>
-inline void histogram_u16_runs(const std::uint16_t* src, std::size_t n,
-                               std::uint64_t* counts, UniformProbe&& probe) {
-  static_assert(kBlock % 8 == 0);
-  if (n < 2048) {
-    ref::histogram_u16(src, n, counts);
-    return;
-  }
-  std::size_t i = 0;
-  for (; i + kBlock <= n; i += kBlock) {
-    const int uniform = probe(src + i);
-    if (uniform >= 0) {
-      counts[uniform] += kBlock;
-      continue;
-    }
-    for (std::size_t j = i; j < i + kBlock; ++j) ++counts[src[j]];
-  }
-  for (; i < n; ++i) ++counts[src[i]];
-}
-
 /// Deep-pixel LUT application with a uniform-block shortcut: when all
 /// kBlock samples of a block are equal, one table load fans out to the
 /// whole block through the backend's `splat(dst, value)`; mixed blocks

@@ -132,13 +132,14 @@ const hebs::image::FloatImage& FrameContext::reference_luminance() const {
 
 const hebs::quality::DistortionEvaluator& FrameContext::evaluator() const {
   if (!evaluator_.has_value()) {
-    // The raster is built as a prvalue and moved into the evaluator —
-    // the context stores the reference exactly once (the evaluator also
-    // exposes it via reference()).
-    evaluator_.emplace(bound16()
-                           ? hebs::image::FloatImage::from_gray16(image16())
-                           : hebs::image::FloatImage::from_gray(image()),
-                       opts_.distortion);
+    // The evaluator normalizes the frame itself and stores the
+    // reference exactly once (exposed via reference()); built from the
+    // integer frame, its front end runs per level.
+    if (bound16()) {
+      evaluator_.emplace(image16(), opts_.distortion);
+    } else {
+      evaluator_.emplace(image(), opts_.distortion);
+    }
   }
   return *evaluator_;
 }
@@ -338,9 +339,7 @@ const FrameContext::ApproxState& FrameContext::approx() const {
             }
           }
           st.proxy16 = std::move(proxy);
-          st.evaluator.emplace(
-              hebs::image::FloatImage::from_gray16(st.proxy16),
-              opts_.distortion);
+          st.evaluator.emplace(st.proxy16, opts_.distortion);
         } else {
           const auto& img = image();
           hebs::image::GrayImage proxy(pw, ph);
@@ -350,8 +349,7 @@ const FrameContext::ApproxState& FrameContext::approx() const {
             }
           }
           st.proxy = std::move(proxy);
-          st.evaluator.emplace(
-              hebs::image::FloatImage::from_gray(st.proxy), opts_.distortion);
+          st.evaluator.emplace(st.proxy, opts_.distortion);
         }
         st.usable = true;
       }

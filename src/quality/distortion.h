@@ -16,6 +16,9 @@
 #include "quality/ms_ssim.h"
 #include "quality/ssim.h"
 #include "quality/uiqi.h"
+#include "quality/uiqi_stream.h"
+#include "transform/lut.h"
+#include "util/pool.h"
 
 namespace hebs::quality {
 
@@ -60,17 +63,31 @@ double distortion_percent(const hebs::image::FloatImage& reference,
 /// Measures many candidate rasters against one fixed reference.
 ///
 /// The reference-side half of every metric is computed once at
-/// construction — the HVS transform of the reference, its integral
-/// images (sum / sum of squares) for the windowed metrics, and the 8-bit
-/// quantization MS-SSIM needs — and reused by each percent() call.  The
-/// free distortion_percent() functions are implemented on top of this
-/// class, so cached and one-shot measurements are bit-identical.  This is
-/// what makes repeated evaluation (the hebs_exact bisection, the β
-/// refinement, the baselines' searches) cheap: only the test-side work
-/// is paid per call.
+/// construction and reused by each percent() call: for the UIQI metrics
+/// the front-end reference raster and its per-window means/variances
+/// (built by the row stream of quality/uiqi_stream.h), for SSIM+HVS the
+/// HVS transform of the reference, and the 8-bit quantization MS-SSIM
+/// needs.  The UIQI metrics then stream each candidate row by row
+/// through line buffers — no frame-sized test-side raster — and return
+/// values bit-identical to the full-raster metric (hvs_transform, then
+/// quality::uiqi).  The free distortion_percent() functions are
+/// implemented on top of this class, so cached and one-shot
+/// measurements are bit-identical too.  This is what makes repeated
+/// evaluation (the hebs_exact bisection, the β refinement, the
+/// baselines' searches) cheap: only the test-side work is paid per call.
 class DistortionEvaluator {
  public:
   explicit DistortionEvaluator(hebs::image::FloatImage reference,
+                               DistortionOptions opts = {});
+
+  /// Reference given as an integer image: the evaluator holds
+  /// FloatImage::from_gray(reference) (from_gray16 for deep pixels) and
+  /// measures exactly what the FloatImage constructor would.  The
+  /// UIQI+HVS front end then runs once per level on the reference side
+  /// too, instead of once per pixel.
+  explicit DistortionEvaluator(const hebs::image::GrayImage& reference,
+                               DistortionOptions opts = {});
+  explicit DistortionEvaluator(const hebs::image::GrayImage16& reference,
                                DistortionOptions opts = {});
 
   /// Distortion percentage of `test` against the cached reference.
@@ -79,8 +96,9 @@ class DistortionEvaluator {
 
   /// Same measurement for a test raster that is a per-level map of an
   /// 8-bit image (displayed[i] = levels[original[i]]) — the shape every
-  /// backlight-scaled frame has.  The HVS lightness stage runs per level
-  /// instead of per pixel; the value is bit-identical to
+  /// backlight-scaled frame has.  For the UIQI metrics the front end
+  /// runs per level instead of per pixel and the rows stream straight
+  /// from the pixels; the value is bit-identical to
   /// percent(levels.apply(original)).
   double percent_mapped(const hebs::image::GrayImage& original,
                         const hebs::transform::FloatLut& levels) const;
@@ -97,15 +115,30 @@ class DistortionEvaluator {
   const DistortionOptions& options() const noexcept { return opts_; }
 
  private:
+  /// Builds the reference-side caches; `front_rows` yields the rows of
+  /// reference() through the HVS front end.
+  void build_reference(const RowSource& front_rows);
+  /// Level i / (levels-1) through the front end: the per-level form of
+  /// an integer reference (filled for UIQI+HVS only, the one reader).
+  hebs::transform::FloatLut reference_table(int levels) const;
+  bool is_uiqi() const noexcept {
+    return opts_.metric == Metric::kUiqi || opts_.metric == Metric::kUiqiHvs;
+  }
+  /// The per-level test-side table of a UIQI metric: `levels` through
+  /// the front end (kUiqiHvs) or as is (kUiqi).
+  hebs::transform::FloatLut front_end_table(
+      const hebs::transform::FloatLut& levels) const;
+  /// Percent of a UIQI metric over the front-end test rows of `test`.
+  double uiqi_percent(const RowSource& test) const;
+
   DistortionOptions opts_;
   hebs::image::FloatImage reference_;
-  /// HVS-transformed reference (only built for the *+HVS metrics).
+  /// HVS-transformed reference (the *+HVS metrics).
   hebs::image::FloatImage hvs_reference_;
-  /// Reference-side integral images for the UIQI metrics.
-  std::optional<ImageStats> ref_stats_;
-  /// Cached per-window reference moments for stride-1 UIQI (the common
-  /// configuration): hoists the reference half of every window out of
-  /// the per-candidate loop.  Bit-identical either way.
+  /// CSF prefilter taps of the UIQI+HVS stream (empty: no blur).
+  hebs::util::PoolVector<double> taps_;
+  /// Per-window reference moments of the UIQI metrics (absent when the
+  /// window options do not fit the raster; percent() then reports it).
   std::optional<RefWindowMoments> ref_moments_;
   /// 8-bit reference for MS-SSIM (which is defined on gray images).
   hebs::image::GrayImage gray_reference_;

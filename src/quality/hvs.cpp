@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
+#include <span>
 
 #include "kernels/kernels.h"
 #include "util/mathutil.h"
@@ -20,28 +20,48 @@ double lightness(double y) noexcept {
   return l / 100.0;
 }
 
+double hvs_front(double y, const HvsOptions& opts) noexcept {
+  return opts.lightness_mapping ? lightness(y) : util::clamp01(y);
+}
+
+void hvs_front_row(const double* src, std::size_t n, const HvsOptions& opts,
+                   double* dst) noexcept {
+  if (opts.lightness_mapping) {
+    for (std::size_t i = 0; i < n; ++i) dst[i] = lightness(src[i]);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) dst[i] = util::clamp01(src[i]);
+  }
+}
+
+hebs::util::PoolVector<double> csf_taps(const HvsOptions& opts) {
+  hebs::util::PoolVector<double> taps;
+  const double sigma = opts.csf_sigma;
+  if (!(sigma > 0.0)) return taps;
+  const int radius = std::max(1, static_cast<int>(std::ceil(3.0 * sigma)));
+  taps.resize(static_cast<std::size_t>(2 * radius) + 1);
+  double norm = 0.0;
+  for (int k = -radius; k <= radius; ++k) {
+    const double v = std::exp(-(k * k) / (2.0 * sigma * sigma));
+    taps[static_cast<std::size_t>(k + radius)] = v;
+    norm += v;
+  }
+  for (auto& v : taps) v /= norm;
+  return taps;
+}
+
 namespace {
 
 // Separable Gaussian blur on a double raster with clamped borders.
 // Row and column passes run through the dispatched blur kernels; the
-// kernel contract (taps accumulated in k order, interior/border split
-// with identical arithmetic) keeps the raster bit-identical to the
-// original nested loops on every backend.
+// column pass gets its 2r+1 border-clamped row pointers per output row
+// (the kernel's contract), exactly as the row-streamed evaluator hands
+// it its line buffers, so both produce the same raster bit for bit on
+// every backend.
 hebs::image::FloatImage gaussian_blur(const hebs::image::FloatImage& in,
-                                      double sigma) {
+                                      std::span<const double> taps) {
   const int w = in.width();
   const int h = in.height();
-  const int radius = std::max(1, static_cast<int>(std::ceil(3.0 * sigma)));
-  hebs::util::PoolVector<double> kernel(static_cast<std::size_t>(2 * radius) +
-                                        1);
-  double norm = 0.0;
-  for (int k = -radius; k <= radius; ++k) {
-    const double v = std::exp(-(k * k) / (2.0 * sigma * sigma));
-    kernel[static_cast<std::size_t>(k + radius)] = v;
-    norm += v;
-  }
-  for (auto& v : kernel) v /= norm;
-
+  const int radius = static_cast<int>(taps.size() / 2);
   const auto& kernels = hebs::kernels::active();
   hebs::image::FloatImage tmp(w, h);
   const double* src = in.values().data();
@@ -49,12 +69,18 @@ hebs::image::FloatImage gaussian_blur(const hebs::image::FloatImage& in,
   for (int y = 0; y < h; ++y) {
     kernels.blur_row_f64(src + static_cast<std::size_t>(y) * w,
                          mid + static_cast<std::size_t>(y) * w, w,
-                         kernel.data(), radius);
+                         taps.data(), radius);
   }
   hebs::image::FloatImage out(w, h);
   double* dst = out.values().data();
+  hebs::util::PoolVector<const double*> rows(taps.size());
   for (int y = 0; y < h; ++y) {
-    kernels.blur_col_f64(mid, w, h, y, kernel.data(), radius,
+    for (int k = 0; k <= 2 * radius; ++k) {
+      rows[static_cast<std::size_t>(k)] =
+          mid + static_cast<std::size_t>(std::clamp(y + k - radius, 0, h - 1)) *
+                    w;
+    }
+    kernels.blur_col_f64(rows.data(), w, taps.data(), radius,
                          dst + static_cast<std::size_t>(y) * w);
   }
   return out;
@@ -65,52 +91,15 @@ hebs::image::FloatImage gaussian_blur(const hebs::image::FloatImage& in,
 hebs::image::FloatImage hvs_transform(const hebs::image::FloatImage& lum,
                                       const HvsOptions& opts) {
   hebs::image::FloatImage out(lum.width(), lum.height());
-  const auto src = lum.values();
-  auto dst = out.values();
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    dst[i] = opts.lightness_mapping ? lightness(src[i])
-                                    : util::clamp01(src[i]);
-  }
-  if (opts.csf_sigma > 0.0) {
-    out = gaussian_blur(out, opts.csf_sigma);
-  }
+  hvs_front_row(lum.values().data(), lum.size(), opts, out.values().data());
+  const auto taps = csf_taps(opts);
+  if (!taps.empty()) out = gaussian_blur(out, taps);
   return out;
 }
 
 hebs::image::FloatImage hvs_transform(const hebs::image::GrayImage& img,
                                       const HvsOptions& opts) {
   return hvs_transform(hebs::image::FloatImage::from_gray(img), opts);
-}
-
-hebs::image::FloatImage hvs_transform_mapped(
-    const hebs::image::GrayImage& img,
-    const hebs::transform::FloatLut& levels, const HvsOptions& opts) {
-  // Lightness is a pure function of the level's luminance: evaluate it
-  // per level, then expand — identical values, 256 evaluations instead
-  // of one per pixel.
-  const hebs::transform::FloatLut mapped =
-      levels.map([&opts](double y) {
-        return opts.lightness_mapping ? lightness(y) : util::clamp01(y);
-      });
-  hebs::image::FloatImage out = mapped.apply(img);
-  if (opts.csf_sigma > 0.0) {
-    out = gaussian_blur(out, opts.csf_sigma);
-  }
-  return out;
-}
-
-hebs::image::FloatImage hvs_transform_mapped(
-    const hebs::image::GrayImage16& img,
-    const hebs::transform::FloatLut& levels, const HvsOptions& opts) {
-  const hebs::transform::FloatLut mapped =
-      levels.map([&opts](double y) {
-        return opts.lightness_mapping ? lightness(y) : util::clamp01(y);
-      });
-  hebs::image::FloatImage out = mapped.apply16(img);
-  if (opts.csf_sigma > 0.0) {
-    out = gaussian_blur(out, opts.csf_sigma);
-  }
-  return out;
 }
 
 }  // namespace hebs::quality

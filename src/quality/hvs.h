@@ -12,11 +12,16 @@
 //  2. An optional Gaussian low-pass prefilter approximating the eye's
 //     contrast sensitivity roll-off at high spatial frequencies.
 //
+// hvs_transform materializes the whole transformed raster.  The UIQI
+// evaluator instead streams the same two stages row by row through line
+// buffers (quality/uiqi_stream.h); both run the same kernels in the
+// same order, so the values are bit-identical.
+//
 // Quality metrics are then evaluated on the transformed rasters.
 #pragma once
 
 #include "image/image.h"
-#include "transform/lut.h"
+#include "util/pool.h"
 
 namespace hebs::quality {
 
@@ -38,20 +43,18 @@ hebs::image::FloatImage hvs_transform(const hebs::image::FloatImage& lum,
 hebs::image::FloatImage hvs_transform(const hebs::image::GrayImage& img,
                                       const HvsOptions& opts = {});
 
-/// HVS front end for a raster that is a per-level map of an 8-bit image
-/// (displayed luminance = levels[pixel]).  The lightness nonlinearity is
-/// evaluated once per level instead of once per pixel; the result is
-/// bit-identical to hvs_transform applied to the expanded raster, since
-/// equal luminance inputs produce equal lightness outputs.
-hebs::image::FloatImage hvs_transform_mapped(
-    const hebs::image::GrayImage& img,
-    const hebs::transform::FloatLut& levels, const HvsOptions& opts = {});
+/// The front end's per-value stage: L* lightness of a normalized
+/// luminance, or a plain clamp to [0, 1] when lightness mapping is off.
+/// Pure, so a per-level table of it equals the per-pixel evaluation.
+double hvs_front(double y, const HvsOptions& opts) noexcept;
 
-/// Deep-pixel twin of hvs_transform_mapped (levels.size() must equal
-/// img.levels()); same per-level evaluation, same bit-identity.
-hebs::image::FloatImage hvs_transform_mapped(
-    const hebs::image::GrayImage16& img,
-    const hebs::transform::FloatLut& levels, const HvsOptions& opts = {});
+/// hvs_front over n values: dst[i] = hvs_front(src[i], opts).
+void hvs_front_row(const double* src, std::size_t n, const HvsOptions& opts,
+                   double* dst) noexcept;
+
+/// Normalized taps of the CSF prefilter: 2r+1 entries with
+/// r = max(1, ceil(3 sigma)); empty when csf_sigma <= 0 (no blur).
+hebs::util::PoolVector<double> csf_taps(const HvsOptions& opts);
 
 /// CIE L* lightness of a normalized luminance value, scaled to [0, 1].
 double lightness(double y) noexcept;

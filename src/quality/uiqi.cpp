@@ -5,7 +5,6 @@
 #include "quality/widen.h"
 #include "quality/window_stats.h"
 #include "util/error.h"
-#include "util/pool.h"
 
 namespace hebs::quality {
 
@@ -20,34 +19,16 @@ double uiqi_impl(std::span<const double> a, std::span<const double> b,
 
 }  // namespace
 
-double uiqi_from_stats(const PairStats& stats, int width, int height,
-                       const UiqiOptions& opts, const RefWindowMoments* ref) {
+void require_uiqi_window(const UiqiOptions& opts, int width, int height) {
   HEBS_REQUIRE(opts.block_size >= 2, "UIQI block size must be >= 2");
   HEBS_REQUIRE(opts.stride >= 1, "UIQI stride must be >= 1");
   HEBS_REQUIRE(width >= opts.block_size && height >= opts.block_size,
                "image smaller than the UIQI window");
+}
 
-  if (ref != nullptr && opts.stride == 1 && ref->block() == opts.block_size &&
-      ref->windows_x() == width - opts.block_size + 1 &&
-      ref->windows_y() == height - opts.block_size + 1) {
-    const int wx = ref->windows_x();
-    const int wy = ref->windows_y();
-    // Compute the window rows through the q-row kernel, then reduce
-    // serially in row-major order — the exact accumulation order of the
-    // loop below.
-    hebs::util::PoolVector<double> q(static_cast<std::size_t>(wx) *
-                                     static_cast<std::size_t>(wy));
-    double* q_data = q.data();
-    for (int y = 0; y < wy; ++y) {
-      stats.q_row(y, *ref, q_data + static_cast<std::size_t>(y) * wx);
-    }
-    double acc = 0.0;
-    const std::size_t windows =
-        static_cast<std::size_t>(wx) * static_cast<std::size_t>(wy);
-    for (std::size_t i = 0; i < windows; ++i) acc += q_data[i];
-    return acc / static_cast<double>(windows);
-  }
-
+double uiqi_from_stats(const PairStats& stats, int width, int height,
+                       const UiqiOptions& opts) {
+  require_uiqi_window(opts, width, height);
   double acc = 0.0;
   std::size_t windows = 0;
   for (int y = 0; y + opts.block_size <= height; y += opts.stride) {

@@ -29,18 +29,16 @@ double uiqi(const hebs::image::GrayImage& a, const hebs::image::GrayImage& b,
 double uiqi(const hebs::image::FloatImage& a,
             const hebs::image::FloatImage& b, const UiqiOptions& opts = {});
 
-/// Mean UIQI from already-built window statistics.  Every other overload
-/// funnels through this, so callers that cache the reference-side
-/// integral images (PairStats built from an ImageStats) get bit-identical
-/// values to the plain two-image entry points.
-///
-/// `ref` optionally supplies cached reference-side per-window moments
-/// (matching block size and window grid, stride 1): the evaluation then
-/// runs row-wise through the kernel layer's q-row primitive, with the
-/// final accumulation kept serial in row-major order — the result is
-/// bit-identical with or without the cache, on every backend.
+/// Throws InvalidArgument unless `opts` describes a window grid on a
+/// width x height raster: block_size >= 2, stride >= 1 and the raster
+/// at least one block on each side.
+void require_uiqi_window(const UiqiOptions& opts, int width, int height);
+
+/// Mean UIQI from already-built window statistics: the generic
+/// per-window loop every two-image overload funnels through.  The
+/// evaluator's row-streamed pass (quality/uiqi_stream.h) reproduces it
+/// bit for bit.
 double uiqi_from_stats(const PairStats& stats, int width, int height,
-                       const UiqiOptions& opts = {},
-                       const RefWindowMoments* ref = nullptr);
+                       const UiqiOptions& opts = {});
 
 }  // namespace hebs::quality

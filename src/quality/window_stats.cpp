@@ -98,37 +98,19 @@ double IntegralImage::rect_sum(int x0, int y0, int x1, int y1) const noexcept {
   return at(x1 + 1, y1 + 1) - at(x0, y1 + 1) - at(x1 + 1, y0) + at(x0, y0);
 }
 
-ImageStats::ImageStats(std::span<const double> values, int width, int height)
-    : sum_(width, height), sum_sq_(width, height) {
-  HEBS_REQUIRE(width > 0 && height > 0, "integral image needs a raster");
-  HEBS_REQUIRE(values.size() == static_cast<std::size_t>(width) *
-                                    static_cast<std::size_t>(height),
-               "raster size mismatch");
+PairStats::PairStats(std::span<const double> a, std::span<const double> b,
+                     int width, int height)
+    : sum_a_(a, width, height),
+      sum_aa_(IntegralImage::of_squares(a, width, height)),
+      sum_b_(width, height),
+      sum_bb_(width, height),
+      sum_ab_(width, height) {
+  HEBS_REQUIRE(a.size() == b.size(), "paired rasters must match");
+  // The b, b*b and a*b tables in one fused sweep per row.
   const std::size_t stride = table_stride(width);
-  sum_.table_.assign(table_cells(width, height), 0.0);
-  sum_sq_.table_.assign(table_cells(width, height), 0.0);
-  const auto& kernels = hebs::kernels::active();
-  for (int y = 0; y < height; ++y) {
-    const std::size_t above = static_cast<std::size_t>(y) * stride + 1;
-    const std::size_t out = (static_cast<std::size_t>(y) + 1) * stride + 1;
-    kernels.window_sums_single_f64(
-        values.data() + static_cast<std::size_t>(y) * width,
-        static_cast<std::size_t>(width), sum_.table_.data() + above,
-        sum_sq_.table_.data() + above, sum_.table_.data() + out,
-        sum_sq_.table_.data() + out);
-  }
-}
-
-namespace {
-
-/// Shared b-side builder for both PairStats constructors: the b, b*b
-/// and a*b tables in one fused sweep per row.
-void build_pair_tables(std::span<const double> a, std::span<const double> b,
-                       int width, int height,
-                       hebs::util::PoolVector<double>& table_b,
-                       hebs::util::PoolVector<double>& table_bb,
-                       hebs::util::PoolVector<double>& table_ab) {
-  const std::size_t stride = table_stride(width);
+  auto& table_b = sum_b_.table_;
+  auto& table_bb = sum_bb_.table_;
+  auto& table_ab = sum_ab_.table_;
   table_b.assign(table_cells(width, height), 0.0);
   table_bb.assign(table_cells(width, height), 0.0);
   table_ab.assign(table_cells(width, height), 0.0);
@@ -145,88 +127,14 @@ void build_pair_tables(std::span<const double> a, std::span<const double> b,
   }
 }
 
-}  // namespace
-
-PairStats::PairStats(const ImageStats& a_stats, std::span<const double> a,
-                     std::span<const double> b, int width, int height)
-    : sum_b_(width, height),
-      sum_bb_(width, height),
-      sum_ab_(width, height),
-      sum_a_(&a_stats.sum()),
-      sum_aa_(&a_stats.sum_sq()) {
-  HEBS_REQUIRE(width > 0 && height > 0, "integral image needs a raster");
-  HEBS_REQUIRE(a.size() == b.size(), "paired rasters must match");
-  HEBS_REQUIRE(a.size() == static_cast<std::size_t>(width) *
-                               static_cast<std::size_t>(height),
-               "raster size mismatch");
-  HEBS_REQUIRE(a_stats.width() == width && a_stats.height() == height,
-               "cached stats size mismatch");
-  build_pair_tables(a, b, width, height, sum_b_.table_, sum_bb_.table_,
-                    sum_ab_.table_);
-}
-
-PairStats::PairStats(std::span<const double> a, std::span<const double> b,
-                     int width, int height)
-    : own_sum_a_(IntegralImage(a, width, height)),
-      own_sum_aa_(IntegralImage::of_squares(a, width, height)),
-      sum_b_(width, height),
-      sum_bb_(width, height),
-      sum_ab_(width, height),
-      sum_a_(&*own_sum_a_),
-      sum_aa_(&*own_sum_aa_) {
-  HEBS_REQUIRE(a.size() == b.size(), "paired rasters must match");
-  build_pair_tables(a, b, width, height, sum_b_.table_, sum_bb_.table_,
-                    sum_ab_.table_);
-}
-
-RefWindowMoments::RefWindowMoments(const ImageStats& a_stats, int block)
-    : block_(block),
-      wx_(a_stats.width() - block + 1),
-      wy_(a_stats.height() - block + 1),
-      mean_(static_cast<std::size_t>(wx_) * static_cast<std::size_t>(wy_)),
-      var_(static_cast<std::size_t>(wx_) * static_cast<std::size_t>(wy_)) {
-  HEBS_REQUIRE(block >= 2 && wx_ > 0 && wy_ > 0,
-               "image smaller than the moment window");
-  const double n = static_cast<double>(block) * block;
-  for (int y = 0; y < wy_; ++y) {
-    double* mrow = mean_.data() + static_cast<std::size_t>(y) * wx_;
-    double* vrow = var_.data() + static_cast<std::size_t>(y) * wx_;
-    for (int x = 0; x < wx_; ++x) {
-      // Exactly PairStats::window()'s a-side arithmetic, clamp included.
-      const double mean_a =
-          a_stats.sum().rect_sum(x, y, x + block - 1, y + block - 1) / n;
-      double var_a =
-          a_stats.sum_sq().rect_sum(x, y, x + block - 1, y + block - 1) / n -
-          mean_a * mean_a;
-      if (var_a < 0.0) var_a = 0.0;
-      mrow[x] = mean_a;
-      vrow[x] = var_a;
-    }
-  }
-}
-
-void PairStats::q_row(int wy, const RefWindowMoments& ref,
-                      double* q_out) const noexcept {
-  const int block = ref.block();
-  const std::size_t stride = table_stride(width());
-  const std::size_t top = static_cast<std::size_t>(wy) * stride;
-  const std::size_t bot = (static_cast<std::size_t>(wy) + block) * stride;
-  hebs::kernels::active().uiqi_q_row_f64(
-      ref.mean_row(wy), ref.var_row(wy), sum_b_.table_.data() + top,
-      sum_b_.table_.data() + bot, sum_bb_.table_.data() + top,
-      sum_bb_.table_.data() + bot, sum_ab_.table_.data() + top,
-      sum_ab_.table_.data() + bot, static_cast<std::size_t>(ref.windows_x()),
-      block, static_cast<double>(block) * block, q_out);
-}
-
 WindowMoments PairStats::window(int x, int y, int block) const noexcept {
   const int x1 = x + block - 1;
   const int y1 = y + block - 1;
   const double n = static_cast<double>(block) * block;
   WindowMoments m;
-  m.mean_a = sum_a_->rect_sum(x, y, x1, y1) / n;
+  m.mean_a = sum_a_.rect_sum(x, y, x1, y1) / n;
   m.mean_b = sum_b_.rect_sum(x, y, x1, y1) / n;
-  m.var_a = sum_aa_->rect_sum(x, y, x1, y1) / n - m.mean_a * m.mean_a;
+  m.var_a = sum_aa_.rect_sum(x, y, x1, y1) / n - m.mean_a * m.mean_a;
   m.var_b = sum_bb_.rect_sum(x, y, x1, y1) / n - m.mean_b * m.mean_b;
   m.cov_ab = sum_ab_.rect_sum(x, y, x1, y1) / n - m.mean_a * m.mean_b;
   // Clamp tiny negative variances caused by floating-point cancellation.

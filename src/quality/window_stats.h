@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 #include "image/image.h"
@@ -40,66 +39,15 @@ class IntegralImage {
  private:
   IntegralImage(int width, int height) : width_(width), height_(height) {}
 
-  // ImageStats/PairStats build several tables in one fused sweep
-  // through the kernel layer and need to fill table_ directly.
-  friend class ImageStats;
+  // PairStats builds its b-side tables in one fused sweep through the
+  // kernel layer and needs to fill table_ directly.
   friend class PairStats;
 
   int width_;
   int height_;
   // (width+1) x (height+1) with a zero top row / left column.
-  // Pool-backed: the metric path builds three of these per evaluation.
+  // Pool-backed: PairStats builds five of these per evaluation.
   hebs::util::PoolVector<double> table_;
-};
-
-/// Precomputed integral images of a single raster (sum and sum of
-/// squares).  Lets an evaluator that compares one fixed reference against
-/// many candidate rasters build the reference-side tables once and reuse
-/// them for every comparison (see quality::DistortionEvaluator).
-class ImageStats {
- public:
-  ImageStats(std::span<const double> values, int width, int height);
-
-  const IntegralImage& sum() const noexcept { return sum_; }
-  const IntegralImage& sum_sq() const noexcept { return sum_sq_; }
-
-  int width() const noexcept { return sum_.width(); }
-  int height() const noexcept { return sum_.height(); }
-
- private:
-  IntegralImage sum_;
-  IntegralImage sum_sq_;
-};
-
-/// Reference-side per-window moments: the mean and (clamped) variance of
-/// the `a` raster over every stride-1 BxB window, precomputed once.  An
-/// evaluator comparing one fixed reference against many candidates pays
-/// the two rect_sum reductions and the division per window once instead
-/// of once per candidate; the arithmetic (including the negative-variance
-/// clamp) is exactly PairStats::window()'s a-side, so metrics built on
-/// top are bit-identical.
-class RefWindowMoments {
- public:
-  RefWindowMoments(const ImageStats& a_stats, int block);
-
-  int block() const noexcept { return block_; }
-  int windows_x() const noexcept { return wx_; }
-  int windows_y() const noexcept { return wy_; }
-
-  /// Row `wy` of the per-window means / variances (windows_x entries).
-  const double* mean_row(int wy) const noexcept {
-    return mean_.data() + static_cast<std::size_t>(wy) * wx_;
-  }
-  const double* var_row(int wy) const noexcept {
-    return var_.data() + static_cast<std::size_t>(wy) * wx_;
-  }
-
- private:
-  int block_;
-  int wx_;
-  int wy_;
-  hebs::util::PoolVector<double> mean_;
-  hebs::util::PoolVector<double> var_;
 };
 
 /// First and second moments of an image pair over one window.
@@ -118,44 +66,19 @@ class PairStats {
   PairStats(std::span<const double> a, std::span<const double> b, int width,
             int height);
 
-  /// Reuses precomputed a-side tables by reference (no copy): only the
-  /// b-side and the cross (a*b) integral images are built.  `a` must be
-  /// the raster `a_stats` was built from, and `a_stats` must outlive
-  /// this object; moments are bit-identical to the two-span
-  /// constructor.
-  PairStats(const ImageStats& a_stats, std::span<const double> a,
-            std::span<const double> b, int width, int height);
-
-  // Not copyable/movable: the borrowed-stats constructor stores
-  // pointers into the caller's ImageStats (or into this object).
-  PairStats(const PairStats&) = delete;
-  PairStats& operator=(const PairStats&) = delete;
-
   /// Moments over the window with top-left (x, y) and side `block`.
   /// The window must lie fully inside the raster.
   WindowMoments window(int x, int y, int block) const noexcept;
-
-  /// UIQI q values of every stride-1 window in window row `wy`, written
-  /// to q_out (ref.windows_x() entries).  Bit-identical to evaluating
-  /// window() plus the uiqi_from_stats formula per window, but reads the
-  /// b-side tables row-wise through one kernel call and the cached
-  /// reference moments instead of re-deriving the a-side per candidate.
-  void q_row(int wy, const RefWindowMoments& ref, double* q_out) const noexcept;
 
   int width() const noexcept { return sum_b_.width(); }
   int height() const noexcept { return sum_b_.height(); }
 
  private:
-  /// a-side tables owned by this object (two-span constructor only).
-  std::optional<IntegralImage> own_sum_a_;
-  std::optional<IntegralImage> own_sum_aa_;
+  IntegralImage sum_a_;
+  IntegralImage sum_aa_;
   IntegralImage sum_b_;
   IntegralImage sum_bb_;
   IntegralImage sum_ab_;
-  /// a-side tables in use: the owned ones above, or the caller's
-  /// ImageStats (borrowed, zero-copy).
-  const IntegralImage* sum_a_;
-  const IntegralImage* sum_aa_;
 };
 
 }  // namespace hebs::quality

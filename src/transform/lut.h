@@ -123,6 +123,9 @@ class FloatLut {
     return table_[static_cast<std::size_t>(level)];
   }
 
+  /// The size() entries, contiguous.
+  const double* data() const noexcept { return table_.data(); }
+
   /// Applies the table to every pixel, writing a real-valued raster.
   hebs::image::FloatImage apply(const hebs::image::GrayImage& img) const;
 

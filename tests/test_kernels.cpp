@@ -11,6 +11,7 @@
 // rounding identity and a strided-RGB ingestion parity check.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <random>
@@ -158,6 +159,19 @@ void expect_bytes_eq(const std::vector<T>& got, const std::vector<T>& want,
       << w << "x" << h << ")";
 }
 
+/// The 2*radius+1 border-clamped input rows of vertical-blur output row
+/// y over a w x h raster (blur_col_f64's caller-side contract).
+std::vector<const double*> clamped_rows(const double* src, int w, int h,
+                                        int y, int radius) {
+  std::vector<const double*> rows;
+  for (int k = 0; k <= 2 * radius; ++k) {
+    rows.push_back(src + static_cast<std::size_t>(
+                             std::clamp(y + k - radius, 0, h - 1)) *
+                             w);
+  }
+  return rows;
+}
+
 TEST(KernelParity, FuzzAllBackendsBitIdenticalToScalar) {
   const auto sets = supported_backends();
   ASSERT_FALSE(sets.empty());
@@ -210,7 +224,8 @@ TEST(KernelParity, FuzzAllBackendsBitIdenticalToScalar) {
       ref.blur_row_f64(c.fa.data() + static_cast<std::size_t>(y) * c.w,
                        brow_ref.data() + static_cast<std::size_t>(y) * c.w,
                        c.w, taps.data(), radius);
-      ref.blur_col_f64(c.fa.data(), c.w, c.h, y, taps.data(), radius,
+      const auto rows = clamped_rows(c.fa.data(), c.w, c.h, y, radius);
+      ref.blur_col_f64(rows.data(), c.w, taps.data(), radius,
                        bcol_ref.data() + static_cast<std::size_t>(y) * c.w);
     }
 
@@ -271,11 +286,71 @@ TEST(KernelParity, FuzzAllBackendsBitIdenticalToScalar) {
         set->blur_row_f64(c.fa.data() + static_cast<std::size_t>(y) * c.w,
                           brow.data() + static_cast<std::size_t>(y) * c.w,
                           c.w, taps.data(), radius);
-        set->blur_col_f64(c.fa.data(), c.w, c.h, y, taps.data(), radius,
+        const auto rows = clamped_rows(c.fa.data(), c.w, c.h, y, radius);
+        set->blur_col_f64(rows.data(), c.w, taps.data(), radius,
                           bcol.data() + static_cast<std::size_t>(y) * c.w);
       }
       expect_bytes_eq(brow, brow_ref, "blur_row_f64", *set, c.w, c.h);
       expect_bytes_eq(bcol, bcol_ref, "blur_col_f64", *set, c.w, c.h);
+    }
+  }
+}
+
+// blur_col_f64 takes its input rows as 2r+1 pointers and leaves the
+// border to the caller, so near the top and bottom edges (and on rasters
+// no taller than the radius, where every output row clamps at both ends)
+// the same row pointer repeats.  Every backend must match scalar there,
+// and scalar must match the direct clamped sum.
+TEST(KernelParity, BlurColRowPointersAtBordersAndRepeats) {
+  const auto sets = supported_backends();
+  const KernelSet& ref = scalar_kernels();
+  std::mt19937 rng(20261017);
+  for (int radius = 1; radius <= 8; ++radius) {
+    std::vector<double> taps(static_cast<std::size_t>(2 * radius) + 1);
+    double norm = 0.0;
+    for (auto& t : taps) {
+      t = 0.05 + static_cast<double>(rng() % 1000) / 1000.0;
+      norm += t;
+    }
+    for (auto& t : taps) t /= norm;
+    for (const int h : {1, 2, radius, radius + 1, 2 * radius + 1,
+                        2 * radius + 3}) {
+      for (const int w : {1, 2, 3, 5, 8, 13, 33}) {
+        std::vector<double> src(static_cast<std::size_t>(w) * h);
+        for (auto& v : src) v = static_cast<double>(rng() % 100000) / 99999.0;
+        for (int y = 0; y < h; ++y) {
+          const auto rows = clamped_rows(src.data(), w, h, y, radius);
+          std::vector<double> want(static_cast<std::size_t>(w));
+          for (int x = 0; x < w; ++x) {
+            double acc = 0.0;
+            for (int k = 0; k <= 2 * radius; ++k) {
+              const int yy = std::clamp(y + k - radius, 0, h - 1);
+              acc += taps[static_cast<std::size_t>(k)] *
+                     src[static_cast<std::size_t>(yy) * w + x];
+            }
+            want[static_cast<std::size_t>(x)] = acc;
+          }
+          std::vector<double> got(static_cast<std::size_t>(w));
+          ref.blur_col_f64(rows.data(), w, taps.data(), radius, got.data());
+          expect_bytes_eq(got, want, "blur_col_f64 (direct sum)", ref, w, h);
+          for (const KernelSet* set : sets) {
+            set->blur_col_f64(rows.data(), w, taps.data(), radius,
+                              got.data());
+            expect_bytes_eq(got, want, "blur_col_f64 (row pointers)", *set,
+                            w, h);
+          }
+        }
+        // One row repeated 2r+1 times: a flat column of every value.
+        const std::vector<const double*> same(taps.size(), src.data());
+        std::vector<double> want(static_cast<std::size_t>(w));
+        ref.blur_col_f64(same.data(), w, taps.data(), radius, want.data());
+        for (const KernelSet* set : sets) {
+          std::vector<double> got(static_cast<std::size_t>(w));
+          set->blur_col_f64(same.data(), w, taps.data(), radius, got.data());
+          expect_bytes_eq(got, want, "blur_col_f64 (one repeated row)", *set,
+                          w, h);
+        }
+      }
     }
   }
 }

@@ -124,37 +124,46 @@ TEST(PairStats, MismatchedRastersThrow) {
   EXPECT_THROW(PairStats(a, b, 8, 8), hebs::util::InvalidArgument);
 }
 
-TEST(PairStats, CachedReferenceStatsAreBitIdentical) {
-  // The reuse constructor (precomputed a-side ImageStats) must produce
-  // exactly the moments of the two-span constructor — the contract the
-  // DistortionEvaluator's reference caching relies on.
+/// A raster read in place, row by row.
+class SpanRows final : public RowSource {
+ public:
+  SpanRows(const std::vector<double>& v, int width) : v_(v), width_(width) {}
+  const double* row(int y, double* /*scratch*/) const override {
+    return v_.data() + static_cast<std::size_t>(y) * width_;
+  }
+
+ private:
+  const std::vector<double>& v_;
+  int width_;
+};
+
+TEST(RefWindowMoments, StreamedMomentsMatchPairStatsBitwise) {
+  // The evaluator's streamed reference side (a ring of block+1
+  // integral rows) must reproduce the a-side moments of the full-table
+  // PairStats exactly.
   std::vector<double> a(12 * 9);
-  std::vector<double> b(12 * 9);
+  std::vector<double> b(12 * 9, 0.25);
   for (std::size_t i = 0; i < a.size(); ++i) {
     a[i] = 0.017 * static_cast<double>((i * 37) % 101);
-    b[i] = 0.013 * static_cast<double>((i * 53) % 89);
   }
   const PairStats direct(a, b, 12, 9);
-  const ImageStats a_stats(a, 12, 9);
-  const PairStats cached(a_stats, a, b, 12, 9);
+  std::vector<double> raster(a.size());
+  const RefWindowMoments streamed(SpanRows(a, 12), 12, 9, {}, 4,
+                                  raster.data());
+  EXPECT_EQ(raster, a);  // no taps: the stream passes rows through
+  ASSERT_EQ(streamed.windows_x(), 12 - 4 + 1);
   for (int y = 0; y + 4 <= 9; ++y) {
     for (int x = 0; x + 4 <= 12; ++x) {
       const WindowMoments md = direct.window(x, y, 4);
-      const WindowMoments mc = cached.window(x, y, 4);
-      EXPECT_EQ(md.mean_a, mc.mean_a);
-      EXPECT_EQ(md.mean_b, mc.mean_b);
-      EXPECT_EQ(md.var_a, mc.var_a);
-      EXPECT_EQ(md.var_b, mc.var_b);
-      EXPECT_EQ(md.cov_ab, mc.cov_ab);
+      EXPECT_EQ(md.mean_a, streamed.mean_row(y)[x]);
+      EXPECT_EQ(md.var_a, streamed.var_row(y)[x]);
     }
   }
 }
 
-TEST(ImageStats, SizeMismatchThrows) {
+TEST(RefWindowMoments, RasterSmallerThanWindowThrows) {
   std::vector<double> a(64, 0.5);
-  std::vector<double> b(64, 0.5);
-  const ImageStats a_stats(a, 8, 8);
-  EXPECT_THROW(PairStats(a_stats, a, b, 4, 16),
+  EXPECT_THROW(RefWindowMoments(SpanRows(a, 16), 16, 4, {}, 8, nullptr),
                hebs::util::InvalidArgument);
 }
 
