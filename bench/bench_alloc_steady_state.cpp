@@ -238,16 +238,20 @@ int main(int argc, char** argv) {
     report("temporal + tracing on", allocs, 3 * frames_per_pass);
   }
 
-  {
-    // The facade's single-frame path: Session::process on the engine's
-    // persistent slot.  The gate is the pool-miss counter — after
-    // warm-up no per-frame scratch may need a fresh pool block.  The
-    // operator-new count is printed, not gated: each FrameResult's owned
-    // rasters and curve vectors leave the pool by design.
-    auto session = hebs::Session::create(hebs::SessionConfig());
+  // The facade's single-frame path: Session::process on the engine's
+  // persistent slot.  The gate is the pool-miss counter — after warm-up
+  // no per-frame scratch may need a fresh pool block.  The operator-new
+  // count is printed, not gated: each FrameResult's owned rasters and
+  // curve vectors leave the pool by design.  The second row runs frames
+  // above the speculation floor on a 4-thread session, so the search's
+  // idle-worker lanes (and their per-lane pools) are in the loop.
+  const auto session_row = [&](const char* name,
+                               const std::vector<hebs::image::GrayImage>& c,
+                               int threads, bool lanes) {
+    auto session = hebs::Session::create(hebs::SessionConfig().threads(threads));
     if (!session) {
       std::fprintf(stderr, "%s\n", session.status().to_string().c_str());
-      return 1;
+      return false;
     }
     bool decided = true;
     const auto call = [&](const hebs::image::GrayImage& frame) {
@@ -257,21 +261,32 @@ int main(int argc, char** argv) {
            kBudget});
       decided = decided && result.has_value() && !result->degraded;
     };
-    (void)measure(clip, 2, call);
-    const std::uint64_t fresh_before = session->stats().pool_fresh;
-    const std::uint64_t allocs = measure(clip, 3, call);
-    const std::uint64_t fresh = session->stats().pool_fresh - fresh_before;
-    const std::uint64_t n_frames = 3 * frames_per_pass;
-    const bool pass = fresh == 0 && decided;
-    std::printf("  %-24s: %6llu fresh pool blocks / %llu frames  %s\n",
-                "Session::process", static_cast<unsigned long long>(fresh),
+    (void)measure(c, 2, call);
+    const hebs::SessionStats before = session->stats();
+    const std::uint64_t allocs = measure(c, 3, call);
+    const hebs::SessionStats after = session->stats();
+    const std::uint64_t fresh = after.pool_fresh - before.pool_fresh;
+    const std::uint64_t spec = after.spec_probes - before.spec_probes;
+    const auto n_frames = static_cast<std::uint64_t>(3 * c.size());
+    // Lanes must actually run wherever two probes can run at once.
+    const bool lanes_ran =
+        !lanes || spec > 0 ||
+        hebs::pipeline::ThreadPool(threads).effective_concurrency() < 2;
+    const bool pass = fresh == 0 && decided && lanes_ran;
+    std::printf("  %-24s: %6llu fresh pool blocks / %llu frames  %s\n", name,
+                static_cast<unsigned long long>(fresh),
                 static_cast<unsigned long long>(n_frames),
                 pass ? "OK" : "FAIL");
     std::printf("    operator new: %.2f per frame (FrameResult outputs, "
-                "not gated)\n",
-                static_cast<double>(allocs) / static_cast<double>(n_frames));
-    ok = ok && pass;
-  }
+                "not gated); speculative probes: %.2f per frame\n",
+                static_cast<double>(allocs) / static_cast<double>(n_frames),
+                static_cast<double>(spec) / static_cast<double>(n_frames));
+    return pass;
+  };
+  ok = session_row("Session::process", clip, 0, false) && ok;
+  constexpr int kLaneSize = 160;  // above the 128² speculation floor
+  const auto lane_clip = hebs::image::make_video_clip(8, kLaneSize);
+  ok = session_row("Session::process, lanes", lane_clip, 4, true) && ok;
 
   std::printf("\n%s\n", ok ? "steady state is allocation-free"
                            : "FAIL: steady state allocates");

@@ -9,11 +9,17 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "hebs/advanced/image.h"
+#include "hebs/advanced/kernels.h"
 #include "hebs/advanced/power.h"
 #include "hebs/advanced/util.h"
+
+#ifndef HEBS_BENCH_BUILD_TYPE
+#define HEBS_BENCH_BUILD_TYPE "unknown"
+#endif
 
 namespace hebs::bench {
 
@@ -44,6 +50,50 @@ inline void print_header(const std::string& title,
                          const std::string& paper_ref) {
   std::printf("\n=== %s ===\n", title.c_str());
   std::printf("Reproduces: %s\n\n", paper_ref.c_str());
+}
+
+/// Where a bench ran: the context every timing record carries.
+struct RunContext {
+  int cores = 0;  ///< hardware threads
+  std::string cpu;
+  std::string backend;  ///< active kernel backend
+  std::string build_type;
+
+  /// One console line.
+  std::string describe() const {
+    return "context: " + std::to_string(cores) + " cores, " + cpu +
+           ", backend " + backend + ", " + build_type + " build";
+  }
+
+  /// The same as JSON object fields (no braces), for a record line.
+  std::string json_fields() const {
+    return "\"cores\": " + std::to_string(cores) + ", \"cpu\": \"" + cpu +
+           "\", \"backend\": \"" + backend + "\", \"build_type\": \"" +
+           build_type + "\"";
+  }
+};
+
+/// The CPU model from /proc/cpuinfo ("unknown" where there is none).
+inline std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const auto b = line.find_first_not_of(' ', colon + 1);
+    return b == std::string::npos ? "unknown" : line.substr(b);
+  }
+  return "unknown";
+}
+
+inline RunContext run_context() {
+  RunContext c;
+  c.cores = static_cast<int>(std::thread::hardware_concurrency());
+  c.cpu = cpu_model();
+  c.backend = hebs::kernels::active().name;
+  c.build_type = HEBS_BENCH_BUILD_TYPE;
+  return c;
 }
 
 /// One machine-readable benchmark record.  The perf-tracking benches
@@ -100,12 +150,15 @@ inline void write_bench_json(const std::string& path,
 
 /// Merges pre-rendered record lines into an existing BENCH json written
 /// by write_bench_json (one `  {...}` object per line): records from
-/// other benches are kept, prior records of `bench` are replaced.  Each
-/// line in `record_lines` must be a complete JSON object WITHOUT the
-/// leading indent or trailing comma.
+/// other benches are kept, prior records of `bench` are replaced — only
+/// those containing `scope` when it is non-empty (e.g. one frame size
+/// of a bench that records several).  Each line in `record_lines` must
+/// be a complete JSON object WITHOUT the leading indent or trailing
+/// comma.
 inline void merge_bench_json(const std::string& path,
                              const std::string& bench,
-                             const std::vector<std::string>& record_lines) {
+                             const std::vector<std::string>& record_lines,
+                             const std::string& scope = "") {
   const std::string marker = "\"bench\": \"" + bench + "\"";
   std::vector<std::string> kept;
   {
@@ -113,7 +166,10 @@ inline void merge_bench_json(const std::string& path,
     std::string line;
     while (in.is_open() && std::getline(in, line)) {
       if (line.rfind("  {", 0) != 0) continue;  // array brackets
-      if (line.find(marker) != std::string::npos) continue;
+      if (line.find(marker) != std::string::npos &&
+          line.find(scope) != std::string::npos) {
+        continue;
+      }
       if (!line.empty() && line.back() == ',') line.pop_back();
       kept.push_back(line);
     }

@@ -6,4 +6,3 @@
 
 #include "histogram/histogram.h"  // IWYU pragma: export
 #include "histogram/histogram_ops.h"  // IWYU pragma: export
-#include "histogram/streaming.h"  // IWYU pragma: export

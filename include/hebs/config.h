@@ -137,7 +137,8 @@ class SessionConfig {
   bool concurrent_scaling() const noexcept { return concurrent_scaling_; }
 
   // ----------------------------------------------------------- engine
-  /// Worker threads for batch/video processing; 0 selects the hardware
+  /// Worker threads for batch/video processing (process() borrows the
+  /// idle ones for speculative search probes); 0 selects the hardware
   /// concurrency.  Default 0.
   SessionConfig& threads(int n) {
     threads_ = n;

@@ -69,7 +69,10 @@ class Session {
   /// context.  Invalid requests and precondition violations still fail
   /// the call.  Concurrent calls on one session run in parallel: a call
   /// that finds the slot busy runs on a one-off context and pool, with
-  /// identical results.
+  /// identical results.  On the slot, frames of at least 128² pixels
+  /// also borrow the session's idle worker threads for speculative
+  /// search probes; the decision is bit-identical to the serial search
+  /// (DESIGN.md §11).
   Expected<FrameResult> process(const FrameRequest& request);
 
   /// Processes many frames at a shared distortion budget.  Every

@@ -41,6 +41,8 @@ struct SessionStats {
   std::uint64_t eval_memo_misses = 0;
   std::uint64_t range_memo_hits = 0;          ///< FrameContext at_range memo
   std::uint64_t range_memo_misses = 0;
+  std::uint64_t spec_probes = 0;              ///< speculative probes run
+  std::uint64_t spec_probes_wasted = 0;       ///< ... never asked for
 
   // ---- buffer pool
   std::uint64_t pool_recycled = 0;            ///< free-list hits

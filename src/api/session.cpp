@@ -601,6 +601,8 @@ SessionStats Session::stats() const noexcept {
   s.eval_memo_misses = d[obs::Counter::kEvalMemoMiss];
   s.range_memo_hits = d[obs::Counter::kAtRangeHit];
   s.range_memo_misses = d[obs::Counter::kAtRangeMiss];
+  s.spec_probes = d[obs::Counter::kSpecProbes];
+  s.spec_probes_wasted = d[obs::Counter::kSpecProbesWasted];
   s.pool_recycled = d[obs::Counter::kPoolRecycled];
   s.pool_fresh = d[obs::Counter::kPoolFresh];
   s.pool_bytes_outstanding = d[obs::Counter::kPoolBytesOutstanding];

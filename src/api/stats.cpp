@@ -40,6 +40,9 @@ std::string SessionStats::to_text() const {
   append_line(out, counter_name(Counter::kEvalMemoMiss), eval_memo_misses);
   append_line(out, counter_name(Counter::kAtRangeHit), range_memo_hits);
   append_line(out, counter_name(Counter::kAtRangeMiss), range_memo_misses);
+  append_line(out, counter_name(Counter::kSpecProbes), spec_probes);
+  append_line(out, counter_name(Counter::kSpecProbesWasted),
+              spec_probes_wasted);
   append_line(out, counter_name(Counter::kPoolRecycled), pool_recycled);
   append_line(out, counter_name(Counter::kPoolFresh), pool_fresh);
   append_line(out, counter_name(Counter::kPoolBytesOutstanding),

@@ -11,7 +11,7 @@
 // entries; at 256 bins the arithmetic is exactly what the old
 // fixed-array implementation produced, which is what keeps the u8
 // pipeline bit-identical.  kBins remains the 8-bit constant for the
-// u8-only callers (streaming scaler, LHE, fixed-point GHE LUT).
+// u8-only callers (LHE, fixed-point GHE LUT).
 #pragma once
 
 #include <cstdint>

@@ -35,6 +35,10 @@ const char* counter_name(Counter c) noexcept {
       return "hebs_at_range_hits_total";
     case Counter::kAtRangeMiss:
       return "hebs_at_range_misses_total";
+    case Counter::kSpecProbes:
+      return "hebs_spec_probes_total";
+    case Counter::kSpecProbesWasted:
+      return "hebs_spec_probes_wasted_total";
     case Counter::kRangeProbes:
       return "hebs_range_probes_total";
     case Counter::kBetaProbes:

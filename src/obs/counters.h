@@ -49,6 +49,11 @@ enum class Counter : std::size_t {
   // search, and β candidate evaluations inside refine_beta.
   kRangeProbes,
   kBetaProbes,
+  // Speculative probes (DESIGN.md §11): probes the single-frame slot's
+  // idle workers evaluated beside the one the search blocked on, and
+  // those the serial walk never asked for.
+  kSpecProbes,
+  kSpecProbesWasted,
   // BufferPool: recycled (free-list hit) vs fresh (heap miss) blocks,
   // and the bytes currently checked out of any pool (a gauge).
   kPoolRecycled,

@@ -102,6 +102,9 @@ PipelineEngine::PipelineEngine(EngineOptions opts,
       model_(std::move(power_model)),
       pool_(opts_.num_threads) {
   slot_.pool = make_pool(opts_);
+  slot_.lanes = std::make_unique<ProbeLanes>(
+      pool_, opts_.use_buffer_pool,
+      util::PoolOptions{opts_.pool_max_retained_bytes, opts_.pool_max_bytes});
 }
 
 /// Runs `per_frame` for every image on the pool, each worker reusing one
@@ -130,11 +133,12 @@ std::vector<Result> PipelineEngine::map_frames(
   // path and the fan-out.  The SuppressScope around the fallback keeps
   // a persistent injected fault from re-firing inside the handler.
   const auto run_contained = [&](std::unique_ptr<FrameContext>& ctx,
-                                 std::size_t i) {
+                                 std::size_t i, ProbeLanes* lanes) {
     const auto start = DeadlineClock::now();
     try {
       util::fault::maybe_fail(util::fault::Point::kWorkerTask);
       if (!ctx) ctx = std::make_unique<FrameContext>(opts_.hebs, model_);
+      ctx->set_probe_lanes(lanes);
       ctx->rebind(images[i]);
       results[i] = per_frame(*ctx, i);
     } catch (const util::InvalidArgument&) {
@@ -163,18 +167,20 @@ std::vector<Result> PipelineEngine::map_frames(
   };
   if (images.size() == 1) {
     // Single frame: frame-level fan-out cannot help, so run inline on
-    // the calling thread (no pool wake).
+    // the calling thread; the slot's search may borrow idle workers for
+    // speculative probes (never blocking on a busy pool).
     const auto run_inline = [&](std::unique_ptr<FrameContext>& ctx,
-                                util::BufferPool* buffers) {
+                                util::BufferPool* buffers,
+                                ProbeLanes* lanes) {
       util::PoolScope scope(buffers);
       obs::ScopedSpan frame_span(obs::Span::kFrame, 0);
-      run_contained(ctx, 0);
+      run_contained(ctx, 0, lanes);
     };
     if (slot_mu_.try_lock()) {
       // The persistent slot: back-to-back calls recycle one context and
       // one pool instead of building both.
       util::MutexLock lock(slot_mu_, std::adopt_lock);
-      run_inline(slot_.ctx, slot_.pool.get());
+      run_inline(slot_.ctx, slot_.pool.get(), slot_.lanes.get());
     } else {
       // Another caller holds the slot: run on a one-off pool and
       // context rather than queue, so concurrent callers of one engine
@@ -182,7 +188,7 @@ std::vector<Result> PipelineEngine::map_frames(
       // so it releases its pooled caches first.
       const auto buffers = make_pool(opts_);
       std::unique_ptr<FrameContext> ctx;
-      run_inline(ctx, buffers.get());
+      run_inline(ctx, buffers.get(), nullptr);
     }
     return results;
   }
@@ -195,7 +201,7 @@ std::vector<Result> PipelineEngine::map_frames(
     util::PoolScope scope(pools[w].get());
     obs::ScopedSpan frame_span(obs::Span::kFrame,
                                static_cast<std::int32_t>(i));
-    run_contained(contexts[w], i);
+    run_contained(contexts[w], i, nullptr);
   });
   // Contexts must release their pooled caches before the pools detach
   // (detached blocks go back to the heap instead of recycling — only a

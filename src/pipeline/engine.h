@@ -10,7 +10,8 @@
 // frame, so every policy gets the same containment, deadline, fan-out
 // and context reuse.  A one-frame batch (what Session::process runs)
 // instead runs inline on the calling thread, on a persistent slot — one
-// FrameContext and one buffer pool the engine keeps across calls.
+// FrameContext and one buffer pool the engine keeps across calls — and
+// its search borrows the pool's idle workers for speculative probes.
 //
 // Stream mode (video) keeps only the flicker controller's scalar β
 // recurrence in frame order: raw operating points are searched
@@ -210,10 +211,13 @@ class PipelineEngine {
  private:
   /// The engine's persistent single-frame state (DESIGN.md §9): every
   /// one-frame call rebinds `ctx`, drawing from `pool`, instead of
-  /// building both per call.  Members destroy in reverse order, so the
-  /// context releases its pooled caches before the pool detaches.
+  /// building both per call, and lends the context `lanes` — the pool's
+  /// idle workers, for speculative search probes (DESIGN.md §11).
+  /// Members destroy in reverse order, so the context releases its
+  /// pooled caches before the pools detach.
   struct FrameSlot {
     std::unique_ptr<util::BufferPool> pool;  ///< null = plain heap
+    std::unique_ptr<ProbeLanes> lanes;
     std::unique_ptr<FrameContext> ctx;       ///< null = cold/quarantined
   };
 

@@ -35,8 +35,7 @@ FrameContext::FrameContext(const hebs::image::GrayImage16& image,
 }
 
 void FrameContext::clear_caches() {
-  estimate_.reset();
-  exact_hist_.reset();
+  hist_.reset();
   evaluator_.reset();
   reference_power_.reset();
   ghe_.clear();
@@ -82,7 +81,7 @@ void FrameContext::set_exact_histogram(hebs::histogram::Histogram hist) {
                "seeded histogram does not cover the frame");
   HEBS_REQUIRE(hist.bins() == levels_,
                "seeded histogram does not match the frame's level count");
-  exact_hist_ = std::move(hist);
+  hist_ = std::move(hist);
 }
 
 const hebs::image::GrayImage& FrameContext::image() const {
@@ -97,33 +96,14 @@ const hebs::image::GrayImage16& FrameContext::image16() const {
 }
 
 const hebs::histogram::Histogram& FrameContext::histogram() const {
-  if (estimate_.has_value()) return *estimate_;
-  return exact_histogram();
-}
-
-const hebs::histogram::Histogram& FrameContext::exact_histogram() const {
-  if (!exact_hist_.has_value()) {
+  if (!hist_.has_value()) {
     // The full recount (delta-refreshed histograms arrive via
     // set_exact_histogram and never reach this branch).
     obs::ScopedSpan span(obs::Span::kHistogram);
-    exact_hist_ = bound16()
-                      ? hebs::histogram::Histogram::from_image(image16())
+    hist_ = bound16() ? hebs::histogram::Histogram::from_image(image16())
                       : hebs::histogram::Histogram::from_image(image());
   }
-  return *exact_hist_;
-}
-
-void FrameContext::set_histogram_estimate(
-    hebs::histogram::Histogram estimate) {
-  HEBS_REQUIRE(!estimate.empty(), "histogram estimate is empty");
-  estimate_ = std::move(estimate);
-  // Statistics-driven products depend on the histogram; drop them.  The
-  // proxy raster itself depends only on pixels and stays, but the
-  // per-target coarse probes go through the GHE memo.
-  ghe_.clear();
-  by_range_.clear();
-  by_target_.clear();
-  approx_by_target_.clear();
+  return *hist_;
 }
 
 const hebs::image::FloatImage& FrameContext::reference_luminance() const {
@@ -146,7 +126,7 @@ const hebs::quality::DistortionEvaluator& FrameContext::evaluator() const {
 
 const hebs::power::PowerBreakdown& FrameContext::reference_power() const {
   if (!reference_power_.has_value()) {
-    reference_power_ = model_.frame_power(exact_histogram(), 1.0);
+    reference_power_ = model_.frame_power(histogram(), 1.0);
   }
   return *reference_power_;
 }
@@ -166,7 +146,9 @@ namespace {
 core::HebsResult& lookup_mutable(
     const FrameContext& ctx, int range,
     hebs::util::PoolMap<int, core::HebsResult*>& by_range,
-    hebs::util::PoolMap<std::pair<int, int>, core::HebsResult>& by_target) {
+    hebs::util::PoolMap<std::pair<int, int>, core::HebsResult>& by_target,
+    hebs::util::PoolMap<std::pair<int, int>, hebs::transform::PwlCurve>& ghe,
+    std::span<RangeProbe> speculated) {
   const auto range_it = by_range.find(range);
   if (range_it != by_range.end()) {
     obs::add(obs::Counter::kAtRangeHit);
@@ -180,8 +162,22 @@ core::HebsResult& lookup_mutable(
   auto target_it = by_target.find(key);
   if (target_it == by_target.end()) {
     obs::add(obs::Counter::kAtRangeMiss);
-    target_it =
-        by_target.emplace(key, run_stages_at_range_lean(ctx, range)).first;
+    const auto spec = std::find_if(
+        speculated.begin(), speculated.end(), [&](const RangeProbe& p) {
+          return p.pending && p.target.g_min == target.g_min &&
+                 p.target.g_max == target.g_max;
+        });
+    if (spec != speculated.end()) {
+      // Adopt the speculative run: the same values the pipeline run
+      // below computes, copied into the same memos (from this thread's
+      // pool, as the run would allocate them).
+      spec->pending = false;
+      ghe.try_emplace(key, spec->ghe);
+      target_it = by_target.emplace(key, spec->result).first;
+    } else {
+      target_it =
+          by_target.emplace(key, run_stages_at_range_lean(ctx, range)).first;
+    }
   } else {
     // A clamped-range alias of an already-run target still skipped the
     // pipeline run, which is what the hit/miss ratio measures.
@@ -194,17 +190,48 @@ core::HebsResult& lookup_mutable(
 }  // namespace
 
 const core::HebsResult& FrameContext::at_range(int range) const {
-  core::HebsResult& entry = lookup_mutable(*this, range, by_range_, by_target_);
+  core::HebsResult& entry =
+      lookup_mutable(*this, range, by_range_, by_target_, ghe_, {});
   materialize_transformed(entry);
   return entry;
 }
 
 const core::HebsResult& FrameContext::at_range_lean(int range) const {
-  return lookup_mutable(*this, range, by_range_, by_target_);
+  return lookup_mutable(*this, range, by_range_, by_target_, ghe_, {});
 }
 
 double FrameContext::distortion_at_range(int range) const {
   return at_range_lean(range).evaluation.distortion_percent;
+}
+
+double FrameContext::distortion_at_range(
+    int range, std::span<RangeProbe> speculated) const {
+  return lookup_mutable(*this, range, by_range_, by_target_, ghe_, speculated)
+      .evaluation.distortion_percent;
+}
+
+bool FrameContext::range_memoized(int range) const {
+  if (by_range_.count(range) != 0) return true;
+  const core::GheTarget target = select_target(*this, range);
+  return by_target_.count(std::make_pair(target.g_min, target.g_max)) != 0;
+}
+
+void FrameContext::warm_probe_caches() const {
+  (void)histogram();
+  (void)evaluator();
+  (void)reference_power();
+}
+
+void FrameContext::probe_range(int range, RangeProbe& out) const {
+  out.pending = false;
+  const core::GheTarget target = select_target(*this, range);
+  const hebs::transform::PwlCurve ghe =
+      core::ghe_transform(histogram(), target);
+  const core::HebsResult result = run_stages_at_range_lean(*this, range, &ghe);
+  out.target = target;
+  out.ghe = ghe;
+  out.result = result;
+  out.pending = true;
 }
 
 namespace {
@@ -407,7 +434,7 @@ core::EvaluatedPoint FrameContext::evaluate_levels(
 
   // Power: CCFL at β plus panel power at the driven transmittances
   // t(x) = ψ(x)/β, weighted by the original histogram.
-  const auto& hist = exact_histogram();
+  const auto& hist = histogram();
   double panel_watts = 0.0;
   for (int level = 0; level < hist.bins(); ++level) {
     const double t = util::clamp01(lum[level] / point.beta);

@@ -16,11 +16,16 @@
 // their tests) rely on.
 //
 // A context is not thread-safe; the engine gives each worker its own and
-// rebind()s it between frames (per-worker context reuse).
+// rebind()s it between frames (per-worker context reuse).  The one
+// exception is the speculative probe lanes of the engine's single-frame
+// slot, which run the memo-free probe entry points below concurrently
+// with each other (never with a memo write).
 #pragma once
 
+#include <array>
 #include <map>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "core/hebs.h"
@@ -32,6 +37,22 @@
 #include "util/pool.h"
 
 namespace hebs::pipeline {
+
+class ProbeLanes;
+
+/// One memo-free range probe (FrameContext::probe_range): the effective
+/// target, its exact GHE curve and the lean pipeline result there —
+/// everything the memo insert needs, so adopting a probe leaves the
+/// memos exactly as running it would have.  Lives in the context's
+/// speculation slots, whose storage persists across frames.
+struct RangeProbe {
+  /// Computed and waiting for the serial walk (a throwing probe, an
+  /// adopted one and an unused slot are all not pending).
+  bool pending = false;
+  core::GheTarget target;
+  hebs::transform::PwlCurve ghe;
+  core::HebsResult result;
+};
 
 class FrameContext {
  public:
@@ -99,20 +120,13 @@ class FrameContext {
     return model_;
   }
 
-  /// Histogram the statistics-driven stages (range selection, GHE) use.
-  /// By default the exact image histogram; a streaming estimate may be
-  /// injected with set_histogram_estimate.
+  /// The exact image histogram every stage reads (built on first use,
+  /// or seeded with set_exact_histogram).
   const hebs::histogram::Histogram& histogram() const;
 
-  /// Exact image histogram, regardless of any injected estimate.  Power
-  /// accounting and distortion evaluation always use this.
-  const hebs::histogram::Histogram& exact_histogram() const;
-
-  /// Injects an estimated histogram (e.g. from a StreamingHistogram) to
-  /// drive the statistics stages instead of the exact one.
-  void set_histogram_estimate(hebs::histogram::Histogram estimate);
-  bool has_histogram_estimate() const noexcept {
-    return estimate_.has_value();
+  /// The same histogram under its older name.
+  const hebs::histogram::Histogram& exact_histogram() const {
+    return histogram();
   }
 
   /// Reference luminance raster of the unmodified frame (X/255).
@@ -142,6 +156,48 @@ class FrameContext {
   /// transformed raster, so bisecting over many ranges stores only
   /// curves and scalars per target, not a frame-sized image each.
   double distortion_at_range(int range) const;
+
+  /// distortion_at_range that, on a memo miss, adopts the pending entry
+  /// of `speculated` with the range's target instead of running the
+  /// pipeline (the entry stops pending).  Counters and memo contents
+  /// come out exactly as the plain call's.
+  double distortion_at_range(int range,
+                             std::span<RangeProbe> speculated) const;
+
+  /// True when at_range(range) is answered by the memo (the range or
+  /// its effective target was already run).
+  bool range_memoized(int range) const;
+
+  // --- Speculative probes (DESIGN.md §11) ------------------------------
+  //
+  // The engine's persistent single-frame slot lends the context idle
+  // workers; the search then evaluates the probes its serial walk may
+  // ask for next concurrently, through the memo-free entry points below
+  // (probe_range here, evaluate_lean for β).  Only the calling thread
+  // writes memos, and only when the walk asks for a result.
+
+  /// The lanes lent to this context (null: the search runs serially).
+  ProbeLanes* probe_lanes() const noexcept { return lanes_; }
+  void set_probe_lanes(ProbeLanes* lanes) noexcept { lanes_ = lanes; }
+
+  /// Builds every frame cache a memo-free probe reads (histogram,
+  /// evaluator, reference power) — call before the first concurrent
+  /// probe, so no lane ever runs a lazy build.
+  void warm_probe_caches() const;
+
+  /// The lean pipeline result at `range` computed without reading or
+  /// writing any memo, copied into `out` (out.pending set on success;
+  /// the copy reuses out's storage, so the probe's own allocations are
+  /// all released when it returns).  Const and safe to run on several
+  /// threads at once, on distinct `out`s, after warm_probe_caches(),
+  /// provided no memo-writing call runs meanwhile.
+  void probe_range(int range, RangeProbe& out) const;
+
+  /// The ring of range results a speculating search keeps (kept across
+  /// frames for its storage; only the search that fills an entry reads
+  /// it, and its `pending` flags say which entries are live).
+  static constexpr std::size_t kSpeculationSlots = 12;
+  std::span<RangeProbe> speculation_slots() const { return spec_slots_; }
 
   /// Measures an operating point on this frame, reusing the cached
   /// reference-side work.  Bit-identical to
@@ -206,8 +262,9 @@ class FrameContext {
   core::HebsOptions opts_;
   hebs::power::LcdSubsystemPower model_;
 
-  std::optional<hebs::histogram::Histogram> estimate_;
-  mutable std::optional<hebs::histogram::Histogram> exact_hist_;
+  ProbeLanes* lanes_ = nullptr;
+  mutable std::array<RangeProbe, kSpeculationSlots> spec_slots_;
+  mutable std::optional<hebs::histogram::Histogram> hist_;
   mutable std::optional<hebs::quality::DistortionEvaluator> evaluator_;
   mutable std::optional<hebs::power::PowerBreakdown> reference_power_;
   // Pool-backed maps: rebind()'s clear() returns the nodes to the

@@ -2,7 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
+#include <cstddef>
+#include <functional>
+#include <initializer_list>
+#include <limits>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "core/backlight.h"
@@ -10,6 +16,7 @@
 #include "core/ghe.h"
 #include "core/plc.h"
 #include "obs/counters.h"
+#include "pipeline/executor.h"
 #include "obs/trace.h"
 #include "util/error.h"
 #include "util/faultpoint.h"
@@ -102,15 +109,18 @@ void RangeSelectStage::run(const FrameContext& ctx,
   result.target = select_target(ctx, range_);
 }
 
-hebs::transform::PwlCurve phi_for_target(const FrameContext& ctx,
-                                         const core::GheTarget& target) {
+namespace {
+
+/// Φ for a target given the target's exact GHE curve.
+hebs::transform::PwlCurve phi_from_ghe(const FrameContext& ctx,
+                                       const core::GheTarget& target,
+                                       const hebs::transform::PwlCurve& ghe) {
   const auto& hist = ctx.histogram();
   const int lo = hist.min_level();
   const int hi = hist.max_level();
   const int native = hi - lo;
   const int width = target.range();
 
-  const hebs::transform::PwlCurve& ghe = ctx.ghe(target);
   double w = ctx.options().equalization_strength;
   if (w < 0.0) {
     w = native > 0
@@ -126,8 +136,16 @@ hebs::transform::PwlCurve phi_for_target(const FrameContext& ctx,
                                  w, ctx.levels());
 }
 
+}  // namespace
+
+hebs::transform::PwlCurve phi_for_target(const FrameContext& ctx,
+                                         const core::GheTarget& target) {
+  return phi_from_ghe(ctx, target, ctx.ghe(target));
+}
+
 void GheStage::run(const FrameContext& ctx, core::HebsResult& result) const {
-  result.phi = phi_for_target(ctx, result.target);
+  result.phi = ghe_ != nullptr ? phi_from_ghe(ctx, result.target, *ghe_)
+                               : phi_for_target(ctx, result.target);
 }
 
 void PlcStage::run(const FrameContext& ctx, core::HebsResult& result) const {
@@ -144,11 +162,12 @@ void EvaluateStage::run(const FrameContext& ctx,
   result.evaluation = ctx.evaluate_lean(result.point);
 }
 
-core::HebsResult run_stages_at_range_lean(const FrameContext& ctx,
-                                          int range) {
+core::HebsResult run_stages_at_range_lean(
+    const FrameContext& ctx, int range,
+    const hebs::transform::PwlCurve* ghe) {
   const HistogramStage histogram_stage;
   const RangeSelectStage range_stage(range);
-  const GheStage ghe_stage;
+  const GheStage ghe_stage(ghe);
   const PlcStage plc_stage;
   const EvaluateStage evaluate_stage;
   const Stage* const stages[] = {&histogram_stage, &range_stage, &ghe_stage,
@@ -183,6 +202,250 @@ namespace {
 
 constexpr int kBetaRefineIters = 12;
 
+// ---- speculative probes (DESIGN.md §11) ---------------------------------
+//
+// On the engine's single-frame slot the serial walk below borrows idle
+// workers: each probe it blocks on goes out in one fork-join round with
+// the probes the same walk would make next under either outcome, all
+// evaluated memo-free.  The walk itself is unchanged: it still asks for
+// one probe at a time, and a speculated result enters the memos (and
+// the probe/memo counters) only when the walk asks for it — so memo
+// contents, counters and decisions are exactly the serial ones.
+
+/// Frames below this many pixels search serially even with lanes lent.
+/// Below ~64² a probe costs tens of µs, the order of a round's
+/// fork-join, and speculation measured no gain there (4 vCPUs; about
+/// 5% at 96²).  The floor sits above 96² so the small-frame tests and
+/// the 96² latency rows keep exercising the serial search.
+constexpr std::size_t kSpeculationMinPixels = 128 * 128;
+
+/// Probes per round: the blocking one plus two speculative ones.  A
+/// fourth concurrent probe measured slower on 4 vCPUs (memory
+/// contention slows the caller's own probe more than the extra one
+/// saves).
+constexpr std::size_t kRoundWidth = 3;
+
+/// The lanes this decision may speculate on, with the frame caches the
+/// lanes read already built; null = serial search.
+ProbeLanes* speculation_lanes(const FrameContext& ctx) {
+  ProbeLanes* lanes = ctx.probe_lanes();
+  if (lanes == nullptr || !lanes->available()) return nullptr;
+  const std::size_t pixels =
+      ctx.bound16() ? ctx.image16().size() : ctx.image().size();
+  if (pixels < kSpeculationMinPixels) return nullptr;
+  ctx.warm_probe_caches();
+  return lanes;
+}
+
+/// Speculated range probes of one decision: a small ring of memo-free
+/// results, adopted by FrameContext::distortion_at_range when the walk
+/// asks for their target.
+class RangeSpeculation {
+ public:
+  RangeSpeculation(const FrameContext& ctx, ProbeLanes* lanes, int lo, int hi)
+      : ctx_(ctx),
+        lanes_(lanes),
+        lo_(lo),
+        hi_(hi),
+        slots_(ctx.speculation_slots()),
+        probe_([this](std::size_t k) {
+          try {
+            ctx_.probe_range(round_[k].range, slots_[round_[k].slot]);
+          } catch (...) {
+            // Left not pending: the walk runs this probe itself if it
+            // needs it, and fails exactly as the serial search would.
+          }
+        }) {}
+  RangeSpeculation(const RangeSpeculation&) = delete;
+  RangeSpeculation& operator=(const RangeSpeculation&) = delete;
+  ~RangeSpeculation() {
+    std::uint64_t wasted = 0;
+    for (RangeProbe& p : slots_) {
+      wasted += p.pending ? 1 : 0;
+      p.pending = false;
+    }
+    if (wasted != 0) obs::add(obs::Counter::kSpecProbesWasted, wasted);
+  }
+
+  /// Called before the walk's probe at `range`.  Unless the memo or an
+  /// earlier round already answers it, evaluates it in one round with
+  /// `next` — the walk's possible next probes, in priority order;
+  /// out-of-interval, answered and same-target entries drop out.
+  void round(int range, std::initializer_list<int> next) {
+    if (lanes_ == nullptr) return;
+    round_n_ = 0;
+    const std::size_t width =
+        std::min(kRoundWidth, static_cast<std::size_t>(lanes_->width()));
+    add(range, width);
+    if (round_n_ == 0) return;  // answered without a probe
+    for (const int r : next) add(r, width);
+    if (round_n_ < 2) return;  // nothing to overlap: the walk probes
+    for (std::size_t k = 0; k < round_n_; ++k) {
+      RangeProbe& slot = slots_[next_slot_];
+      if (slot.pending) obs::add(obs::Counter::kSpecProbesWasted);
+      slot.pending = false;
+      round_[k].slot = next_slot_;
+      next_slot_ = (next_slot_ + 1) % slots_.size();
+    }
+    if (!lanes_->run(round_n_, probe_)) return;
+    std::uint64_t ran = 0;
+    for (std::size_t k = 1; k < round_n_; ++k) {
+      ran += slots_[round_[k].slot].pending ? 1 : 0;
+    }
+    obs::add(obs::Counter::kSpecProbes, ran);
+  }
+
+  std::span<RangeProbe> results() { return slots_; }
+
+ private:
+  void add(int range, std::size_t width) {
+    if (range < lo_ || range > hi_ || round_n_ == width) return;
+    if (ctx_.range_memoized(range)) return;
+    const core::GheTarget t = select_target(ctx_, range);
+    const auto same = [&t](const core::GheTarget& u) {
+      return u.g_min == t.g_min && u.g_max == t.g_max;
+    };
+    for (const RangeProbe& p : slots_) {
+      if (p.pending && same(p.target)) return;
+    }
+    for (std::size_t k = 0; k < round_n_; ++k) {
+      if (same(round_[k].target)) return;
+    }
+    round_[round_n_++] = {range, t, 0};
+  }
+
+  struct Member {
+    int range;
+    core::GheTarget target;
+    std::size_t slot;
+  };
+  const FrameContext& ctx_;
+  ProbeLanes* lanes_;
+  int lo_;
+  int hi_;
+  std::span<RangeProbe> slots_;
+  std::size_t next_slot_ = 0;
+  std::array<Member, kRoundWidth> round_{};
+  std::size_t round_n_ = 0;
+  /// Built once per decision; captures only `this` (no allocation).
+  const std::function<void(std::size_t)> probe_;
+};
+
+/// The scalar outcome of one β evaluation — all refine_beta keeps of a
+/// probe (see the memo below).
+struct BetaProbe {
+  double beta;
+  double distortion_percent;
+  double saving_percent;
+  hebs::power::PowerBreakdown power;
+};
+
+BetaProbe to_beta_probe(double beta, const core::EvaluatedPoint& ev) {
+  return {beta, ev.distortion_percent, ev.saving_percent, ev.power};
+}
+
+/// Speculated β probes of one refinement (same scheme as
+/// RangeSpeculation; the β memo lives in refine_beta, so the walk takes
+/// results out explicitly).
+class BetaSpeculation {
+ public:
+  BetaSpeculation(const FrameContext& ctx, ProbeLanes* lanes,
+                  const hebs::transform::PwlCurve& lambda, double min_beta)
+      : ctx_(ctx),
+        lanes_(lanes),
+        lambda_(lambda),
+        min_beta_(min_beta),
+        probe_([this](std::size_t k) {
+          Slot& slot = slots_[round_[k]];
+          try {
+            const core::OperatingPoint p{lambda_,
+                                         std::max(min_beta_, slot.beta)};
+            slot.probe = to_beta_probe(slot.beta, ctx_.evaluate_lean(p));
+            slot.pending = true;
+          } catch (...) {
+            // Not pending: the walk re-runs it if needed (see above).
+          }
+        }) {}
+  BetaSpeculation(const BetaSpeculation&) = delete;
+  BetaSpeculation& operator=(const BetaSpeculation&) = delete;
+  ~BetaSpeculation() {
+    std::uint64_t wasted = 0;
+    for (const Slot& s : slots_) wasted += s.pending ? 1 : 0;
+    if (wasted != 0) obs::add(obs::Counter::kSpecProbesWasted, wasted);
+  }
+
+  bool active() const noexcept { return lanes_ != nullptr; }
+
+  /// The pending result at exactly `beta`, if any.
+  const BetaProbe* peek(double beta) const {
+    for (const Slot& s : slots_) {
+      if (s.pending && s.beta == beta) return &s.probe;
+    }
+    return nullptr;
+  }
+
+  /// Takes the pending result at exactly `beta` (it stops pending).
+  std::optional<BetaProbe> take(double beta) {
+    for (Slot& s : slots_) {
+      if (s.pending && s.beta == beta) {
+        s.pending = false;
+        return s.probe;
+      }
+    }
+    return std::nullopt;
+  }
+
+  /// Evaluates `betas` — the probe the walk blocks on first, then its
+  /// possible successors — in one round.  NaN entries (no successor, or
+  /// already measured: the caller filters) are skipped.
+  void round(const std::array<double, kRoundWidth>& betas) {
+    round_n_ = 0;
+    const std::size_t width =
+        std::min(kRoundWidth, static_cast<std::size_t>(lanes_->width()));
+    for (const double b : betas) {
+      if (std::isnan(b) || round_n_ == width) continue;
+      bool dup = false;
+      for (std::size_t k = 0; k < round_n_; ++k) {
+        dup = dup || slots_[round_[k]].beta == b;
+      }
+      if (dup) continue;
+      Slot& slot = slots_[next_slot_];
+      if (slot.pending) obs::add(obs::Counter::kSpecProbesWasted);
+      slot.pending = false;
+      slot.beta = b;
+      round_[round_n_++] = next_slot_;
+      next_slot_ = (next_slot_ + 1) % slots_.size();
+    }
+    if (round_n_ < 2) {
+      if (round_n_ == 1) slots_[round_[0]].beta = kNoBeta;
+      return;
+    }
+    if (!lanes_->run(round_n_, probe_)) return;
+    std::uint64_t ran = 0;
+    for (std::size_t k = 1; k < round_n_; ++k) {
+      ran += slots_[round_[k]].pending ? 1 : 0;
+    }
+    obs::add(obs::Counter::kSpecProbes, ran);
+  }
+
+ private:
+  static constexpr double kNoBeta = -1.0;
+  struct Slot {
+    bool pending = false;
+    double beta = kNoBeta;
+    BetaProbe probe{};
+  };
+  const FrameContext& ctx_;
+  ProbeLanes* lanes_;
+  const hebs::transform::PwlCurve& lambda_;
+  double min_beta_;
+  std::array<Slot, 8> slots_{};
+  std::size_t next_slot_ = 0;
+  std::array<std::size_t, kRoundWidth> round_{};
+  std::size_t round_n_ = 0;
+  const std::function<void(std::size_t)> probe_;
+};
+
 /// Concurrent brightness-scaling refinement: with Λ fixed, bisect β
 /// below its luminance-exact value while the measured distortion stays
 /// within budget, and keep the result when it saves more power.
@@ -193,10 +456,11 @@ constexpr int kBetaRefineIters = 12;
 /// monotone feasibility in β (dimmer can only distort more), a verified
 /// final bracket forces every intermediate decision, so the replay is
 /// exactly the trajectory the cold bisection would take.  Any
-/// verification miss runs the cold loop.
+/// verification miss runs the cold loop.  `lanes` (nullable) lends idle
+/// workers for speculative probes.
 void refine_beta(const FrameContext& ctx, double d_max_percent,
                  core::HebsResult& result, const SearchTrace* seed,
-                 SearchTrace* trace) {
+                 SearchTrace* trace, ProbeLanes* lanes) {
   obs::ScopedSpan refine_span(obs::Span::kBetaRefine);
   const core::OperatingPoint base = result.point;
   const double min_beta = ctx.options().min_beta;
@@ -217,20 +481,19 @@ void refine_beta(const FrameContext& ctx, double d_max_percent,
     trace->base_beta = base.beta;
     trace->floor_beta = floor_beta;
   }
-  // The best candidate is tracked by its β and scalar outcomes, not as
-  // a full EvaluatedPoint: an EvaluatedPoint owns a pool-backed copy of
-  // the luminance curve, and holding one per memoized probe (content-
+  // The best candidate is tracked by its scalar outcomes, not as a full
+  // EvaluatedPoint: an EvaluatedPoint owns a pool-backed copy of the
+  // luminance curve, and holding one per memoized probe (content-
   // dependent, up to ~32 at once) gave the steady state a working-set
   // high-water mark no warm-up pass could bound — the one pool miss
-  // bench_alloc_steady_state catches.  The winner is re-materialized
-  // exactly once at the end (eval_at is deterministic, so the re-run is
-  // bit-identical to the probe that won).
-  double best_beta = base.beta;
-  double best_saving = result.evaluation.saving_percent;
-  auto at_floor = eval_at(floor_beta);
+  // bench_alloc_steady_state catches.  The winner's EvaluatedPoint is
+  // rebuilt from those scalars at the end: every field of it is a
+  // scalar kept here, Λ, or the frame's reference power.
+  BetaProbe best{base.beta, result.evaluation.distortion_percent,
+                 result.evaluation.saving_percent, result.evaluation.power};
+  const BetaProbe at_floor = to_beta_probe(floor_beta, eval_at(floor_beta));
   if (at_floor.distortion_percent <= d_max_percent) {
-    best_beta = floor_beta;
-    best_saving = at_floor.saving_percent;
+    best = at_floor;
     if (trace != nullptr) trace->floor_feasible = true;
   } else {
     // Exact β-evaluations land on a small set of fp points shared by
@@ -238,23 +501,32 @@ void refine_beta(const FrameContext& ctx, double d_max_percent,
     // verification and the cold fallback; memoizing their scalar
     // outcomes (exact double compare) makes every re-visit free without
     // changing any produced value.
-    struct Probe {
-      double beta;
-      double distortion_percent;
-      double saving_percent;
-    };
-    std::array<Probe, 36> evals;
+    std::array<BetaProbe, 36> evals;
     std::size_t evals_n = 0;
-    auto eval_memo = [&](double beta) -> const Probe& {
+    BetaSpeculation spec(ctx, lanes, base.luminance_transform, min_beta);
+    auto memo_find = [&](double beta) -> const BetaProbe* {
       for (std::size_t k = 0; k < evals_n; ++k) {
-        if (evals[k].beta == beta) {
-          obs::add(obs::Counter::kEvalMemoHit);
-          return evals[k];
-        }
+        if (evals[k].beta == beta) return &evals[k];
+      }
+      return nullptr;
+    };
+    auto eval_memo = [&](double beta) -> const BetaProbe& {
+      if (const BetaProbe* hit = memo_find(beta)) {
+        obs::add(obs::Counter::kEvalMemoHit);
+        return *hit;
       }
       obs::add(obs::Counter::kEvalMemoMiss);
-      const core::EvaluatedPoint ev = eval_at(beta);
-      const Probe probe{beta, ev.distortion_percent, ev.saving_percent};
+      BetaProbe probe{};
+      if (const auto speculated = spec.take(beta)) {
+        // The speculated evaluation of this very β: counted as the
+        // probe the serial walk makes here.
+        obs::add(obs::Counter::kBetaProbes);
+        obs::ScopedSpan probe_span(obs::Span::kBetaProbe,
+                                   static_cast<std::int32_t>(beta * 1e6));
+        probe = *speculated;
+      } else {
+        probe = to_beta_probe(beta, eval_at(beta));
+      }
       if (evals_n == evals.size()) {
         // Unreachable (≤ 32 distinct points per refinement); kept safe.
         evals.back() = probe;
@@ -262,6 +534,63 @@ void refine_beta(const FrameContext& ctx, double d_max_percent,
       }
       evals[evals_n] = probe;
       return evals[evals_n++];
+    };
+    // Speculation along the dyadic walks below: the walk's outcome at a
+    // β already measured (memo) or speculated, without counting it.
+    auto known = [&](double beta) -> const BetaProbe* {
+      if (const BetaProbe* p = memo_find(beta)) return p;
+      return spec.peek(beta);
+    };
+    // A point of the dyadic walk (the cold loop's mids, which phase 2
+    // replays): the bisection bracket, the measured bracket (phase 2
+    // only) and the iteration.
+    struct Walk {
+      double feasible;
+      double infeasible;
+      double b_feas;
+      double b_inf;
+      int i;
+    };
+    constexpr double kNone = std::numeric_limits<double>::quiet_NaN();
+    // Advances `w` past every mid the measured bracket (`bracket`: phase
+    // 2) or a known value classifies, as the walk itself would, and
+    // returns the first mid it would have to measure (`w` then stands
+    // at it), or NaN when the walk ends first.
+    auto advance = [&](Walk& w, bool bracket) {
+      for (; w.i < kBetaRefineIters; ++w.i) {
+        const double mid = (w.feasible + w.infeasible) / 2.0;
+        bool mid_feasible;
+        if (bracket && mid >= w.b_feas) {
+          mid_feasible = true;
+        } else if (bracket && mid <= w.b_inf) {
+          mid_feasible = false;
+        } else if (const BetaProbe* p = known(mid)) {
+          mid_feasible = p->distortion_percent <= d_max_percent;
+          (mid_feasible ? w.b_feas : w.b_inf) = mid;
+        } else {
+          return mid;
+        }
+        (mid_feasible ? w.feasible : w.infeasible) = mid;
+      }
+      return kNone;
+    };
+    // The next mid the walk standing at `w` measures after measuring
+    // `mid` there with the given outcome.
+    auto after = [&](Walk w, double mid, bool feasible, bool bracket) {
+      if (std::isnan(mid)) return kNone;
+      (feasible ? w.feasible : w.infeasible) = mid;
+      (feasible ? w.b_feas : w.b_inf) = mid;
+      ++w.i;
+      return advance(w, bracket);
+    };
+    // One round: `blocking` (the β the walk asks for next) with its
+    // successors; already-known entries drop out.
+    auto speculate = [&](double blocking, double a, double b) {
+      if (!spec.active() || known(blocking) != nullptr) return;
+      const auto unknown = [&](double x) {
+        return std::isnan(x) || known(x) != nullptr ? kNone : x;
+      };
+      spec.round({blocking, unknown(a), unknown(b)});
     };
     // Attempts to adopt a predicted 12-bit decision path: replays the
     // same fp mid arithmetic the cold loop performs with decisions taken
@@ -285,20 +614,22 @@ void refine_beta(const FrameContext& ctx, double d_max_percent,
           infeasible = mid;
         }
       }
+      const bool check_infeasible = infeasible != floor_beta;
+      // Both endpoints in one round.
+      if (any_feasible && check_infeasible) {
+        speculate(feasible, infeasible, kNone);
+      }
       bool ok = true;
-      const Probe* ev_f = nullptr;
+      const BetaProbe* ev_f = nullptr;
       if (any_feasible) {
         ev_f = &eval_memo(feasible);
         ok = ev_f->distortion_percent <= d_max_percent;
       }
-      if (ok && infeasible != floor_beta) {
+      if (ok && check_infeasible) {
         ok = eval_memo(infeasible).distortion_percent > d_max_percent;
       }
       if (!ok) return false;
-      if (any_feasible) {
-        best_beta = ev_f->beta;
-        best_saving = ev_f->saving_percent;
-      }
+      if (any_feasible) best = *ev_f;
       if (trace != nullptr) trace->beta_path = path;
       return true;
     };
@@ -336,7 +667,12 @@ void refine_beta(const FrameContext& ctx, double d_max_percent,
       // steer the interpolation (distortion dips non-monotonically just
       // below base β on many frames, which is harmless: the cold loop,
       // and hence the replay contract, only cares about the budget
-      // crossing).
+      // crossing).  Each step depends on the value just measured, so
+      // no falsi guess is speculated — but while the caller measures
+      // one, two lanes measure the first mid phase 2 would measure
+      // under the current bracket and its successor if that mid is
+      // feasible: phase 2 asks for them whenever they stay inside the
+      // final bracket.
       const double resolution = (base.beta - floor_beta) / 4096.0;
       constexpr int kFalsiProbes = 4;
       double w_inf = 1.0;
@@ -350,6 +686,11 @@ void refine_beta(const FrameContext& ctx, double d_max_percent,
         const double guess = std::clamp(
             b_inf + di / (di - df) * (b_feas - b_inf), b_inf + margin,
             b_feas - margin);
+        if (spec.active()) {
+          Walk w{base.beta, floor_beta, b_feas, b_inf, 0};
+          const double replay_mid = advance(w, true);
+          speculate(guess, replay_mid, after(w, replay_mid, true, true));
+        }
         const double d = eval_memo(guess).distortion_percent;
         if (d <= d_max_percent) {
           b_feas = guess;
@@ -379,6 +720,9 @@ void refine_beta(const FrameContext& ctx, double d_max_percent,
           } else if (mid <= b_inf) {
             mid_feasible = false;
           } else {
+            const Walk at{feasible, infeasible, b_feas, b_inf, i};
+            speculate(mid, after(at, mid, true, true),
+                      after(at, mid, false, true));
             mid_feasible =
                 eval_memo(mid).distortion_percent <= d_max_percent;
             if (mid_feasible) {
@@ -403,11 +747,12 @@ void refine_beta(const FrameContext& ctx, double d_max_percent,
       std::uint16_t path = 0;
       for (int i = 0; i < kBetaRefineIters; ++i) {
         const double mid = (feasible + infeasible) / 2.0;
-        const Probe& eval = eval_memo(mid);
+        const Walk at{feasible, infeasible, 0.0, 0.0, i};
+        speculate(mid, after(at, mid, true, false), after(at, mid, false, false));
+        const BetaProbe& eval = eval_memo(mid);
         if (eval.distortion_percent <= d_max_percent) {
           feasible = mid;
-          best_beta = mid;
-          best_saving = eval.saving_percent;
+          best = eval;
           path |= static_cast<std::uint16_t>(1u << i);
         } else {
           infeasible = mid;
@@ -416,16 +761,22 @@ void refine_beta(const FrameContext& ctx, double d_max_percent,
       if (trace != nullptr) trace->beta_path = path;
     }
   }
-  if (best_saving > result.evaluation.saving_percent) {
-    // Materialize the winning probe exactly once.  at_floor is still on
-    // hand; any other winner is re-evaluated — deterministic, so the
-    // values match the probe that won bit for bit.
-    result.evaluation =
-        best_beta == floor_beta ? std::move(at_floor) : eval_at(best_beta);
+  if (best.saving_percent > result.evaluation.saving_percent) {
+    // Rebuild the winner's evaluation from its kept scalars — the very
+    // values evaluate_lean produced for it — and materialize its raster
+    // exactly once.
+    core::EvaluatedPoint ev;
+    ev.point = core::OperatingPoint{base.luminance_transform,
+                                    std::max(min_beta, best.beta)};
+    ev.distortion_percent = best.distortion_percent;
+    ev.saving_percent = best.saving_percent;
+    ev.power = best.power;
+    ev.reference_power = ctx.reference_power();
+    result.evaluation = std::move(ev);
     result.point = result.evaluation.point;
     ctx.materialize_transformed(result);
   }
-  refine_span.set_arg(static_cast<std::int32_t>(best_beta * 1000.0));
+  refine_span.set_arg(static_cast<std::int32_t>(best.beta * 1000.0));
 }
 
 }  // namespace
@@ -446,11 +797,16 @@ core::HebsResult run_exact_traced(const FrameContext& ctx,
   // Distortion decreases (weakly) as the admissible range grows, so the
   // smallest feasible range can be found by bisection on integers.  Each
   // probe is memoized in the context (curves and scalars only — no
-  // per-probe raster), so revisited ranges cost nothing.
-  auto distortion_at = [&](int range) {
+  // per-probe raster), so revisited ranges cost nothing.  `next` names
+  // the probes the walk may make right after this one, for the
+  // speculation lanes (if lent).
+  ProbeLanes* const lanes = speculation_lanes(ctx);
+  RangeSpeculation spec(ctx, lanes, lo, hi);
+  auto distortion_at = [&](int range, std::initializer_list<int> next = {}) {
     obs::add(obs::Counter::kRangeProbes);
     obs::ScopedSpan probe_span(obs::Span::kRangeProbe, range);
-    return ctx.distortion_at_range(range);
+    spec.round(range, next);
+    return ctx.distortion_at_range(range, spec.results());
   };
 
   core::HebsResult result;
@@ -548,6 +904,7 @@ core::HebsResult run_exact_traced(const FrameContext& ctx,
     int last_width = 0;
     int proxy_guesses = 0;
     while (hi_bound != lo && lo_bound + 1 != hi_bound) {
+      bool first_proxy_guess = false;
       const int c_lo = lo_bound + 1;
       const int c_hi = std::min(hi, hi_bound - 1);
       const int width = hi_bound - lo_bound;
@@ -586,7 +943,7 @@ core::HebsResult run_exact_traced(const FrameContext& ctx,
         // d(hi) measurement that decides the cold early exit).  Two
         // guesses of this kind suffice to seed the secant; past that
         // the cold order below takes over.
-        ++proxy_guesses;
+        first_proxy_guess = ++proxy_guesses == 1;
         double scale = 1.0;
         if (lo_bound >= lo && approx_at(lo_bound) > 1e-6) {
           scale = d_lo / approx_at(lo_bound);
@@ -615,7 +972,12 @@ core::HebsResult run_exact_traced(const FrameContext& ctx,
         guess = lo_bound < lo ? c_hi
                               : std::clamp(lo_bound + width / 2, c_lo, c_hi);
       }
-      const double d = distortion_at(guess);
+      // Speculation: the next exact probe is often adjacent; after the
+      // first proxy guess it is `lo` when the guess is feasible (the
+      // bottom adjacency test), and above the guess when it is not.
+      const double d = first_proxy_guess
+                           ? distortion_at(guess, {lo, guess + 1})
+                           : distortion_at(guess, {guess - 1, guess + 1});
       if (d <= d_max_percent) {
         hi_bound = guess;
         d_hi = d;
@@ -646,7 +1008,10 @@ core::HebsResult run_exact_traced(const FrameContext& ctx,
   }
 
   if (!found) {
-    if (distortion_at(hi) > d_max_percent) {
+    // Speculation follows the bisection: `lo` is the probe after a
+    // feasible `hi`, the first mid the one after an infeasible `lo`,
+    // and each mid goes out with the next mid on either outcome.
+    if (distortion_at(hi, {lo}) > d_max_percent) {
       // Even the widest range misses the budget (tiny budgets on busy
       // images): return the least-distorted point.
       if (trace != nullptr) {
@@ -656,14 +1021,15 @@ core::HebsResult run_exact_traced(const FrameContext& ctx,
       }
       return ctx.at_range(hi);
     }
-    if (distortion_at(lo) <= d_max_percent) {
+    if (distortion_at(lo, {(lo + hi) / 2}) <= d_max_percent) {
       chosen = lo;
     } else {
       int infeasible = lo;  // distortion > budget here
       int feasible = hi;    // distortion <= budget here
       while (feasible - infeasible > 1) {
         const int mid = (feasible + infeasible) / 2;
-        if (distortion_at(mid) <= d_max_percent) {
+        if (distortion_at(mid, {(infeasible + mid) / 2,
+                                (mid + feasible) / 2}) <= d_max_percent) {
           feasible = mid;
         } else {
           infeasible = mid;
@@ -675,7 +1041,7 @@ core::HebsResult run_exact_traced(const FrameContext& ctx,
   }
 
   if (ctx.options().concurrent_scaling) {
-    refine_beta(ctx, d_max_percent, result, seed, trace);
+    refine_beta(ctx, d_max_percent, result, seed, trace, lanes);
   }
   if (trace != nullptr) {
     trace->valid = true;

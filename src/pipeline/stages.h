@@ -57,8 +57,15 @@ class RangeSelectStage : public Stage {
 /// equalization-strength blend with the affine placement.
 class GheStage : public Stage {
  public:
+  /// `ghe` (nullable): the exact GHE curve of the target, computed by
+  /// the caller (the memo-free probes); null reads the context's memo.
+  explicit GheStage(const hebs::transform::PwlCurve* ghe = nullptr)
+      : ghe_(ghe) {}
   const char* name() const noexcept override { return "ghe"; }
   void run(const FrameContext& ctx, core::HebsResult& result) const override;
+
+ private:
+  const hebs::transform::PwlCurve* ghe_;
 };
 
 /// Coarsens Φ to the ladder's segment budget.
@@ -96,8 +103,11 @@ core::HebsResult run_stages_at_range(const FrameContext& ctx, int range);
 /// FrameContext memoizes for search probes (a probe reads only curves
 /// and scalars, so caching a frame-sized raster per probed target would
 /// be pure memory waste).  FrameContext::materialize_transformed fills
-/// the raster, byte-identically, on first full access.
-core::HebsResult run_stages_at_range_lean(const FrameContext& ctx, int range);
+/// the raster, byte-identically, on first full access.  `ghe` as for
+/// GheStage.
+core::HebsResult run_stages_at_range_lean(
+    const FrameContext& ctx, int range,
+    const hebs::transform::PwlCurve* ghe = nullptr);
 
 /// Deployed flow: range from the distortion characteristic curve
 /// (worst-case fit), then the staged pipeline.

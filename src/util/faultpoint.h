@@ -99,6 +99,11 @@ inline bool armed(Point p) noexcept {
           1u) != 0;
 }
 
+/// True when any point has an installed spec.  One relaxed load.
+inline bool any_armed() noexcept {
+  return detail::g_armed.load(std::memory_order_relaxed) != 0;
+}
+
 /// Counts a hit at this point and reports whether it fires.  The off
 /// path (nothing installed) is one relaxed load and a branch.
 inline bool should_fire(Point p) noexcept {

@@ -117,25 +117,6 @@ TEST(FrameContext, UnboundContextThrows) {
   EXPECT_THROW((void)ctx.at_range(100), hebs::util::InvalidArgument);
 }
 
-TEST(FrameContext, HistogramEstimateDrivesStatsNotEvaluation) {
-  const auto img = hebs::image::make_usid(UsidId::kSail, 48);
-  FrameContext ctx(img, {}, model());
-
-  // Inject a deliberately wrong estimate: all mass at one dark level.
-  hebs::histogram::Histogram fake;
-  fake.add(40, img.size());
-  ctx.set_histogram_estimate(fake);
-  EXPECT_TRUE(ctx.has_histogram_estimate());
-  EXPECT_EQ(&ctx.histogram(), &ctx.histogram());
-  EXPECT_EQ(ctx.histogram().max_level(), 40);
-  // The exact histogram is untouched — evaluation still measures truth.
-  EXPECT_EQ(ctx.exact_histogram(),
-            hebs::histogram::Histogram::from_image(img));
-  const auto& r = ctx.at_range(150);
-  // The estimate caps g_max at its own brightest level.
-  EXPECT_LE(r.target.g_max, 40);
-}
-
 TEST(Stages, ComposeToTheFrontEndResult) {
   const auto img = hebs::image::make_usid(UsidId::kElaine, 48);
   core::HebsOptions opts;
