@@ -120,8 +120,11 @@ struct BenchRecord {
 ///     "mpix_per_s": ..., "backend": ..., "range_probes_per_frame": ...,
 ///     "reuse_byte_identical": ..., "reuse_delta_refresh": ...,
 ///     "reuse_cold": ...}, ...]
+/// `extra_fields` (JSON object fields without braces, e.g. a
+/// RunContext's json_fields()) is appended to every record.
 inline void write_bench_json(const std::string& path,
-                             const std::vector<BenchRecord>& records) {
+                             const std::vector<BenchRecord>& records,
+                             const std::string& extra_fields = "") {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
@@ -137,10 +140,11 @@ inline void write_bench_json(const std::string& path,
                  "\"range_probes_per_frame\": %.2f, "
                  "\"reuse_byte_identical\": %.0f, "
                  "\"reuse_delta_refresh\": %.0f, "
-                 "\"reuse_cold\": %.0f}%s\n",
+                 "\"reuse_cold\": %.0f%s%s}%s\n",
                  r.bench.c_str(), r.config.c_str(), r.ns_per_frame,
                  r.mpix_per_s, r.backend.c_str(), r.range_probes_per_frame,
                  r.reuse_byte_identical, r.reuse_delta_refresh, r.reuse_cold,
+                 extra_fields.empty() ? "" : ", ", extra_fields.c_str(),
                  i + 1 < records.size() ? "," : "");
   }
   std::fprintf(f, "]\n");

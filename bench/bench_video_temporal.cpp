@@ -30,11 +30,19 @@
 // and every configuration's decisions are checked bit-identical to the
 // serial per-frame controller before any number is reported.
 //
+// The static and scene-cut clips also run the temporal configuration
+// at kWorkers workers.  Byte-identical reuse is decided by clip
+// position, so that run must count exactly the 1-worker run's
+// byte-identical frames — a count gate (exit 1), not a timing gate —
+// and its decisions are checked like the others.
+//
 // Writes BENCH_video.json ({bench, config, ns_per_frame, mpix_per_s,
-// backend}).  --min-warm-speedup gates the temporal-vs-baseline ratio
-// on the slow-drift clip (the acceptance criterion is >= 2x).
+// backend, counters, size, frames, cores, cpu, build_type}).
+// --min-warm-speedup gates the temporal-vs-baseline ratio on the
+// slow-drift clip (the acceptance criterion is >= 2x).
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -44,7 +52,6 @@
 #include "bench_common.h"
 #include "hebs/advanced/core.h"
 #include "hebs/advanced/image.h"
-#include "hebs/advanced/kernels.h"
 #include "hebs/advanced/obs.h"
 #include "hebs/advanced/pipeline.h"
 
@@ -56,6 +63,8 @@ using hebs::core::VideoOptions;
 using hebs::image::GrayImage;
 
 constexpr double kBudget = 10.0;
+/// Worker count of the multi-worker static and scene-cut runs.
+constexpr int kWorkers = 4;
 
 struct Clip {
   std::string name;
@@ -117,10 +126,10 @@ std::vector<Clip> make_clips(int frames, int size) {
   return clips;
 }
 
-VideoOptions config_options(bool pooled, bool temporal) {
+VideoOptions config_options(bool pooled, bool temporal, int workers = 1) {
   VideoOptions opts;
   opts.d_max_percent = kBudget;
-  opts.num_threads = 1;  // per-stream throughput: one worker, one chain
+  opts.num_threads = workers;  // per-stream throughput: one worker by default
   opts.use_buffer_pool = pooled;
   opts.temporal_reuse = temporal;
   return opts;
@@ -208,10 +217,12 @@ int main(int argc, char** argv) {
       "Video stream throughput: temporal coherence + buffer pools",
       "stream executor fast path (extension; paper targets real-time "
       "frame sequences)");
-  const std::string backend = hebs::kernels::active().name;
-  std::printf("clips: %d frames at %dx%d, D_max %.0f%%, 1 worker, "
-              "kernel backend %s\n\n",
-              frames, size, size, kBudget, backend.c_str());
+  const hebs::bench::RunContext context = hebs::bench::run_context();
+  const std::string& backend = context.backend;
+  std::printf("clips: %d frames at %dx%d, D_max %.0f%%, 1 worker "
+              "(static and scene-cut also at %d)\n%s\n\n",
+              frames, size, size, kBudget, kWorkers,
+              context.describe().c_str());
 
   const auto clips = make_clips(frames, size);
   struct ModeSpec {
@@ -226,6 +237,7 @@ int main(int argc, char** argv) {
   std::vector<hebs::bench::BenchRecord> records;
   double slow_pan_speedup = 0.0;
   bool identical = true;
+  bool counts_match = true;
 
   for (const Clip& clip : clips) {
     // Serial per-frame reference for the bit-identity check.
@@ -239,6 +251,7 @@ int main(int argc, char** argv) {
 
     std::printf("--- %s ---\n", clip.name.c_str());
     double baseline_s = 0.0;
+    std::uint64_t one_worker_ident = 0;
     for (const ModeSpec& mode : modes) {
       const VideoOptions opts = config_options(mode.pooled, mode.temporal);
       (void)run_once(clip, opts, nullptr);  // warm caches and pools
@@ -269,6 +282,7 @@ int main(int argc, char** argv) {
       const auto ident = delta[hebs::obs::Counter::kTemporalByteIdentical];
       const auto refresh = delta[hebs::obs::Counter::kTemporalDeltaRefresh];
       const auto cold = delta[hebs::obs::Counter::kTemporalCold];
+      if (mode.temporal) one_worker_ident = ident;
       std::printf("  %-9s: %7.2f ms/frame  (%.2fx vs baseline)  "
                   "%5.1f probes/frame  reuse i/d/c %llu/%llu/%llu  "
                   "bit-identical to serial: %s\n",
@@ -284,6 +298,41 @@ int main(int argc, char** argv) {
                elapsed / 1e6,
            backend, probes_per_frame, static_cast<double>(ident),
            static_cast<double>(refresh), static_cast<double>(cold)});
+    }
+    if (clip.name == "static" || clip.name == "scene-cut") {
+      // The multi-worker run: same decisions, same byte-identical count.
+      const VideoOptions opts = config_options(true, true, kWorkers);
+      (void)run_once(clip, opts, nullptr);
+      std::vector<FrameDecision> decisions;
+      const auto counters_before = hebs::obs::snapshot_counters();
+      const double elapsed = run_once(clip, opts, &decisions);
+      const auto delta =
+          hebs::obs::snapshot_counters().delta_since(counters_before);
+      std::size_t mismatches = 0;
+      for (std::size_t i = 0; i < decisions.size(); ++i) {
+        if (!same_decision(decisions[i], reference[i])) ++mismatches;
+      }
+      if (mismatches != 0) identical = false;
+      const auto ident = delta[hebs::obs::Counter::kTemporalByteIdentical];
+      const bool count_ok = ident == one_worker_ident;
+      counts_match = counts_match && count_ok;
+      const double n = static_cast<double>(clip.frames.size());
+      const std::string name = "temporal-" + std::to_string(kWorkers) + "w";
+      std::printf("  %-9s: %7.2f ms/frame  byte-identical %llu (1 worker: "
+                  "%llu) %s  bit-identical to serial: %s\n",
+                  name.c_str(), 1000.0 * elapsed / n,
+                  static_cast<unsigned long long>(ident),
+                  static_cast<unsigned long long>(one_worker_ident),
+                  count_ok ? "equal" : "DIFFERENT",
+                  mismatches == 0 ? "yes" : "NO");
+      records.push_back(
+          {"video_temporal", clip.name + "/" + name, elapsed / n * 1e9,
+           n * size * size / elapsed / 1e6, backend,
+           static_cast<double>(delta[hebs::obs::Counter::kRangeProbes]) / n,
+           static_cast<double>(ident),
+           static_cast<double>(
+               delta[hebs::obs::Counter::kTemporalDeltaRefresh]),
+           static_cast<double>(delta[hebs::obs::Counter::kTemporalCold])});
     }
     std::printf("\n");
   }
@@ -343,12 +392,26 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  hebs::bench::write_bench_json("BENCH_video.json", records);
+  // The run context (each record already names its backend).
+  hebs::bench::write_bench_json(
+      "BENCH_video.json", records,
+      "\"size\": " + std::to_string(size) +
+          ", \"frames\": " + std::to_string(frames) +
+          ", \"cores\": " + std::to_string(context.cores) +
+          ", \"cpu\": \"" + context.cpu + "\", \"build_type\": \"" +
+          context.build_type + "\"");
 
   if (!identical) {
     std::fprintf(stderr,
                  "FAIL: stream decisions diverged from the serial "
                  "controller\n");
+    return 1;
+  }
+  if (!counts_match) {
+    std::fprintf(stderr,
+                 "FAIL: the %d-worker byte-identical count differs from "
+                 "the 1-worker count\n",
+                 kWorkers);
     return 1;
   }
   std::printf("slow-drift temporal speedup vs cold baseline: %.2fx\n",

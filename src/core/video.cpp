@@ -81,7 +81,9 @@ void VideoBacklightController::rederive(
   const double applied_beta = decision.beta;
   const int applied_range =
       std::max(opts_.hebs.min_range, gmax_for_beta(applied_beta));
-  const HebsResult& compressed = ctx.at_range_lean(applied_range);
+  hebs::pipeline::RangeProbe scratch;
+  const HebsResult& compressed =
+      ctx.range_lean_shared(applied_range, scratch);
   const OperatingPoint compress_point{compressed.lambda, applied_beta};
   // Lean candidate evaluations: only the winner's transformed raster is
   // materialized below.

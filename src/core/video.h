@@ -39,10 +39,13 @@ struct VideoOptions {
   /// Worker threads for process_clip's engine-backed per-frame search
   /// and applied-β re-derivation; <= 0 selects the hardware concurrency.
   /// With temporal_reuse = false, decisions are identical for every
-  /// thread count.  With temporal reuse on, a slot's warm starts depend
-  /// on which frames share its chain, so β may differ by quantization
-  /// wiggles between thread counts; every decision stays within the
-  /// distortion budget either way (DESIGN.md §9).
+  /// thread count.  With temporal reuse on, byte-identical frames are
+  /// reused by clip position (the same at every thread count), but a
+  /// search warm-starts from its clip predecessor's only where its slot
+  /// searched that predecessor (always at one worker, rarely at more),
+  /// so β may differ by quantization wiggles between thread counts;
+  /// every decision stays within the distortion budget either way
+  /// (DESIGN.md §9).
   int num_threads = 0;
   /// Temporal-coherence fast path in process_clip (duplicate-frame
   /// reuse, incremental histograms, warm-started searches).  Decisions
@@ -120,8 +123,11 @@ class VideoBacklightController {
 
   /// The per-frame raster work: re-derives the transform for the planned
   /// β on `ctx`'s frame and fills decision.point and decision.evaluation
-  /// (transformed raster materialized).  Reads no stream state, so the
-  /// frames of a round re-derive concurrently, each on its own context.
+  /// (transformed raster materialized).  Reads no stream state and
+  /// writes nothing into `ctx` (FrameContext::range_lean_shared), so
+  /// the frames of a round re-derive concurrently — a duplicate run's
+  /// frames all on their source's context, once its probe caches are
+  /// warm.
   void rederive(const hebs::pipeline::FrameContext& ctx,
                 const HebsResult& raw, FrameDecision& decision) const;
 

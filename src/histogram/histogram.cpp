@@ -25,8 +25,7 @@ Histogram Histogram::from_image(const hebs::image::GrayImage& img) {
 
 Histogram Histogram::from_image(const hebs::image::GrayImage16& img) {
   Histogram h(img.levels());
-  kernels::active().histogram_u16(img.pixels().data(), img.size(),
-                                  h.counts_.data());
+  kernels::histogram_u16(img.pixels().data(), img.size(), h.counts_.data());
   h.total_ = img.size();
   return h;
 }

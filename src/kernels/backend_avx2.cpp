@@ -448,7 +448,6 @@ const KernelSet* kernelset_avx2() {
       &lut_apply_rgb8_avx2,
       &luma_bt601_rgb8_avx2,
       &sum_u8_avx2,
-      &ref::histogram_u16,
       &lut_apply_u16_avx2,
       &sum_u16_avx2,
       &blur_row_f64_avx2,

@@ -152,7 +152,6 @@ const KernelSet* kernelset_neon() {
       &ref::lut_apply_rgb8,
       &luma_bt601_rgb8_neon,
       &sum_u8_neon,
-      &ref::histogram_u16,
       &lut_apply_u16_neon,
       &sum_u16_neon,
       &blur_row_f64_neon,

@@ -15,7 +15,6 @@ const KernelSet* kernelset_scalar() {
       &ref::lut_apply_rgb8,
       &ref::luma_bt601_rgb8,
       &ref::sum_u8,
-      &ref::histogram_u16,
       &ref::lut_apply_u16,
       &ref::sum_u16,
       &ref::blur_row_f64,
@@ -28,6 +27,11 @@ const KernelSet* kernelset_scalar() {
       &ref::plc_scan_f64,
   };
   return &set;
+}
+
+void histogram_u16(const std::uint16_t* src, std::size_t n,
+                   std::uint64_t* counts) {
+  ref::histogram_u16(src, n, counts);
 }
 
 void lut_apply_f64(const std::uint8_t* src, std::size_t n, const double* lut,

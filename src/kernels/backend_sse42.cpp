@@ -168,7 +168,6 @@ const KernelSet* kernelset_sse42() {
       &ref::lut_apply_rgb8,
       &luma_bt601_rgb8_sse42,
       &sum_u8_sse42,
-      &ref::histogram_u16,
       &lut_apply_u16_sse42,
       &sum_u16_sse42,
       &blur_row_f64_sse42,

@@ -78,18 +78,13 @@ struct KernelSet {
   std::uint64_t (*sum_u8)(const std::uint8_t* src, std::size_t n);
 
   // -------------------------------------- deep-pixel integer kernels
-  // The u16 twins of the three per-pixel primitives the depth-
-  // generalized pipeline needs (10/16-bit content stored as 16-bit
-  // samples).  Same shape as the u8 entries: the caller sizes the
-  // counts / lut arrays to the frame's level count; every sample is
-  // < that count by the GrayImage16 invariant.  All three are pure
-  // integer kernels, so backends are trivially bit-identical.
-  // histogram_u16 is the reference loop in every backend: its
-  // uniform-block variant measured slower than scalar (DESIGN.md §8).
-  /// counts[v] += number of occurrences of v in src[0..n)
-  /// (caller-sized bins; counts is accumulated into, not cleared).
-  void (*histogram_u16)(const std::uint16_t* src, std::size_t n,
-                        std::uint64_t* counts);
+  // The u16 twins of the per-pixel primitives the depth-generalized
+  // pipeline needs (10/16-bit content stored as 16-bit samples).  Same
+  // shape as the u8 entries: the caller sizes the lut array to the
+  // frame's level count; every sample is < that count by the
+  // GrayImage16 invariant.  Pure integer kernels, so backends are
+  // trivially bit-identical.  (The u16 histogram is a plain function
+  // below: no backend beat the reference loop.)
   /// dst[i] = lut[src[i]] for a caller-sized 16-bit table.
   void (*lut_apply_u16)(const std::uint16_t* src, std::size_t n,
                         const std::uint16_t* lut, std::uint16_t* dst);
@@ -162,13 +157,18 @@ struct KernelSet {
   double (*plc_scan_f64)(const PlcScanArgs* args, std::size_t* out_j);
 };
 
-// ------------------------------- plain float loops (not dispatched)
-// Elementwise loops no backend beat the scalar reference on (they are
-// memory-bound; DESIGN.md §8), so each has one definition instead of a
-// KernelSet row.  Out of line in backend_scalar.cpp on purpose: that TU
+// ------------------------------------- plain loops (not dispatched)
+// Loops no backend beat the scalar reference on (they are memory-bound;
+// DESIGN.md §8), so each has one definition instead of a KernelSet
+// row.  Out of line in backend_scalar.cpp on purpose: that TU
 // is pinned to -ffp-contract=off, and inlining saxpy_f64 into an
 // unpinned TU would let AArch64 fuse its multiply-add.
 
+/// counts[v] += number of occurrences of v in src[0..n) (caller-sized
+/// bins; counts is accumulated into, not cleared).  Its uniform-block
+/// SIMD variant measured slower than this loop (DESIGN.md §8).
+void histogram_u16(const std::uint16_t* src, std::size_t n,
+                   std::uint64_t* counts);
 /// dst[i] = lut[src[i]] for a 256-entry double table.
 void lut_apply_f64(const std::uint8_t* src, std::size_t n, const double* lut,
                    double* dst);

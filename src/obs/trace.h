@@ -33,8 +33,9 @@ namespace hebs::obs {
 /// span_name().
 enum class Span : std::uint8_t {
   kFrame,         ///< one frame's decision+render on a worker; arg = frame index
-  kTemporalReuse, ///< TemporalReuse::process; arg = reuse level (0 cold,
-                  ///< 1 delta-refresh, 2 byte-identical)
+  kTemporalReuse, ///< a stream frame's reuse level (arg): 0 cold and
+                  ///< 1 delta-refresh from TemporalReuse::process, 2 a
+                  ///< byte-identical duplicate (the stream's plan step)
   kHistogram,     ///< exact histogram build (recount, not delta refresh)
   kRangeSearch,   ///< the decision: range search + β refine, one per decision
   kRangeProbe,    ///< one exact distortion probe; arg = candidate range

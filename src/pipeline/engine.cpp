@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -82,6 +84,25 @@ void record_fault(std::vector<FrameFault>* faults, std::size_t i, bool io,
   f.io = io;
   f.deadline = deadline;
   f.message = std::move(message);
+}
+
+/// Byte equality of two frames: same size, then memcmp.
+bool same_bytes(std::span<const std::uint8_t> a,
+                std::span<const std::uint8_t> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size()) == 0;
+}
+
+bool same_bytes(const hebs::image::GrayImage& a,
+                const hebs::image::GrayImage& b) {
+  return a.width() == b.width() && a.height() == b.height() &&
+         same_bytes(a.pixels(), b.pixels());
+}
+
+bool same_bytes(const hebs::image::RgbImage& a,
+                const hebs::image::RgbImage& b) {
+  return a.width() == b.width() && a.height() == b.height() &&
+         same_bytes(a.data(), b.data());
 }
 
 using DeadlineClock = std::chrono::steady_clock;
@@ -252,37 +273,55 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
     faults->resize(frames.size());
   }
 
-  // The clip is processed in rounds of `slots` frames, each in four
-  // steps: the per-frame searches run on the pool; the controller plans
-  // the round's applied β values in frame order on the calling thread
-  // (the scalar recurrence — the only truly ordered work); the
-  // applied-β re-derivations run on the pool, each frame on its own
-  // slot; and the decisions land by frame index.  Peak memory stays at
-  // `slots` cached contexts and the controller's state advances exactly
-  // as serial processing would.  Each slot owns a persistent
-  // FrameContext, a recycling BufferPool, and — temporal mode — the
-  // coherence state of its fixed-stride frame chain (slot k sees frames
-  // k, k + slots, k + 2·slots, …; with one worker the chain is the clip
-  // itself).  Round boundaries cannot change any value: per-frame raw
-  // searches are independent (temporal reuse is verified, see
-  // temporal.h), the plan consumes them in frame order either way, and
-  // a re-derivation reads only its own frame's context and plan.
+  // The clip is processed in rounds, each in four steps: the per-frame
+  // searches run on the pool; the controller plans the round's applied
+  // β values in frame order on the calling thread (the scalar
+  // recurrence — the only truly ordered work); the applied-β
+  // re-derivations run on the pool, one task per frame; and the
+  // decisions land by frame index.  The controller's state advances
+  // exactly as serial processing would.
+  //
+  // A round holds `slots` *runs*: a source frame plus the frames after
+  // it that are byte-identical to their predecessor (the duplicates).
+  // Runs are formed on the calling thread before the round and never
+  // cross a round boundary, so the first frame of a round is always a
+  // source.  A run takes one search lane: its duplicates inherit the
+  // source's raw result bit for bit (the search is a deterministic
+  // function of the pixels, DESIGN.md §9) and re-derive on the source's
+  // context, concurrently, through its memo-free reads.  Which frames
+  // are duplicates depends only on clip position, so reuse and the
+  // decisions it yields are the same at every thread count.
+  //
+  // Each slot owns a persistent FrameContext, a recycling BufferPool,
+  // and — temporal mode — the coherence state of the runs it searches
+  // (with one worker that is every source of the clip).  A search is
+  // warm-started only from its clip predecessor's: a seed from further
+  // back can verify a different bracket where measured distortion is
+  // non-monotone, and which frame a slot searched last depends on the
+  // worker count.  Peak memory stays at `slots` cached contexts,
+  // however long a run is.
   const auto threads = static_cast<std::size_t>(pool_.thread_count());
   const std::size_t slots = std::max<std::size_t>(
       1, std::min(frames.size(), threads == 1 ? 1 : 2 * threads));
+  // Byte-identical reuse is temporal level 1; with temporal reuse off
+  // every frame is searched.
+  const bool dedupe = opts_.temporal_reuse;
 
   struct Slot {
     std::unique_ptr<util::BufferPool> pool;
     std::unique_ptr<FrameContext> ctx;
     TemporalReuse reuse;
     core::HebsResult raw;
-    // Containment flags for the slot's frame of the current round:
-    // `degraded` — `raw` carries the identity fallback (search or
-    // re-derivation fault); `rederive_fault` — the fault hit the
-    // re-derivation.  Written by the slot's worker, read on the calling
-    // thread after the step's barrier.
-    bool degraded = false;
-    bool rederive_fault = false;
+    // The slot's run in the current round: frames [first, end), each
+    // byte-identical to the one before.  `source` is the frame whose
+    // search produced `raw`; the frames before it degraded in the
+    // search (source == end when all of them did).  `chained`: the
+    // slot's previous run ended at `first`, so its search may seed
+    // this one (always at one worker).
+    std::size_t first = 0;
+    std::size_t source = 0;
+    std::size_t end = 0;
+    bool chained = false;
     Slot(const EngineOptions& opts, bool temporal_on)
         : pool(make_pool(opts)), reuse(slot_reuse_options(temporal_on)) {}
 
@@ -298,22 +337,82 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
     slot_states.emplace_back(opts_, opts_.temporal_reuse);
   }
 
+  // Per-frame round state.  `degraded`: the frame carries the identity
+  // fallback (search or re-derivation fault); `rederive_fault`: the
+  // fault hit the re-derivation; `repeat`: a duplicate planned at its
+  // predecessor's β — its re-derivation, a deterministic function of
+  // (pixels, raw result, β), would reproduce the predecessor's bits, so
+  // it copies them instead.  Written by the frame's worker (or the
+  // plan), read on the calling thread after the step's barrier.
+  struct FrameState {
+    std::size_t slot = 0;
+    bool degraded = false;
+    bool rederive_fault = false;
+    bool repeat = false;
+  };
+  std::vector<FrameState> state(frames.size());
+
   std::vector<core::FrameDecision> decisions;
   decisions.reserve(frames.size());
 
-  // Containment of a faulted frame: its context's memo state and its
-  // temporal chain may be poisoned (mid-update when the fault unwound),
-  // so both are discarded — the slot's next frame runs the cold path on
-  // a fresh context, exactly as a cold run started there would — and
-  // the frame carries the identity fallback.
+  // Containment of a frame faulted in the search: its context's memo
+  // state and its temporal chain may be poisoned (mid-update when the
+  // fault unwound), so both are discarded — the slot's next search
+  // runs the cold path on a fresh context, exactly as a cold run
+  // started there would — and the frame carries the identity fallback.
   const auto contain = [&](Slot& s, std::size_t i, bool io,
                            std::string message, bool deadline = false) {
     s.ctx.reset();
     s.reuse.reset();
-    util::fault::SuppressScope no_refire;
-    s.raw = identity_fallback(frames[i]);
-    s.degraded = true;
+    state[i].degraded = true;
     record_fault(faults, i, io, std::move(message), deadline);
+  };
+
+  // One frame's search on its slot; false when it was contained.
+  const auto search_frame = [&](Slot& s, std::size_t i) {
+    obs::ScopedSpan frame_span(obs::Span::kFrame,
+                               static_cast<std::int32_t>(i));
+    const auto start = DeadlineClock::now();
+    try {
+      util::fault::maybe_fail(util::fault::Point::kWorkerTask);
+      if (!s.ctx) {
+        s.ctx = std::make_unique<FrameContext>(vopts.hebs,
+                                               controller.power_model());
+      }
+      // TemporalReuse handles both modes: disabled, it degrades to
+      // rebind + run_exact (the cold path).
+      s.raw = s.reuse.process(*s.ctx, frames[i], vopts.d_max_percent,
+                              s.chained);
+      // The re-derivations read the frame caches concurrently; none
+      // may be built lazily under them.
+      s.ctx->warm_probe_caches();
+    } catch (const util::InvalidArgument&) {
+      throw;  // caller bug, not a runtime fault — see map_frames
+    } catch (const std::exception& e) {
+      contain(s, i, is_io_error(e),
+              fault_message("stream search", i, e.what()));
+      return false;
+    }
+    if (deadline_blown(opts_, start)) {
+      obs::add(obs::Counter::kDeadlineMiss);
+      // The computed state is valid, merely late — but the emitted
+      // decision is the fallback and the controller treats it as a
+      // discontinuity, so the slot restarts cold too (uniform
+      // degradation contract: one recovery story for every fault).
+      contain(s, i, /*io=*/false,
+              deadline_message("stream search", i, opts_.frame_deadline_us),
+              /*deadline=*/true);
+      return false;
+    }
+    return true;
+  };
+
+  // The degraded frame's decision: the identity fallback, planned as a
+  // stream discontinuity.  Copying the pooled fallback must not re-fire
+  // a persistent injected allocation fault.
+  const auto degraded_decision = [&](std::size_t i) {
+    util::fault::SuppressScope no_refire;
+    return controller.apply_degraded(identity_fallback(frames[i]));
   };
 
   // One callable per step for the whole clip (constructing a
@@ -322,101 +421,122 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
   std::size_t begin = 0;
   const std::function<void(std::size_t, int)> search_round =
       [&](std::size_t k, int) {
-        const std::size_t i = begin + k;
         Slot& s = slot_states[k];
         util::PoolScope scope(s.pool.get());
-        obs::ScopedSpan frame_span(obs::Span::kFrame,
-                                   static_cast<std::int32_t>(i));
-        s.degraded = false;
-        s.rederive_fault = false;
-        const auto start = DeadlineClock::now();
-        try {
-          util::fault::maybe_fail(util::fault::Point::kWorkerTask);
-          if (!s.ctx) {
-            s.ctx = std::make_unique<FrameContext>(vopts.hebs,
-                                                   controller.power_model());
-          }
-          // TemporalReuse handles both modes: disabled, it degrades to
-          // rebind + run_exact (the cold path).
-          s.raw = s.reuse.process(*s.ctx, frames[i], vopts.d_max_percent);
-        } catch (const util::InvalidArgument&) {
-          throw;  // caller bug, not a runtime fault — see map_frames
-        } catch (const std::exception& e) {
-          contain(s, i, is_io_error(e),
-                  fault_message("stream search", i, e.what()));
-          return;
-        }
-        if (deadline_blown(opts_, start)) {
-          obs::add(obs::Counter::kDeadlineMiss);
-          // The computed state is valid, merely late — but the emitted
-          // decision is the fallback and the controller treats it as a
-          // discontinuity, so the slot restarts cold too (uniform
-          // degradation contract: one recovery story for every fault).
-          contain(s, i, /*io=*/false,
-                  deadline_message("stream search", i,
-                                   opts_.frame_deadline_us),
-                  /*deadline=*/true);
-        }
+        // A degraded frame is no reuse source: the next frame of the
+        // run is searched as an ordinary frame on the fresh context, as
+        // a cold run started after the reset would search it.
+        s.source = s.first;
+        while (s.source < s.end && !search_frame(s, s.source)) ++s.source;
       };
 
   const std::function<void(std::size_t, int)> rederive_round =
-      [&](std::size_t k, int) {
-        Slot& s = slot_states[k];
-        if (s.degraded) return;  // planned as a discontinuity already
-        const std::size_t i = begin + k;
+      [&](std::size_t j, int) {
+        const std::size_t i = begin + j;
+        FrameState& f = state[i];
+        // Degraded: planned as a discontinuity already; repeat: copied
+        // after the step.
+        if (f.degraded || f.repeat) return;
+        const Slot& s = slot_states[f.slot];
         util::PoolScope scope(s.pool.get());
         obs::ScopedSpan post_span(obs::Span::kFlickerPost,
                                   static_cast<std::int32_t>(i));
         try {
+          // Writes nothing into the context, so a run's frames share it.
           controller.rederive(*s.ctx, s.raw, decisions[i]);
         } catch (const util::InvalidArgument&) {
           throw;  // caller bug, not a runtime fault — see map_frames
         } catch (const std::exception& e) {
-          s.rederive_fault = true;
-          contain(s, i, is_io_error(e),
-                  fault_message("flicker re-derivation", i, e.what()));
+          f.degraded = true;
+          f.rederive_fault = true;
+          record_fault(faults, i, is_io_error(e),
+                       fault_message("flicker re-derivation", i, e.what()));
         }
       };
 
-  for (begin = 0; begin < frames.size(); begin += slots) {
-    const std::size_t count = std::min(slots, frames.size() - begin);
+  for (std::size_t end = 0; begin < frames.size(); begin = end) {
+    // 0. Form the round's runs: `slots` sources, each with the frames
+    // after it that equal their predecessor.
+    std::size_t count = 0;
+    end = begin;
+    while (count < slots && end < frames.size()) {
+      Slot& s = slot_states[count];
+      s.chained = s.end == end;
+      s.first = end;
+      do {
+        state[end] = FrameState{count, false, false, false};
+        ++end;
+      } while (dedupe && end < frames.size() &&
+               same_bytes(frames[end], frames[end - 1]));
+      s.end = end;
+      ++count;
+    }
 
-    // 1. The per-frame exact HEBS search.  Contexts stay alive into the
+    // 1. The per-run exact HEBS search.  Contexts stay alive into the
     // re-derivation, which reuses their caches.
     pool_.parallel_for(count, search_round);
 
     // 2. The ordered plan: scene cuts and the β recurrence, in frame
     // order.  A frame degraded in the search resets the controller (a
-    // stream discontinuity) instead of advancing it.
-    for (std::size_t k = 0; k < count; ++k) {
-      Slot& s = slot_states[k];
-      if (s.degraded) {
-        // Copying the pooled fallback result must not re-fire a
-        // persistent injected allocation fault.
-        util::fault::SuppressScope no_refire;
-        decisions.push_back(controller.apply_degraded(s.raw));
-      } else {
-        decisions.push_back(controller.plan_flicker(s.ctx->exact_histogram(),
-                                                    s.raw.point.beta));
+    // stream discontinuity) instead of advancing it.  A duplicate plans
+    // on its source's histogram — the same counts its own would have.
+    for (std::size_t i = begin; i < end; ++i) {
+      if (state[i].degraded) {
+        decisions.push_back(degraded_decision(i));
+        continue;
       }
+      const Slot& s = slot_states[state[i].slot];
+      if (i != s.source) {
+        // The duplicate's temporal level-1 record: a frame span around
+        // its (instant) reuse, as a searched frame's span wraps its
+        // search.
+        obs::ScopedSpan frame_span(obs::Span::kFrame,
+                                   static_cast<std::int32_t>(i));
+        obs::ScopedSpan reuse_span(obs::Span::kTemporalReuse, 2);
+        obs::add(obs::Counter::kTemporalFrames);
+        obs::add(obs::Counter::kTemporalByteIdentical);
+      }
+      decisions.push_back(controller.plan_flicker(s.ctx->exact_histogram(),
+                                                  s.raw.point.beta));
+      // Frames [source, end) of a run are all undegraded here.
+      state[i].repeat =
+          i != s.source && decisions[i].beta == decisions[i - 1].beta;
     }
 
-    // 3. The applied-β re-derivations, each on its own slot.
-    pool_.parallel_for(count, rederive_round);
+    // 3. The applied-β re-derivations, one task per frame.
+    pool_.parallel_for(end - begin, rederive_round);
 
-    // 4. Emit: the decisions already sit at their frame index.  Only a
-    // re-derivation fault leaves work here — the containment replay.
-    // The first frame whose re-derivation faulted degrades and resets
-    // the controller; the frames after it were planned on the history
-    // that reset discards, so they are re-planned and re-derived in
-    // order from the reset controller (serially: the path is rare),
-    // exactly as a cold run started after the fault computes them.
-    std::size_t k = 0;
-    while (k < count && !slot_states[k].rederive_fault) ++k;
-    for (; k < count; ++k) {
-      const std::size_t i = begin + k;
-      Slot& s = slot_states[k];
-      if (!s.degraded) {
+    // 4. Emit: the decisions already sit at their frame index, but for
+    // the repeats, copied here in frame order (each from a predecessor
+    // already final).  A re-derivation fault — the copy counts as the
+    // repeat's re-derivation — stops the copies: the first frame whose
+    // re-derivation faulted degrades and resets the controller; the
+    // frames after it were planned on the history that reset discards,
+    // so they are re-planned and re-derived in order from the reset
+    // controller (serially: the path is rare), exactly as a cold run
+    // started after the fault computes them.
+    std::size_t i = begin;
+    for (; i < end && !state[i].rederive_fault; ++i) {
+      FrameState& f = state[i];
+      if (!f.repeat) continue;
+      util::PoolScope scope(slot_states[f.slot].pool.get());
+      obs::ScopedSpan post_span(obs::Span::kFlickerPost,
+                                static_cast<std::int32_t>(i));
+      try {
+        decisions[i].point = decisions[i - 1].point;
+        decisions[i].evaluation = decisions[i - 1].evaluation;
+      } catch (const std::exception& e) {
+        f.degraded = true;
+        f.rederive_fault = true;
+        record_fault(faults, i, is_io_error(e),
+                     fault_message("flicker re-derivation", i, e.what()));
+        break;
+      }
+    }
+    for (; i < end; ++i) {
+      FrameState& f = state[i];
+      if (!f.degraded) {
+        const Slot& s = slot_states[f.slot];
         util::PoolScope scope(s.pool.get());
         obs::ScopedSpan post_span(obs::Span::kFlickerPost,
                                   static_cast<std::int32_t>(i));
@@ -425,14 +545,22 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
         } catch (const util::InvalidArgument&) {
           throw;  // caller bug, not a runtime fault — see map_frames
         } catch (const std::exception& e) {
-          contain(s, i, is_io_error(e),
-                  fault_message("flicker re-derivation", i, e.what()));
+          f.degraded = true;
+          f.rederive_fault = true;
+          record_fault(faults, i, is_io_error(e),
+                       fault_message("flicker re-derivation", i, e.what()));
         }
       }
-      if (s.degraded) {
-        util::fault::SuppressScope no_refire;
-        decisions[i] = controller.apply_degraded(s.raw);
-      }
+      if (f.degraded) decisions[i] = degraded_decision(i);
+    }
+    // A slot whose frame faulted in the re-derivation restarts cold,
+    // like one faulted in the search.  Only now: the rest of its run
+    // replayed on its context above.
+    for (i = begin; i < end; ++i) {
+      if (!state[i].rederive_fault) continue;
+      Slot& s = slot_states[state[i].slot];
+      s.ctx.reset();
+      s.reuse.reset();
     }
   }
   // Release pooled caches before their pools detach (see map_frames).
@@ -471,14 +599,6 @@ std::vector<hebs::image::GrayImage> materialize_lumas(
 bool same_point(const core::OperatingPoint& a, const core::OperatingPoint& b) {
   return a.beta == b.beta &&
          a.luminance_transform.points() == b.luminance_transform.points();
-}
-
-bool same_bytes(const hebs::image::RgbImage& a,
-                const hebs::image::RgbImage& b) {
-  const auto da = a.data();
-  const auto db = b.data();
-  return da.size() == db.size() &&
-         std::memcmp(da.data(), db.data(), da.size()) == 0;
 }
 
 }  // namespace

@@ -162,14 +162,18 @@ class PipelineEngine {
   /// concurrently, `controller` plans the applied β strictly in frame
   /// order (its state advances exactly as if it had processed the clip
   /// serially), and each frame's transform is re-derived for its applied
-  /// β concurrently again.
+  /// β concurrently again.  With opts.temporal_reuse, a frame
+  /// byte-identical to its predecessor is not searched: it inherits the
+  /// predecessor's raw result and re-derives on the same context
+  /// (DESIGN.md §9, "Stream rounds") — the same frames at every thread
+  /// count.
   ///
   /// Fault containment: a faulted frame emits the identity decision
   /// (β = 1, identity LUT) and is treated as a stream discontinuity —
   /// the slot's FrameContext and TemporalReuse state are quarantined
-  /// (rebuilt cold) and the controller's flicker history resets, so
-  /// every frame after the fault is bit-identical to a cold run started
-  /// there (DESIGN.md §14).
+  /// (rebuilt cold), the controller's flicker history resets, and a
+  /// degraded frame is no reuse source, so every frame after the fault
+  /// is bit-identical to a cold run started there (DESIGN.md §14).
   std::vector<core::FrameDecision> process_stream(
       std::span<const hebs::image::GrayImage> frames,
       core::VideoBacklightController& controller,

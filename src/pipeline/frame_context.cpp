@@ -64,15 +64,6 @@ void FrameContext::rebind(const hebs::image::GrayImage16& image) {
   clear_caches();
 }
 
-void FrameContext::rebind_unchanged(const hebs::image::GrayImage& image) {
-  HEBS_REQUIRE(image_ != nullptr && image_->width() == image.width() &&
-                   image_->height() == image.height(),
-               "rebind_unchanged needs a bound context of equal dimensions");
-  // Caches stay: they depend only on pixel content (byte-identical by
-  // the caller's contract), the options and the power model.
-  image_ = &image;
-}
-
 void FrameContext::set_exact_histogram(hebs::histogram::Histogram hist) {
   HEBS_REQUIRE(bound(), "FrameContext is not bound to a frame");
   const std::size_t frame_size =
@@ -198,6 +189,25 @@ const core::HebsResult& FrameContext::at_range(int range) const {
 
 const core::HebsResult& FrameContext::at_range_lean(int range) const {
   return lookup_mutable(*this, range, by_range_, by_target_, ghe_, {});
+}
+
+const core::HebsResult& FrameContext::range_lean_shared(
+    int range, RangeProbe& scratch) const {
+  const auto range_it = by_range_.find(range);
+  if (range_it != by_range_.end()) {
+    obs::add(obs::Counter::kAtRangeHit);
+    return *range_it->second;
+  }
+  const core::GheTarget target = select_target(*this, range);
+  const auto target_it =
+      by_target_.find(std::make_pair(target.g_min, target.g_max));
+  if (target_it != by_target_.end()) {
+    obs::add(obs::Counter::kAtRangeHit);
+    return target_it->second;
+  }
+  obs::add(obs::Counter::kAtRangeMiss);
+  probe_range(range, scratch);
+  return scratch.result;
 }
 
 double FrameContext::distortion_at_range(int range) const {

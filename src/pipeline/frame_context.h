@@ -86,14 +86,6 @@ class FrameContext {
   /// becomes image.levels()).
   void rebind(const hebs::image::GrayImage16& image);
 
-  /// Points the context at a new frame whose pixels are byte-identical
-  /// to the currently bound one, KEEPING every frame-derived cache.
-  /// Every memoized product is a deterministic function of the pixel
-  /// content (plus options/model), so the caches remain exactly what a
-  /// full rebind would recompute.  The temporal fast path uses this for
-  /// duplicate frames; callers must have verified byte equality.
-  void rebind_unchanged(const hebs::image::GrayImage& image);
-
   /// Seeds the exact-histogram cache after rebind().  `hist` must equal
   /// Histogram::from_image(image) — the temporal fast path maintains it
   /// incrementally from the previous frame's histogram (integer counts,
@@ -156,6 +148,17 @@ class FrameContext {
   /// transformed raster, so bisecting over many ranges stores only
   /// curves and scalars per target, not a frame-sized image each.
   double distortion_at_range(int range) const;
+
+  /// at_range_lean that writes no memo: the memoized entry when the
+  /// range (or its effective target) was already run, otherwise a
+  /// probe_range run into `scratch`, whose result is returned.  The
+  /// same values and hit/miss counts as at_range_lean.  Const and safe
+  /// to run on several threads at once, on distinct scratches, after
+  /// warm_probe_caches(), provided no memo-writing call runs meanwhile
+  /// — the stream re-derives a duplicate run's frames concurrently on
+  /// their source's context this way (DESIGN.md §9).
+  const core::HebsResult& range_lean_shared(int range,
+                                            RangeProbe& scratch) const;
 
   /// distortion_at_range that, on a memo miss, adopts the pending entry
   /// of `speculated` with the range's target instead of running the

@@ -26,11 +26,11 @@ void TemporalReuse::reset() {
 
 core::HebsResult TemporalReuse::process(FrameContext& ctx,
                                         const hebs::image::GrayImage& frame,
-                                        double d_max_percent) {
+                                        double d_max_percent, bool seeded) {
   ++stats_.frames;
   obs::add(obs::Counter::kTemporalFrames);
-  // Span arg = reuse level taken: 0 cold, 1 delta-refresh,
-  // 2 byte-identical (the trace's per-frame reuse annotation).
+  // Span arg = reuse level taken: 0 cold, 1 delta-refresh (the
+  // stream's byte-identical frames record level 2 themselves).
   obs::ScopedSpan reuse_span(obs::Span::kTemporalReuse, 0);
   if (!opts_.enabled) {
     obs::add(obs::Counter::kTemporalCold);
@@ -38,71 +38,46 @@ core::HebsResult TemporalReuse::process(FrameContext& ctx,
     return run_exact(ctx, d_max_percent);
   }
 
-  // One pass over (prev, cur) classifies the frame: byte-identical,
-  // small delta (histogram refreshed incrementally as a side effect),
-  // or large delta (bail, full recount).  ctx.bound() guards the
-  // full-reuse path: its caches must describe prev_frame_'s content.
-  bool unchanged = false;
+  // One pass over (prev, cur) classifies the frame: small delta (the
+  // histogram refreshed incrementally as a side effect) or large delta
+  // (bail, full recount).
   bool have_hist = false;
   hebs::histogram::Histogram refreshed;
   if (has_prev_ && prev_frame_.width() == frame.width() &&
-      prev_frame_.height() == frame.height() && ctx.bound()) {
+      prev_frame_.height() == frame.height()) {
     const auto max_changed = static_cast<std::size_t>(
         opts_.max_delta_fraction * static_cast<double>(frame.size()));
     refreshed = prev_hist_;
-    std::size_t changed = 0;
-    if (refreshed.refresh_from_delta(prev_frame_, frame, max_changed,
-                                     &changed)) {
-      if (changed == 0) {
-        unchanged = true;
-      } else {
-        have_hist = true;
-      }
-    }
+    have_hist = refreshed.refresh_from_delta(prev_frame_, frame, max_changed);
   }
 
-  core::HebsResult result;
-  if (unchanged) {
-    // The context's caches all derive from pixel content identical to
-    // this frame's; keep them and return the previous raw result —
-    // run_exact is deterministic, so recomputing would reproduce it.
-    ctx.rebind_unchanged(frame);
-    ++stats_.unchanged;
-    obs::add(obs::Counter::kTemporalByteIdentical);
-    reuse_span.set_arg(2);
-    result = prev_raw_;
+  ctx.rebind(frame);
+  if (have_hist) {
+    ctx.set_exact_histogram(refreshed);
+    prev_hist_ = std::move(refreshed);
+    ++stats_.incremental;
+    obs::add(obs::Counter::kTemporalDeltaRefresh);
+    reuse_span.set_arg(1);
   } else {
-    ctx.rebind(frame);
-    if (have_hist) {
-      ctx.set_exact_histogram(refreshed);
-      prev_hist_ = std::move(refreshed);
-      ++stats_.incremental;
-      obs::add(obs::Counter::kTemporalDeltaRefresh);
-      reuse_span.set_arg(1);
-    } else {
-      obs::add(obs::Counter::kTemporalCold);
-    }
-    SearchTrace out;
-    const SearchTrace* seed =
-        (has_prev_ && trace_.valid && seed_cooldown_ == 0) ? &trace_
-                                                           : nullptr;
-    result = run_exact_traced(ctx, d_max_percent, seed, &out);
-    if (out.warmed) {
-      ++stats_.warmed;
-      obs::add(obs::Counter::kTemporalWarmVerified);
-      seed_cooldown_ = 0;
-    } else if (seed != nullptr) {
-      seed_cooldown_ = kSeedCooldown;
-    } else if (seed_cooldown_ > 0) {
-      --seed_cooldown_;
-    }
-    trace_ = out;
-    if (!have_hist) prev_hist_ = ctx.exact_histogram();
-    prev_raw_ = result;
-    // The unchanged path skips this copy: the delta walk just proved
-    // prev_frame_ already holds these bytes.
-    prev_frame_ = frame;
+    obs::add(obs::Counter::kTemporalCold);
   }
+  SearchTrace out;
+  const SearchTrace* seed =
+      (seeded && has_prev_ && trace_.valid && seed_cooldown_ == 0) ? &trace_
+                                                                   : nullptr;
+  core::HebsResult result = run_exact_traced(ctx, d_max_percent, seed, &out);
+  if (out.warmed) {
+    ++stats_.warmed;
+    obs::add(obs::Counter::kTemporalWarmVerified);
+    seed_cooldown_ = 0;
+  } else if (seed != nullptr) {
+    seed_cooldown_ = kSeedCooldown;
+  } else if (seed_cooldown_ > 0) {
+    --seed_cooldown_;
+  }
+  trace_ = out;
+  if (!have_hist) prev_hist_ = ctx.exact_histogram();
+  prev_frame_ = frame;
   has_prev_ = true;
   return result;
 }

@@ -2,25 +2,32 @@
 //
 // Video frames are rarely independent: most are byte-identical to or
 // small deltas of their predecessor, and the HEBS operating point moves
-// slowly outside scene cuts.  A `TemporalReuse` tracks one stream
-// slot's previous frame and exploits three levels of coherence:
+// slowly outside scene cuts.  The stream exploits three levels of
+// coherence:
 //
-//   1. unchanged frame (0 differing pixels): the previous raw result is
-//      returned wholesale and the FrameContext keeps every cache
-//      (`rebind_unchanged`) — run_exact is a deterministic function of
+//   1. unchanged frame (byte-identical to frame i−1): handled by the
+//      stream itself, by clip position — the frame takes no search and
+//      inherits its predecessor's raw result (PipelineEngine::
+//      process_stream).  run_exact is a deterministic function of
 //      (pixels, options, power model), so recomputing it would
 //      reproduce the same bits.  Unconditionally exact;
-//   2. small delta: the exact histogram is refreshed incrementally
-//      (`Histogram::refresh_from_delta`, integer counts ⇒ exact) and the
-//      range/β searches are warm-started from the previous trace with
-//      bracket verification (`run_exact_traced`), falling back to the
-//      cold search whenever verification misses.  Bit-identical to the
-//      cold search whenever measured distortion is monotone over the
-//      search interval — see the contract note on run_exact_traced;
+//   2. small delta (this class): the exact histogram is refreshed
+//      incrementally (`Histogram::refresh_from_delta`, integer counts ⇒
+//      exact) and the range/β searches are warm-started from the
+//      previous trace with bracket verification (`run_exact_traced`),
+//      falling back to the cold search whenever verification misses.
+//      Bit-identical to the cold search whenever measured distortion is
+//      monotone over the search interval — see the contract note on
+//      run_exact_traced;
 //   3. large delta (scene cut): verification fails fast and the cold
 //      search runs — the fast path degrades to a few wasted probes,
 //      which the context memoizes for the cold search anyway, and a
 //      seed cooldown stops even those on content that keeps missing.
+//
+// A `TemporalReuse` tracks one stream slot's previous searched frame
+// and applies levels 2 and 3.  A frame equal to that previous frame is
+// a zero-pixel delta here: level 1 is a property of clip position, and
+// a slot's previous frame is a clip neighbour only at one worker.
 //
 // The invariants this rests on are documented in DESIGN.md §9.
 #pragma once
@@ -44,7 +51,7 @@ struct TemporalOptions {
   double max_delta_fraction = 0.25;
 };
 
-/// Per-slot stream state: the previous frame this slot processed, its
+/// Per-slot stream state: the previous frame this slot searched, its
 /// histogram, raw result and search trace.  Not thread-safe; the engine
 /// gives each stream slot its own instance, and a slot is touched by at
 /// most one worker per round.
@@ -56,12 +63,14 @@ class TemporalReuse {
   /// coherence level applies.  The returned result equals
   /// `ctx.rebind(frame); run_exact(ctx, d_max_percent)` bit-for-bit
   /// under the monotone-distortion contract (see run_exact_traced and
-  /// DESIGN.md §9); unchanged-frame reuse is unconditionally exact.
-  /// The caller keeps `frame` alive while the binding lasts (as with
-  /// rebind()).
+  /// DESIGN.md §9).  `seeded`: the previous frame this instance
+  /// processed holds `frame`'s clip predecessor, so its trace may seed
+  /// the search; otherwise the search runs unseeded (the histogram
+  /// delta, which is exact, still applies).  The caller keeps `frame`
+  /// alive while the binding lasts (as with rebind()).
   core::HebsResult process(FrameContext& ctx,
                            const hebs::image::GrayImage& frame,
-                           double d_max_percent);
+                           double d_max_percent, bool seeded = true);
 
   /// Forgets the previous frame (e.g. between clips).
   void reset();
@@ -69,7 +78,6 @@ class TemporalReuse {
   /// Coherence counters for benches and tests.
   struct Stats {
     std::size_t frames = 0;       ///< frames processed
-    std::size_t unchanged = 0;    ///< full-reuse hits (byte-identical)
     std::size_t incremental = 0;  ///< incremental histogram refreshes
     std::size_t warmed = 0;       ///< searches whose seed verified
   };

@@ -541,6 +541,224 @@ TEST_F(FaultMatrixTest, StreamRederiveFaultReplaysTheRestOfItsRound) {
   }
 }
 
+// ---------------------------------------------------------------------
+// Stream dedupe (DESIGN.md §9, "Stream rounds"): a frame equal to its
+// predecessor inherits its run's source result and re-derives on the
+// source's context.  Containment stays what serial processing defines.
+
+/// Clip of `lengths[r]` copies of frame r of `scenes`, run after run.
+std::vector<GrayImage> runs_of(const std::vector<GrayImage>& scenes,
+                               const std::vector<int>& lengths) {
+  std::vector<GrayImage> clip;
+  for (std::size_t r = 0; r < lengths.size(); ++r) {
+    for (int k = 0; k < lengths[r]; ++k) clip.push_back(scenes[r]);
+  }
+  return clip;
+}
+
+std::size_t repeat_count(const std::vector<GrayImage>& frames) {
+  std::size_t n = 0;
+  for (std::size_t i = 1; i < frames.size(); ++i) {
+    if (frames[i] == frames[i - 1]) ++n;
+  }
+  return n;
+}
+
+/// The suffix after `fault_at` through a one-thread cold run.
+std::vector<core::FrameDecision> cold_suffix(
+    const std::vector<GrayImage>& frames, std::size_t fault_at) {
+  EngineOptions ref_opts;
+  ref_opts.num_threads = 1;
+  ref_opts.temporal_reuse = false;
+  core::VideoOptions ref_vopts;
+  ref_vopts.num_threads = 1;
+  ref_vopts.temporal_reuse = false;
+  const std::span<const GrayImage> suffix(frames.data() + fault_at + 1,
+                                          frames.size() - fault_at - 1);
+  return PipelineEngine(ref_opts, model()).process_stream(suffix, ref_vopts);
+}
+
+TEST_F(FaultMatrixTest, StreamDedupeDegradedSourceSearchesItsDuplicates) {
+  // Every run has duplicates, so whichever source the frame-corrupt
+  // fault hits (the order is the scheduler's at > 1 thread), the frames
+  // after it repeat it: the first is searched as an ordinary frame — a
+  // degraded frame is no reuse source — and the rest reuse that.
+  const auto frames = runs_of(small_album(4, 48), {3, 2, 4, 2});
+  const std::size_t repeats = repeat_count(frames);
+  for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    fault::clear_all();
+    std::string error;
+    ASSERT_TRUE(fault::install_from_string("frame-corrupt:first=2", &error));
+    EngineOptions opts;
+    opts.num_threads = threads;
+    core::VideoOptions vopts;
+    vopts.num_threads = threads;
+    std::vector<FrameFault> faults;
+    std::vector<core::FrameDecision> decisions;
+    const auto before = obs::snapshot_counters();
+    ASSERT_NO_THROW(decisions = PipelineEngine(opts, model())
+                                    .process_stream(frames, vopts, &faults));
+    const auto d = obs::snapshot_counters().delta_since(before);
+    fault::clear_all();
+
+    std::size_t fault_at = frames.size();
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      if (!faults[i].degraded) continue;
+      ASSERT_EQ(fault_at, frames.size()) << "more than one degraded frame";
+      fault_at = i;
+    }
+    ASSERT_LT(fault_at + 1, frames.size());
+    ASSERT_EQ(frames[fault_at + 1], frames[fault_at]) << "not a run source";
+    ASSERT_TRUE(fault_at == 0 || !(frames[fault_at] == frames[fault_at - 1]));
+    EXPECT_EQ(decisions[fault_at].beta, 1.0);
+    EXPECT_EQ(decisions[fault_at].evaluation.transformed, frames[fault_at]);
+
+    // The duplicates after it — and every later frame — equal a cold
+    // run started just after the fault.
+    const auto ref = cold_suffix(frames, fault_at);
+    ASSERT_EQ(ref.size(), frames.size() - fault_at - 1);
+    for (std::size_t j = 0; j < ref.size(); ++j) {
+      SCOPED_TRACE("suffix frame " + std::to_string(j));
+      expect_same_decision(decisions[fault_at + 1 + j], ref[j]);
+    }
+    // One duplicate was searched in its degraded source's place.
+    EXPECT_EQ(d[obs::Counter::kTemporalByteIdentical], repeats - 1);
+    EXPECT_EQ(d[obs::Counter::kFramesDecided], frames.size() - repeats);
+  }
+}
+
+TEST_F(FaultMatrixTest, StreamDedupeRederiveFaultReplaysTheRestOfItsRound) {
+  // A pool-alloc fault inside a duplicate's re-derivation.  The scenes
+  // differ only in a small patch that sets their brightest level, so no
+  // frame is a scene cut while the raw β moves: the rate-limited applied
+  // β keeps moving through the runs, each duplicate re-derives at its
+  // own β, and the frames after the fault depend on the history the
+  // degraded frame resets — they must be re-planned to equal a cold run
+  // started after it.
+  GrayImage base = hebs::image::make_usid(UsidId::kSail, 48);
+  for (auto& px : base.pixels()) px = static_cast<std::uint8_t>(px / 2);
+  std::vector<GrayImage> scenes;
+  for (const double patch : {0.98, 0.6, 0.85, 0.55}) {
+    GrayImage img = base;
+    hebs::image::fill_rect(img, 0, 0, 10, 10, patch);
+    scenes.push_back(std::move(img));
+  }
+  const std::vector<int> lengths = {1, 4, 3, 1};
+  const auto frames = runs_of(scenes, lengths);
+  for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    // Rounds hold `slots` runs; this clip's is one round above 1 thread.
+    const std::size_t slots = threads == 1 ? 1 : 2 * threads;
+    std::vector<std::size_t> round_of;
+    for (std::size_t r = 0; r < lengths.size(); ++r) {
+      for (int k = 0; k < lengths[r]; ++k) round_of.push_back(r / slots);
+    }
+    EngineOptions opts;
+    opts.num_threads = threads;
+    core::VideoOptions vopts;
+    vopts.num_threads = threads;
+
+    struct Run {
+      std::vector<core::FrameDecision> decisions;
+      std::vector<FrameFault> faults;
+      std::size_t fault_at = 0;
+      bool rederive = false;
+    };
+    const auto run_with_fault_at_hit = [&](std::uint64_t hit) {
+      fault::clear_all();
+      fault::Spec spec;
+      spec.point = fault::Point::kPoolAlloc;
+      spec.first = hit;
+      fault::install(spec);
+      Run r;
+      r.decisions =
+          PipelineEngine(opts, model()).process_stream(frames, vopts, &r.faults);
+      fault::clear_all();
+      r.fault_at = frames.size();
+      for (std::size_t i = 0; i < r.faults.size(); ++i) {
+        if (!r.faults[i].degraded) continue;
+        EXPECT_EQ(r.fault_at, frames.size()) << "more than one degraded frame";
+        r.fault_at = i;
+        r.rederive =
+            r.faults[i].message.find("re-derivation") != std::string::npos;
+      }
+      return r;
+    };
+    // (round, stage, frame) of a hit grows with the hit index — the
+    // frame only at one thread, where the re-derivations run in frame
+    // order: bisect for the first re-derivation hit on the 4-frame
+    // run's first duplicate (frame 2), then walk on to a duplicate.
+    const auto key = [&](const Run& r) {
+      const std::size_t stage =
+          r.fault_at == frames.size()
+              ? 2 * round_of.back() + 2
+              : 2 * round_of[r.fault_at] + (r.rederive ? 1 : 0);
+      return stage * frames.size() + std::min(r.fault_at, frames.size() - 1);
+    };
+    const std::size_t target = (2 * round_of[1] + 1) * frames.size() + 2;
+    fault::Spec never;
+    never.point = fault::Point::kPoolAlloc;
+    never.first = std::uint64_t{1} << 62;
+    fault::install(never);
+    const auto clean =
+        PipelineEngine(opts, model()).process_stream(frames, vopts);
+    const std::uint64_t total_hits = fault::hit_count(fault::Point::kPoolAlloc);
+    fault::clear_all();
+    std::uint64_t lo = 1;
+    std::uint64_t hi = total_hits;
+    while (lo < hi) {
+      const std::uint64_t mid = lo + (hi - lo) / 2;
+      if (key(run_with_fault_at_hit(mid)) >= target) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    Run run;
+    bool found = false;
+    for (std::uint64_t hit = lo; hit <= total_hits && !found; ++hit) {
+      run = run_with_fault_at_hit(hit);
+      found = run.rederive && run.fault_at > 0 &&
+              frames[run.fault_at] == frames[run.fault_at - 1];
+    }
+    ASSERT_TRUE(found) << "no pool allocation of a duplicate's re-derivation";
+    const std::size_t fault_at = run.fault_at;
+    // Its own applied β: a real re-derivation, not a copy.
+    EXPECT_NE(clean[fault_at].beta, clean[fault_at - 1].beta);
+    EXPECT_EQ(run.decisions[fault_at].beta, 1.0);
+    EXPECT_EQ(run.decisions[fault_at].raw_beta, 1.0);
+    EXPECT_EQ(run.decisions[fault_at].evaluation.transformed,
+              frames[fault_at]);
+
+    // The frames after it, the rest of its run and round included,
+    // equal a cold run started just after it.
+    const auto ref = cold_suffix(frames, fault_at);
+    ASSERT_EQ(ref.size(), frames.size() - fault_at - 1);
+    for (std::size_t j = 0; j < ref.size(); ++j) {
+      SCOPED_TRACE("suffix frame " + std::to_string(j));
+      expect_same_decision(run.decisions[fault_at + 1 + j], ref[j]);
+    }
+    // The replay is what makes them equal: without the fault, the frame
+    // after it decides differently from that cold run.
+    EXPECT_NE(clean[fault_at + 1].beta, ref[0].beta);
+    // The prefix is unchanged: equal to a cold run of it.
+    EngineOptions ref_opts;
+    ref_opts.num_threads = 1;
+    ref_opts.temporal_reuse = false;
+    core::VideoOptions ref_vopts;
+    ref_vopts.num_threads = 1;
+    ref_vopts.temporal_reuse = false;
+    const std::span<const GrayImage> prefix(frames.data(), fault_at);
+    const auto pre =
+        PipelineEngine(ref_opts, model()).process_stream(prefix, ref_vopts);
+    for (std::size_t j = 0; j < pre.size(); ++j) {
+      SCOPED_TRACE("prefix frame " + std::to_string(j));
+      expect_same_decision(run.decisions[j], pre[j]);
+    }
+  }
+}
+
 TEST_F(FaultMatrixTest, StreamTemporalQuarantineRebuildsCleanly) {
   // Temporal mode: the faulted slot's TemporalReuse chain is discarded;
   // under the §9 monotone-distortion contract the recovered frames are

@@ -362,13 +362,12 @@ TEST(KernelParity, BlurColRowPointersAtBordersAndRepeats) {
 // (shortcut fires on every block), alternating run/noise stripes
 // (shortcut fires and misses within one call), few-value clusters
 // (sub-table merge under same-bin pressure) and full-range noise.
-// Deep-pixel (u16) kernels: histogram_u16 / lut_apply_u16 / sum_u16
-// are pure integer kernels, so every backend must match scalar
-// bit-for-bit.  The fuzz covers both histogram regimes (n < 2048 runs
-// the reference loop, n >= 2048 the uniform-block probe), both
-// supported deep lattices (1024 and 65536 levels), and content shapes
-// the probe cares about: fully uniform blocks, few-value clusters, and
-// full-range noise.
+// Deep-pixel (u16) kernels: lut_apply_u16 / sum_u16 are pure integer
+// kernels, so every backend must match scalar bit-for-bit; the plain
+// histogram_u16 must match an independent per-sample count.  The fuzz
+// covers short and long rasters (up to ~64k samples), both supported
+// deep lattices (1024 and 65536 levels), and content shapes: fully
+// uniform blocks, few-value clusters, and full-range noise.
 TEST(KernelParity, FuzzU16KernelsBitIdenticalToScalar) {
   const auto sets = supported_backends();
   ASSERT_FALSE(sets.empty());
@@ -378,8 +377,8 @@ TEST(KernelParity, FuzzU16KernelsBitIdenticalToScalar) {
   for (int iter = 0; iter < 60; ++iter) {
     const int levels = (iter % 2 == 0) ? 1024 : 65536;
     const std::uint32_t maxv = static_cast<std::uint32_t>(levels - 1);
-    // Half the cases sit below the histogram probe threshold, half
-    // well above it (up to ~64k samples).
+    // Half the cases are short rasters, half long ones (up to ~64k
+    // samples).
     const std::size_t n = (iter % 2 == 0)
                               ? 1 + rng() % 2047
                               : 2048 + rng() % 62000;
@@ -411,17 +410,17 @@ TEST(KernelParity, FuzzU16KernelsBitIdenticalToScalar) {
 
     std::vector<std::uint64_t> counts_ref(static_cast<std::size_t>(levels),
                                           7);  // accumulate contract
-    ref.histogram_u16(src.data(), n, counts_ref.data());
+    for (const std::uint16_t v : src) ++counts_ref[v];
+    std::vector<std::uint64_t> counts(static_cast<std::size_t>(levels), 7);
+    hebs::kernels::histogram_u16(src.data(), n, counts.data());
+    EXPECT_EQ(counts, counts_ref)
+        << "histogram_u16 miscounts (n=" << n << ", levels=" << levels
+        << ")";
     std::vector<std::uint16_t> lut_ref(n);
     ref.lut_apply_u16(src.data(), n, lut.data(), lut_ref.data());
     const std::uint64_t sum_ref = ref.sum_u16(src.data(), n);
 
     for (const KernelSet* set : sets) {
-      std::vector<std::uint64_t> counts(static_cast<std::size_t>(levels), 7);
-      set->histogram_u16(src.data(), n, counts.data());
-      expect_bytes_eq(counts, counts_ref, "histogram_u16", *set,
-                      static_cast<int>(n), levels);
-
       std::vector<std::uint16_t> lut_out(n);
       set->lut_apply_u16(src.data(), n, lut.data(), lut_out.data());
       expect_bytes_eq(lut_out, lut_ref, "lut_apply_u16", *set,

@@ -91,14 +91,18 @@ TEST(ObsCounters, DeltaSinceSubtractsTotalsButKeepsGauges) {
 }
 
 // The documented temporal contract: a static clip of N frames takes the
-// byte-identical fast path on every frame after the first.
+// byte-identical fast path on every frame after the first.  Level 1 is
+// the stream's position check, so the clip runs through the engine.
 TEST(ObsCounters, StaticClipCountsNMinusOneByteIdenticalReuses) {
   constexpr int kFrames = 8;
   const auto clip = static_clip(kFrames, 48);
-  hebs::pipeline::FrameContext ctx(hebs::core::HebsOptions{}, model());
-  hebs::pipeline::TemporalReuse reuse;
+  hebs::pipeline::EngineOptions eopts;
+  eopts.num_threads = 1;
+  hebs::pipeline::PipelineEngine engine(eopts, model());
+  hebs::core::VideoOptions vopts;
+  vopts.num_threads = 1;
   const auto before = hebs::obs::snapshot_counters();
-  for (const auto& frame : clip) (void)reuse.process(ctx, frame, 10.0);
+  (void)engine.process_stream(clip, vopts);
   const auto d = hebs::obs::snapshot_counters().delta_since(before);
   EXPECT_EQ(d[Counter::kTemporalFrames], static_cast<std::uint64_t>(kFrames));
   EXPECT_EQ(d[Counter::kTemporalByteIdentical],

@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "hebs/advanced/core.h"
 #include "histogram/histogram.h"
 #include "hebs/advanced/image.h"
+#include "hebs/advanced/obs.h"
 #include "hebs/advanced/pipeline.h"
 #include "power/lcd_power.h"
 #include "util/pool.h"
@@ -131,6 +133,37 @@ TEST(Temporal, StreamMatchesSerialOnDuplicateFrames) {
   expect_stream_matches_serial(duplicate_frame_clip(48));
 }
 
+TEST(Temporal, StreamSeedsOnlyFromTheClipPredecessor) {
+  // A sprite crossing a held scene: small deltas whose warm starts
+  // verify.  At one worker each search is seeded by its predecessor's;
+  // at two, every round holds four runs, so no slot ever holds its
+  // source's predecessor and no search may be seeded.
+  const GrayImage base = hebs::image::make_usid(hebs::image::UsidId::kSail,
+                                                48);
+  std::vector<GrayImage> clip;
+  for (int f = 0; f < 10; ++f) {
+    GrayImage frame = base;
+    for (int y = 10; y < 14; ++y) {
+      for (int x = f; x < f + 4; ++x) frame(x, y) = 230;
+    }
+    clip.push_back(std::move(frame));
+  }
+  std::uint64_t warm[2] = {0, 0};
+  for (const int threads : {1, 2}) {
+    pipeline::EngineOptions eopts;
+    eopts.num_threads = threads;
+    pipeline::PipelineEngine engine(eopts, model());
+    core::VideoOptions vopts;
+    vopts.num_threads = threads;
+    const auto before = hebs::obs::snapshot_counters();
+    (void)engine.process_stream(clip, vopts);
+    warm[threads - 1] = hebs::obs::snapshot_counters().delta_since(
+        before)[hebs::obs::Counter::kTemporalWarmVerified];
+  }
+  EXPECT_GT(warm[0], 0u);
+  EXPECT_EQ(warm[1], 0u);
+}
+
 // ------------------------------------------- warm-start bit-identity
 
 /// The load-bearing property: run_exact_traced returns the bits of
@@ -196,7 +229,9 @@ TEST(Temporal, WarmSearchMatchesColdForArbitrarySeeds) {
 
 TEST(Temporal, ReuseMatchesColdOnPerturbedFrames) {
   // Frame chain A, A, A+ε, B (duplicate, small delta, scene change):
-  // every TemporalReuse result must equal a fresh cold search.
+  // every TemporalReuse result must equal a fresh cold search.  The
+  // duplicate is a zero-pixel delta here (byte-identical reuse is the
+  // stream's position check, StreamDedupe.*).
   const GrayImage a = hebs::image::make_usid(hebs::image::UsidId::kGirl, 48);
   GrayImage a_eps = a;
   a_eps.set(3, 5, static_cast<std::uint8_t>(a.at(3, 5) ^ 0x10));
@@ -215,8 +250,7 @@ TEST(Temporal, ReuseMatchesColdOnPerturbedFrames) {
     const core::HebsResult cold = run_exact(cold_ctx, 10.0);
     EXPECT_TRUE(same_result(warm, cold)) << "frame " << i;
   }
-  EXPECT_EQ(reuse.stats().unchanged, 1u);
-  EXPECT_GE(reuse.stats().incremental, 1u);
+  EXPECT_GE(reuse.stats().incremental, 2u);
 }
 
 TEST(Temporal, RebindAfterPoolRecycleLeaksNoStaleCaches) {
