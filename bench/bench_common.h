@@ -67,9 +67,14 @@ struct RunContext {
 
   /// The same as JSON object fields (no braces), for a record line.
   std::string json_fields() const {
+    return machine_fields() + ", \"backend\": \"" + backend + "\"";
+  }
+
+  /// Cores, CPU and build type only, for records that name the backend
+  /// they measured themselves.
+  std::string machine_fields() const {
     return "\"cores\": " + std::to_string(cores) + ", \"cpu\": \"" + cpu +
-           "\", \"backend\": \"" + backend + "\", \"build_type\": \"" +
-           build_type + "\"";
+           "\", \"build_type\": \"" + build_type + "\"";
   }
 };
 

@@ -12,7 +12,13 @@
 //     usually needs one or two);
 //   * luma: 4 pixels per iteration in double lanes, same mul/add
 //     association as the scalar reference (no FMA contraction);
-//   * byte sums: VPSADBW against zero.
+//   * byte sums: VPSADBW against zero;
+//   * blurs: taps broadcast once per call, four independent output
+//     vectors per step (each output still adds its taps in k order);
+//   * integral rows: four table rows in the four lanes (the row-lane
+//     rule), 4x4 transposes in and out;
+//   * UIQI q row: exact-reciprocal rect scaling when block^2 is a power
+//     of two, and the fallback division only where a lane needs it.
 #if defined(HEBS_KERNELS_ENABLE_AVX2) && defined(__AVX2__)
 
 #include <immintrin.h>
@@ -208,18 +214,57 @@ std::uint64_t sum_u8_avx2(const std::uint8_t* src, std::size_t n) {
   return total + ref::sum_u8(src + i, n - i);
 }
 
+// Blur taps broadcast once per call: up to this many (radius 8, the
+// widest CSF support the HVS front end builds at sigma 2.5).  Longer
+// filters take the one-vector loop.
+constexpr int kMaxBroadcastTaps = 17;
+
+/// Sixteen outputs per call, as four independent tap chains:
+/// out[j*4 .. j*4+3] = sum_k taps[k] * in(k)[j*4 ..], taps added in k
+/// order from 0.0 (the scalar sequence, lane by lane).  `in(k)` is the
+/// input pointer of tap k for output 0.
+template <typename In>
+inline void blur16_avx2(const __m256d* taps, int n_taps, In&& in,
+                        double* out) {
+  __m256d acc0 = _mm256_setzero_pd();
+  __m256d acc1 = _mm256_setzero_pd();
+  __m256d acc2 = _mm256_setzero_pd();
+  __m256d acc3 = _mm256_setzero_pd();
+  for (int k = 0; k < n_taps; ++k) {
+    const double* p = in(k);
+    const __m256d t = taps[k];
+    acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(t, _mm256_loadu_pd(p)));
+    acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(t, _mm256_loadu_pd(p + 4)));
+    acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(t, _mm256_loadu_pd(p + 8)));
+    acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(t, _mm256_loadu_pd(p + 12)));
+  }
+  _mm256_storeu_pd(out, acc0);
+  _mm256_storeu_pd(out + 4, acc1);
+  _mm256_storeu_pd(out + 8, acc2);
+  _mm256_storeu_pd(out + 12, acc3);
+}
+
 void blur_row_f64_avx2(const double* src, double* dst, int w,
                        const double* taps, int radius) {
   const int x_lo = std::min(radius, w);
   const int x_hi = std::max(x_lo, w - radius);
+  const int n_taps = 2 * radius + 1;
   for (int x = 0; x < x_lo; ++x) {
     dst[x] = ref::blur_row_one(src, w, x, taps, radius);
   }
   int x = x_lo;
+  if (n_taps <= kMaxBroadcastTaps) {
+    __m256d vt[kMaxBroadcastTaps];
+    for (int k = 0; k < n_taps; ++k) vt[k] = _mm256_set1_pd(taps[k]);
+    for (; x + 16 <= x_hi; x += 16) {
+      const double* in = src + x - radius;
+      blur16_avx2(vt, n_taps, [in](int k) { return in + k; }, dst + x);
+    }
+  }
   for (; x + 4 <= x_hi; x += 4) {
     __m256d acc = _mm256_setzero_pd();
     const double* in = src + x - radius;
-    for (int k = 0; k <= 2 * radius; ++k) {
+    for (int k = 0; k < n_taps; ++k) {
       acc = _mm256_add_pd(
           acc, _mm256_mul_pd(_mm256_set1_pd(taps[k]), _mm256_loadu_pd(in + k)));
     }
@@ -228,7 +273,7 @@ void blur_row_f64_avx2(const double* src, double* dst, int w,
   for (; x < x_hi; ++x) {
     double acc = 0.0;
     const double* in = src + x - radius;
-    for (int k = 0; k <= 2 * radius; ++k) acc += taps[k] * in[k];
+    for (int k = 0; k < n_taps; ++k) acc += taps[k] * in[k];
     dst[x] = acc;
   }
   for (x = x_hi; x < w; ++x) {
@@ -238,10 +283,19 @@ void blur_row_f64_avx2(const double* src, double* dst, int w,
 
 void blur_col_f64_avx2(const double* const* rows, int w, const double* taps,
                        int radius, double* out_row) {
+  const int n_taps = 2 * radius + 1;
   int x = 0;
+  if (n_taps <= kMaxBroadcastTaps) {
+    __m256d vt[kMaxBroadcastTaps];
+    for (int k = 0; k < n_taps; ++k) vt[k] = _mm256_set1_pd(taps[k]);
+    for (; x + 16 <= w; x += 16) {
+      blur16_avx2(vt, n_taps, [rows, x](int k) { return rows[k] + x; },
+                  out_row + x);
+    }
+  }
   for (; x + 4 <= w; x += 4) {
     __m256d acc = _mm256_setzero_pd();
-    for (int k = 0; k <= 2 * radius; ++k) {
+    for (int k = 0; k < n_taps; ++k) {
       acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(taps[k]),
                                              _mm256_loadu_pd(rows[k] + x)));
     }
@@ -250,24 +304,162 @@ void blur_col_f64_avx2(const double* const* rows, int w, const double* taps,
   for (; x < w; ++x) out_row[x] = ref::blur_col_one(rows, x, taps, radius);
 }
 
-void uiqi_q_row_f64_avx2(const double* mean_a, const double* var_a,
-                         const double* b_top, const double* b_bot,
-                         const double* bb_top, const double* bb_bot,
-                         const double* ab_top, const double* ab_bot,
-                         std::size_t n_win, int block, double n_px,
-                         double* q_out) {
-  // Four windows per iteration.  Every lane performs exactly the scalar
-  // reference's IEEE operation sequence (separate mul/add, no FMA); the
-  // q branches become masked blends, so the divisions in dead lanes
-  // (inf/NaN) are discarded without affecting live lanes.
-  const auto b = static_cast<std::size_t>(block);
+/// Columns i .. i+3 of four rows, transposed: c[j] holds column i + j,
+/// lane r from row p[r].
+inline void load_columns4(const double* const* p, std::size_t i,
+                          __m256d* c) {
+  const auto pair = [p, i](int lo, int hi, std::size_t at) {
+    return _mm256_insertf128_pd(
+        _mm256_castpd128_pd256(_mm_loadu_pd(p[lo] + i + at)),
+        _mm_loadu_pd(p[hi] + i + at), 1);
+  };
+  const __m256d t0 = pair(0, 2, 0);  // r0[i], r0[i+1], r2[i], r2[i+1]
+  const __m256d t1 = pair(1, 3, 0);
+  const __m256d t2 = pair(0, 2, 2);
+  const __m256d t3 = pair(1, 3, 2);
+  c[0] = _mm256_unpacklo_pd(t0, t1);
+  c[1] = _mm256_unpackhi_pd(t0, t1);
+  c[2] = _mm256_unpacklo_pd(t2, t3);
+  c[3] = _mm256_unpackhi_pd(t2, t3);
+}
+
+/// The inverse of load_columns4 for one table: run[j] holds the running
+/// sums after column i + j (lane r = row r).  Each row's block is added
+/// to the row above it, out[r] = out[r-1] + run_r (out[-1] = above),
+/// the reference loop's elementwise step.
+inline void store_rows4(const __m256d* run, const double* above,
+                        double* const* out, std::size_t i) {
+  const __m256d u0 = _mm256_unpacklo_pd(run[0], run[1]);
+  const __m256d u1 = _mm256_unpackhi_pd(run[0], run[1]);
+  const __m256d u2 = _mm256_unpacklo_pd(run[2], run[3]);
+  const __m256d u3 = _mm256_unpackhi_pd(run[2], run[3]);
+  __m256d o = _mm256_add_pd(_mm256_loadu_pd(above + i),
+                            _mm256_permute2f128_pd(u0, u2, 0x20));
+  _mm256_storeu_pd(out[0] + i, o);
+  o = _mm256_add_pd(o, _mm256_permute2f128_pd(u1, u3, 0x20));
+  _mm256_storeu_pd(out[1] + i, o);
+  o = _mm256_add_pd(o, _mm256_permute2f128_pd(u0, u2, 0x31));
+  _mm256_storeu_pd(out[2] + i, o);
+  o = _mm256_add_pd(o, _mm256_permute2f128_pd(u1, u3, 0x31));
+  _mm256_storeu_pd(out[3] + i, o);
+}
+
+// The window-sum rows run in row lanes: lane r carries row r's running
+// sums left to right, so every chain is exactly the scalar chain, and
+// only the elementwise above + run step crosses rows.  A group of fewer
+// than four rows takes the reference loop.
+void window_sums_single_f64_avx2(const double* const* v, int rows,
+                                 std::size_t n, const double* above_s,
+                                 const double* above_ss,
+                                 double* const* out_s,
+                                 double* const* out_ss) {
+  if (rows != kWindowSumRows) {
+    ref::window_sums_single_f64(v, rows, n, above_s, above_ss, out_s, out_ss);
+    return;
+  }
+  __m256d rs = _mm256_setzero_pd();
+  __m256d rss = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m256d c[4];
+    __m256d run_s[4];
+    __m256d run_ss[4];
+    load_columns4(v, i, c);
+    for (int j = 0; j < 4; ++j) {
+      rs = _mm256_add_pd(rs, c[j]);
+      run_s[j] = rs;
+      rss = _mm256_add_pd(rss, _mm256_mul_pd(c[j], c[j]));
+      run_ss[j] = rss;
+    }
+    store_rows4(run_s, above_s, out_s, i);
+    store_rows4(run_ss, above_ss, out_ss, i);
+  }
+  alignas(32) double s[4];
+  alignas(32) double ss[4];
+  _mm256_store_pd(s, rs);
+  _mm256_store_pd(ss, rss);
+  for (int r = 0; r < 4; ++r) {
+    ref::window_sums_single_span(v[r], i, n, s[r], ss[r], above_s, above_ss,
+                                 out_s[r], out_ss[r]);
+    above_s = out_s[r];
+    above_ss = out_ss[r];
+  }
+}
+
+void window_sums_pair_f64_avx2(const double* const* a, const double* const* b,
+                               int rows, std::size_t n, const double* above_b,
+                               const double* above_bb, const double* above_ab,
+                               double* const* out_b, double* const* out_bb,
+                               double* const* out_ab) {
+  if (rows != kWindowSumRows) {
+    ref::window_sums_pair_f64(a, b, rows, n, above_b, above_bb, above_ab,
+                              out_b, out_bb, out_ab);
+    return;
+  }
+  __m256d rb = _mm256_setzero_pd();
+  __m256d rbb = _mm256_setzero_pd();
+  __m256d rab = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m256d ca[4];
+    __m256d cb[4];
+    __m256d run_b[4];
+    __m256d run_bb[4];
+    __m256d run_ab[4];
+    load_columns4(a, i, ca);
+    load_columns4(b, i, cb);
+    for (int j = 0; j < 4; ++j) {
+      rb = _mm256_add_pd(rb, cb[j]);
+      run_b[j] = rb;
+      rbb = _mm256_add_pd(rbb, _mm256_mul_pd(cb[j], cb[j]));
+      run_bb[j] = rbb;
+      rab = _mm256_add_pd(rab, _mm256_mul_pd(ca[j], cb[j]));
+      run_ab[j] = rab;
+    }
+    store_rows4(run_b, above_b, out_b, i);
+    store_rows4(run_bb, above_bb, out_bb, i);
+    store_rows4(run_ab, above_ab, out_ab, i);
+  }
+  alignas(32) double sb[4];
+  alignas(32) double sbb[4];
+  alignas(32) double sab[4];
+  _mm256_store_pd(sb, rb);
+  _mm256_store_pd(sbb, rbb);
+  _mm256_store_pd(sab, rab);
+  for (int r = 0; r < 4; ++r) {
+    ref::window_sums_pair_span(a[r], b[r], i, n, sb[r], sbb[r], sab[r],
+                               above_b, above_bb, above_ab, out_b[r],
+                               out_bb[r], out_ab[r]);
+    above_b = out_b[r];
+    above_bb = out_bb[r];
+    above_ab = out_ab[r];
+  }
+}
+
+/// Four windows per iteration.  Every lane performs exactly the scalar
+/// reference's IEEE operation sequence (separate mul/add, no FMA); the q
+/// branches become masked blends, so the divisions in dead lanes
+/// (inf/NaN) are discarded without affecting live lanes.  With
+/// kReciprocal the three rect / n_px divisions are rect * (1/n_px)
+/// (the exact-reciprocal rule), and the q_mean fallback is computed only
+/// for a vector with a lane that takes it.
+template <bool kReciprocal>
+void uiqi_q_row_body(const double* mean_a, const double* var_a,
+                     const double* b_top, const double* b_bot,
+                     const double* bb_top, const double* bb_bot,
+                     const double* ab_top, const double* ab_bot,
+                     std::size_t n_win, std::size_t b, double n_px,
+                     double* q_out) {
   const __m256d vn = _mm256_set1_pd(n_px);
+  const __m256d vinv = _mm256_set1_pd(1.0 / n_px);
   const __m256d zero = _mm256_setzero_pd();
   const __m256d one = _mm256_set1_pd(1.0);
   const __m256d two = _mm256_set1_pd(2.0);
   const __m256d four = _mm256_set1_pd(4.0);
-  std::size_t x = 0;
-  for (; x + 4 <= n_win; x += 4) {
+  const auto per_px = [&](__m256d rect) {
+    return kReciprocal ? _mm256_mul_pd(rect, vinv) : _mm256_div_pd(rect, vn);
+  };
+  for (std::size_t x = 0; x + 4 <= n_win; x += 4) {
     const auto rect = [&](const double* top, const double* bot) {
       // bot[x+b] - bot[x] - top[x+b] + top[x], the rect_sum term order.
       return _mm256_add_pd(
@@ -276,16 +468,13 @@ void uiqi_q_row_f64_avx2(const double* mean_a, const double* var_a,
                         _mm256_loadu_pd(top + x + b)),
           _mm256_loadu_pd(top + x));
     };
-    const __m256d rect_b = rect(b_top, b_bot);
-    const __m256d rect_bb = rect(bb_top, bb_bot);
-    const __m256d rect_ab = rect(ab_top, ab_bot);
     const __m256d ma = _mm256_loadu_pd(mean_a + x);
     const __m256d va = _mm256_loadu_pd(var_a + x);
-    const __m256d mb = _mm256_div_pd(rect_b, vn);
+    const __m256d mb = per_px(rect(b_top, b_bot));
     __m256d vb =
-        _mm256_sub_pd(_mm256_div_pd(rect_bb, vn), _mm256_mul_pd(mb, mb));
+        _mm256_sub_pd(per_px(rect(bb_top, bb_bot)), _mm256_mul_pd(mb, mb));
     const __m256d cov =
-        _mm256_sub_pd(_mm256_div_pd(rect_ab, vn), _mm256_mul_pd(ma, mb));
+        _mm256_sub_pd(per_px(rect(ab_top, ab_bot)), _mm256_mul_pd(ma, mb));
     // if (var_b < 0) var_b = 0 — a compare/blend, not max_pd, so the
     // -0.0 case keeps the scalar semantics exactly.
     vb = _mm256_blendv_pd(vb, zero, _mm256_cmp_pd(vb, zero, _CMP_LT_OQ));
@@ -294,15 +483,36 @@ void uiqi_q_row_f64_avx2(const double* mean_a, const double* var_a,
         _mm256_add_pd(_mm256_mul_pd(ma, ma), _mm256_mul_pd(mb, mb));
     const __m256d denom2 = _mm256_add_pd(va, vb);
     const __m256d d12 = _mm256_mul_pd(denom1, denom2);
-    const __m256d q_main = _mm256_div_pd(
+    const __m256d live = _mm256_cmp_pd(d12, zero, _CMP_GT_OQ);
+    __m256d q = _mm256_div_pd(
         _mm256_mul_pd(_mm256_mul_pd(four, cov), mean_prod), d12);
-    const __m256d q_mean =
-        _mm256_div_pd(_mm256_mul_pd(two, mean_prod), denom1);
-    __m256d q = _mm256_blendv_pd(one, q_mean,
-                                 _mm256_cmp_pd(denom1, zero, _CMP_GT_OQ));
-    q = _mm256_blendv_pd(q, q_main, _mm256_cmp_pd(d12, zero, _CMP_GT_OQ));
+    if (_mm256_movemask_pd(live) != 0xF) {
+      const __m256d q_mean =
+          _mm256_div_pd(_mm256_mul_pd(two, mean_prod), denom1);
+      q = _mm256_blendv_pd(
+          _mm256_blendv_pd(one, q_mean,
+                           _mm256_cmp_pd(denom1, zero, _CMP_GT_OQ)),
+          q, live);
+    }
     _mm256_storeu_pd(q_out + x, q);
   }
+}
+
+void uiqi_q_row_f64_avx2(const double* mean_a, const double* var_a,
+                         const double* b_top, const double* b_bot,
+                         const double* bb_top, const double* bb_bot,
+                         const double* ab_top, const double* ab_bot,
+                         std::size_t n_win, int block, double n_px,
+                         double* q_out) {
+  const auto b = static_cast<std::size_t>(block);
+  if (exact_reciprocal(n_px)) {
+    uiqi_q_row_body<true>(mean_a, var_a, b_top, b_bot, bb_top, bb_bot, ab_top,
+                          ab_bot, n_win, b, n_px, q_out);
+  } else {
+    uiqi_q_row_body<false>(mean_a, var_a, b_top, b_bot, bb_top, bb_bot,
+                           ab_top, ab_bot, n_win, b, n_px, q_out);
+  }
+  const std::size_t x = n_win - n_win % 4;
   if (x < n_win) {
     ref::uiqi_q_row_f64(mean_a + x, var_a + x, b_top + x, b_bot + x,
                         bb_top + x, bb_bot + x, ab_top + x, ab_bot + x,
@@ -454,8 +664,8 @@ const KernelSet* kernelset_avx2() {
       &blur_col_f64_avx2,
       &ref::sum_f64,
       &ref::prefix_row_f64,
-      &ref::window_sums_single_f64,
-      &ref::window_sums_pair_f64,
+      &window_sums_single_f64_avx2,
+      &window_sums_pair_f64_avx2,
       &uiqi_q_row_f64_avx2,
       &plc_scan_f64_avx2,
   };

@@ -158,6 +158,8 @@ const KernelSet* kernelset_neon() {
       &blur_col_f64_neon,
       &ref::sum_f64,
       &ref::prefix_row_f64,
+      // Row lanes want one table row per lane (four on AVX2); no
+      // two-row NEON variant has been measured, so reference loops.
       &ref::window_sums_single_f64,
       &ref::window_sums_pair_f64,
       // Two-double q lanes / DP lanes don't amortize the blend and

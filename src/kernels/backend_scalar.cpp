@@ -2,6 +2,9 @@
 // measured and parity-tested against.  Always compiled, always
 // supported.
 #include "kernels/kernels.h"
+
+#include <cmath>
+
 #include "kernels/kernels_ref.h"
 
 namespace hebs::kernels {
@@ -45,6 +48,12 @@ void mul_f64(const double* a, const double* b, double* dst, std::size_t n) {
 
 void saxpy_f64(double a, const double* x, double* y, std::size_t n) {
   ref::saxpy_f64(a, x, y, n);
+}
+
+bool exact_reciprocal(double n) {
+  int e = 0;
+  return std::isfinite(n) && std::frexp(n, &e) == 0.5 && e > -1000 &&
+         e < 1000;
 }
 
 }  // namespace hebs::kernels

@@ -5,7 +5,8 @@
 // without a runtime dispatch through kernels::active().  Float kernels
 // issue the same IEEE mul/add sequence per element as the scalar
 // reference (intrinsics are never contracted into FMA), so outputs are
-// bit-identical.
+// bit-identical.  The blurs broadcast their taps once per call and run
+// four independent two-double output vectors per step.
 #if defined(HEBS_KERNELS_ENABLE_SSE42) && defined(__SSE4_2__)
 
 #include <nmmintrin.h>
@@ -115,18 +116,55 @@ std::uint64_t sum_u8_sse42(const std::uint8_t* src, std::size_t n) {
   return total + ref::sum_u8(src + i, n - i);
 }
 
+// Blur taps broadcast once per call: up to this many (radius 8).
+// Longer filters take the one-vector loop.
+constexpr int kMaxBroadcastTaps = 17;
+
+/// Eight outputs per call, as four independent tap chains (same
+/// per-lane sequence as the scalar reference: taps added in k order
+/// from 0.0).  `in(k)` is the input pointer of tap k for output 0.
+template <typename In>
+inline void blur8_sse42(const __m128d* taps, int n_taps, In&& in,
+                        double* out) {
+  __m128d acc0 = _mm_setzero_pd();
+  __m128d acc1 = _mm_setzero_pd();
+  __m128d acc2 = _mm_setzero_pd();
+  __m128d acc3 = _mm_setzero_pd();
+  for (int k = 0; k < n_taps; ++k) {
+    const double* p = in(k);
+    const __m128d t = taps[k];
+    acc0 = _mm_add_pd(acc0, _mm_mul_pd(t, _mm_loadu_pd(p)));
+    acc1 = _mm_add_pd(acc1, _mm_mul_pd(t, _mm_loadu_pd(p + 2)));
+    acc2 = _mm_add_pd(acc2, _mm_mul_pd(t, _mm_loadu_pd(p + 4)));
+    acc3 = _mm_add_pd(acc3, _mm_mul_pd(t, _mm_loadu_pd(p + 6)));
+  }
+  _mm_storeu_pd(out, acc0);
+  _mm_storeu_pd(out + 2, acc1);
+  _mm_storeu_pd(out + 4, acc2);
+  _mm_storeu_pd(out + 6, acc3);
+}
+
 void blur_row_f64_sse42(const double* src, double* dst, int w,
                         const double* taps, int radius) {
   const int x_lo = std::min(radius, w);
   const int x_hi = std::max(x_lo, w - radius);
+  const int n_taps = 2 * radius + 1;
   for (int x = 0; x < x_lo; ++x) {
     dst[x] = ref::blur_row_one(src, w, x, taps, radius);
   }
   int x = x_lo;
+  if (n_taps <= kMaxBroadcastTaps) {
+    __m128d vt[kMaxBroadcastTaps];
+    for (int k = 0; k < n_taps; ++k) vt[k] = _mm_set1_pd(taps[k]);
+    for (; x + 8 <= x_hi; x += 8) {
+      const double* in = src + x - radius;
+      blur8_sse42(vt, n_taps, [in](int k) { return in + k; }, dst + x);
+    }
+  }
   for (; x + 2 <= x_hi; x += 2) {
     __m128d acc = _mm_setzero_pd();
     const double* in = src + x - radius;
-    for (int k = 0; k <= 2 * radius; ++k) {
+    for (int k = 0; k < n_taps; ++k) {
       acc = _mm_add_pd(acc, _mm_mul_pd(_mm_set1_pd(taps[k]),
                                        _mm_loadu_pd(in + k)));
     }
@@ -135,7 +173,7 @@ void blur_row_f64_sse42(const double* src, double* dst, int w,
   for (; x < x_hi; ++x) {
     double acc = 0.0;
     const double* in = src + x - radius;
-    for (int k = 0; k <= 2 * radius; ++k) acc += taps[k] * in[k];
+    for (int k = 0; k < n_taps; ++k) acc += taps[k] * in[k];
     dst[x] = acc;
   }
   for (x = x_hi; x < w; ++x) {
@@ -145,10 +183,19 @@ void blur_row_f64_sse42(const double* src, double* dst, int w,
 
 void blur_col_f64_sse42(const double* const* rows, int w,
                         const double* taps, int radius, double* out_row) {
+  const int n_taps = 2 * radius + 1;
   int x = 0;
+  if (n_taps <= kMaxBroadcastTaps) {
+    __m128d vt[kMaxBroadcastTaps];
+    for (int k = 0; k < n_taps; ++k) vt[k] = _mm_set1_pd(taps[k]);
+    for (; x + 8 <= w; x += 8) {
+      blur8_sse42(vt, n_taps, [rows, x](int k) { return rows[k] + x; },
+                  out_row + x);
+    }
+  }
   for (; x + 2 <= w; x += 2) {
     __m128d acc = _mm_setzero_pd();
-    for (int k = 0; k <= 2 * radius; ++k) {
+    for (int k = 0; k < n_taps; ++k) {
       acc = _mm_add_pd(acc, _mm_mul_pd(_mm_set1_pd(taps[k]),
                                        _mm_loadu_pd(rows[k] + x)));
     }
@@ -174,6 +221,9 @@ const KernelSet* kernelset_sse42() {
       &blur_col_f64_sse42,
       &ref::sum_f64,
       &ref::prefix_row_f64,
+      // Row lanes (kernels.h) want one table row per lane; the groups
+      // are sized for AVX2's four, and a two-row SSE4.2 variant has not
+      // been measured, so the window sums stay on the reference loops.
       &ref::window_sums_single_f64,
       &ref::window_sums_pair_f64,
       // 128-bit lanes fit two doubles: the q-row and DP-scan bodies are

@@ -12,11 +12,18 @@
 //   * integer kernels are bit-identical across every backend;
 //   * float kernels perform the same IEEE-754 operations per element in
 //     the same order as the scalar reference, so they are bit-identical
-//     too.  Kernels whose speed would require reassociating a serial
-//     accumulation (sum_f64, prefix_row_f64, the window_sums_* integral
-//     rows) are pinned to the scalar accumulation order instead — the
-//     pipeline's bit-exactness guarantees (engine vs. frozen seed path,
-//     percent-mapped vs. uiqi-hvs) depend on it.
+//     too.  Two rules say how a backend may still go wide:
+//       - row lanes: a serial accumulation (the running sum of an
+//         integral-table row) is never split or reassociated along its
+//         chain; a backend may only run several independent chains side
+//         by side, one per lane (the window_sums_* rows take a group of
+//         up to four table rows for that).  sum_f64 and prefix_row_f64
+//         have one chain per call and stay on the reference loop.
+//       - exact reciprocal: x / n may become x * (1/n) only when 1/n is
+//         exact (n a power of two, see exact_reciprocal); both then
+//         round the same real number, so the results are identical.
+//     The pipeline's bit-exactness guarantees (engine vs. frozen seed
+//     path, percent-mapped vs. uiqi-hvs) depend on this contract.
 #pragma once
 
 #include <cstddef>
@@ -47,6 +54,9 @@ struct PlcScanArgs {
   std::size_t j_seed;  ///< scan seed in [j_begin, i) — a perf hint for
                        ///< the prune bound; the result is seed-independent
 };
+
+/// Most table rows one window_sums_* call takes (one per AVX2 lane).
+inline constexpr int kWindowSumRows = 4;
 
 /// Dispatch table of the per-pixel hot-path primitives.  All pointers
 /// are non-null in every registered set.
@@ -116,20 +126,24 @@ struct KernelSet {
   /// the running sum accumulated left to right.
   void (*prefix_row_f64)(const double* v, const double* above, double* out,
                          std::size_t n);
-  /// Fused single-raster window-sum row: the sum and sum-of-squares
-  /// integral rows of v in one sweep (each table's running sum in
-  /// scalar order; products v[i]*v[i] are elementwise-exact).
-  void (*window_sums_single_f64)(const double* v, std::size_t n,
-                                 const double* above_s,
-                                 const double* above_ss, double* out_s,
-                                 double* out_ss);
-  /// Fused pair window-sum row: the b, b*b and a*b integral rows in one
-  /// sweep (for PairStats' covariance tables).
-  void (*window_sums_pair_f64)(const double* a, const double* b,
-                               std::size_t n, const double* above_b,
-                               const double* above_bb,
-                               const double* above_ab, double* out_b,
-                               double* out_bb, double* out_ab);
+  /// Fused single-raster window-sum rows for a group of `rows`
+  /// (1..kWindowSumRows) consecutive raster rows: for row r, the sum and
+  /// sum-of-squares integral rows of v[r] (each table's running sum in
+  /// scalar order; products v*v are elementwise-exact).  Row r's `above`
+  /// row is out_*[r-1]; row 0's is above_*.  The result equals the
+  /// reference loop run row by row (the row-lane rule above).
+  void (*window_sums_single_f64)(const double* const* v, int rows,
+                                 std::size_t n, const double* above_s,
+                                 const double* above_ss,
+                                 double* const* out_s, double* const* out_ss);
+  /// Fused pair window-sum rows, same grouping: the b, b*b and a*b
+  /// integral rows of a[r], b[r] in one sweep (for PairStats' covariance
+  /// tables and the row-streamed UIQI).
+  void (*window_sums_pair_f64)(const double* const* a, const double* const* b,
+                               int rows, std::size_t n, const double* above_b,
+                               const double* above_bb, const double* above_ab,
+                               double* const* out_b, double* const* out_bb,
+                               double* const* out_ab);
 
   // ------------------- float kernels (per-window / per-candidate,
   //                      elementwise bit-exact; see DESIGN.md §8, §11)
@@ -176,6 +190,13 @@ void lut_apply_f64(const std::uint8_t* src, std::size_t n, const double* lut,
 void mul_f64(const double* a, const double* b, double* dst, std::size_t n);
 /// y[i] = y[i] + a * x[i].
 void saxpy_f64(double a, const double* x, double* y, std::size_t n);
+
+/// True when 1/n is exact (n a power of two, far from the exponent
+/// range's ends): x * (1/n) then rounds the same real number x / n does,
+/// so the two are bit-identical for every x (the exact-reciprocal rule).
+/// Out of line in the baseline-ISA TU, so no copy compiled for a vector
+/// ISA can be linked into baseline callers.
+bool exact_reciprocal(double n);
 
 /// One compiled-in backend plus whether this machine can run it.
 struct BackendInfo {

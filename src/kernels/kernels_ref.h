@@ -142,18 +142,33 @@ inline void prefix_row_f64(const double* v, const double* above, double* out,
   }
 }
 
-inline void window_sums_single_f64(const double* v, std::size_t n,
-                                   const double* above_s,
-                                   const double* above_ss, double* out_s,
-                                   double* out_ss) {
-  double rs = 0.0;
-  double rss = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
+/// Columns [i, n) of one single-raster window-sum row, continuing the
+/// running sums rs / rss (0 and 0 from column 0).  The vector backends
+/// finish their row lanes with it.
+inline void window_sums_single_span(const double* v, std::size_t i,
+                                    std::size_t n, double rs, double rss,
+                                    const double* above_s,
+                                    const double* above_ss, double* out_s,
+                                    double* out_ss) {
+  for (; i < n; ++i) {
     const double x = v[i];
     rs += x;
     out_s[i] = above_s[i] + rs;
     rss += x * x;
     out_ss[i] = above_ss[i] + rss;
+  }
+}
+
+inline void window_sums_single_f64(const double* const* v, int rows,
+                                   std::size_t n, const double* above_s,
+                                   const double* above_ss,
+                                   double* const* out_s,
+                                   double* const* out_ss) {
+  for (int r = 0; r < rows; ++r) {
+    window_sums_single_span(v[r], 0, n, 0.0, 0.0, above_s, above_ss,
+                            out_s[r], out_ss[r]);
+    above_s = out_s[r];
+    above_ss = out_ss[r];
   }
 }
 
@@ -255,15 +270,16 @@ inline double plc_scan_f64(const PlcScanArgs* args, std::size_t* out_j) {
   return row_best;
 }
 
-inline void window_sums_pair_f64(const double* a, const double* b,
-                                 std::size_t n, const double* above_b,
-                                 const double* above_bb,
-                                 const double* above_ab, double* out_b,
-                                 double* out_bb, double* out_ab) {
-  double rb = 0.0;
-  double rbb = 0.0;
-  double rab = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
+/// Columns [i, n) of one pair window-sum row, continuing the running
+/// sums rb / rbb / rab (all 0 from column 0).
+inline void window_sums_pair_span(const double* a, const double* b,
+                                  std::size_t i, std::size_t n, double rb,
+                                  double rbb, double rab,
+                                  const double* above_b,
+                                  const double* above_bb,
+                                  const double* above_ab, double* out_b,
+                                  double* out_bb, double* out_ab) {
+  for (; i < n; ++i) {
     const double xb = b[i];
     rb += xb;
     out_b[i] = above_b[i] + rb;
@@ -271,6 +287,22 @@ inline void window_sums_pair_f64(const double* a, const double* b,
     out_bb[i] = above_bb[i] + rbb;
     rab += a[i] * xb;
     out_ab[i] = above_ab[i] + rab;
+  }
+}
+
+inline void window_sums_pair_f64(const double* const* a,
+                                 const double* const* b, int rows,
+                                 std::size_t n, const double* above_b,
+                                 const double* above_bb,
+                                 const double* above_ab, double* const* out_b,
+                                 double* const* out_bb,
+                                 double* const* out_ab) {
+  for (int r = 0; r < rows; ++r) {
+    window_sums_pair_span(a[r], b[r], 0, n, 0.0, 0.0, 0.0, above_b, above_bb,
+                          above_ab, out_b[r], out_bb[r], out_ab[r]);
+    above_b = out_b[r];
+    above_bb = out_bb[r];
+    above_ab = out_ab[r];
   }
 }
 

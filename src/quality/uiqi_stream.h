@@ -11,11 +11,13 @@
 //   2. blur_row_f64 writes it into a ring of 2r+1 horizontally blurred
 //      rows, and blur_col_f64 produces blurred row y - r from that ring
 //      (border rows are repeated ring pointers; r = 0 skips the blur);
-//   3. window_sums_pair_f64 steps the b, b·b and a·b integral tables
-//      into a ring of block+1 rows — window row wy needs only table rows
-//      wy and wy + block;
-//   4. uiqi_q_row_f64 turns the completed window row into q values
-//      against the cached reference moments;
+//   3. blurred rows are collected in groups of four, and
+//      window_sums_pair_f64 steps the b, b·b and a·b integral tables by
+//      one group (four table rows, one per AVX2 lane) into a ring of
+//      block+4 rows — window row wy needs only table rows wy and
+//      wy + block;
+//   4. uiqi_q_row_f64 turns each completed window row of the group into
+//      q values against the cached reference moments;
 //   5. the q values are added to one serial accumulator in row-major
 //      order.
 //
@@ -23,7 +25,7 @@
 // as the full-raster path (hvs_transform, then PairStats and the
 // per-window loop of uiqi_from_stats), so the result is bit-identical
 // to it on every backend (tests/test_distortion_identity.cpp).  The
-// working set is about (2r+1) + 3·(block+1) rows instead of seven
+// working set is about (2r+1) + 4 + 3·(block+4) rows instead of seven
 // frames.  The reference side is built by the same stream, once per
 // evaluator.
 #pragma once

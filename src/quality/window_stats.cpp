@@ -1,5 +1,7 @@
 #include "quality/window_stats.h"
 
+#include <algorithm>
+
 #include "kernels/kernels.h"
 #include "util/error.h"
 
@@ -106,7 +108,7 @@ PairStats::PairStats(std::span<const double> a, std::span<const double> b,
       sum_bb_(width, height),
       sum_ab_(width, height) {
   HEBS_REQUIRE(a.size() == b.size(), "paired rasters must match");
-  // The b, b*b and a*b tables in one fused sweep per row.
+  // The b, b*b and a*b tables in one fused sweep per group of rows.
   const std::size_t stride = table_stride(width);
   auto& table_b = sum_b_.table_;
   auto& table_bb = sum_bb_.table_;
@@ -115,15 +117,32 @@ PairStats::PairStats(std::span<const double> a, std::span<const double> b,
   table_bb.assign(table_cells(width, height), 0.0);
   table_ab.assign(table_cells(width, height), 0.0);
   const auto& kernels = hebs::kernels::active();
-  for (int y = 0; y < height; ++y) {
-    const std::size_t above = static_cast<std::size_t>(y) * stride + 1;
-    const std::size_t out = (static_cast<std::size_t>(y) + 1) * stride + 1;
-    kernels.window_sums_pair_f64(
-        a.data() + static_cast<std::size_t>(y) * width,
-        b.data() + static_cast<std::size_t>(y) * width,
-        static_cast<std::size_t>(width), table_b.data() + above,
-        table_bb.data() + above, table_ab.data() + above,
-        table_b.data() + out, table_bb.data() + out, table_ab.data() + out);
+  const auto row_at = [width](std::span<const double> v, int y) {
+    return v.data() + static_cast<std::size_t>(y) * width;
+  };
+  constexpr int kGroup = hebs::kernels::kWindowSumRows;
+  for (int y0 = 0; y0 < height; y0 += kGroup) {
+    const int count = std::min(kGroup, height - y0);
+    const double* a_rows[kGroup];
+    const double* b_rows[kGroup];
+    double* out_b[kGroup];
+    double* out_bb[kGroup];
+    double* out_ab[kGroup];
+    for (int j = 0; j < count; ++j) {
+      a_rows[j] = row_at(a, y0 + j);
+      b_rows[j] = row_at(b, y0 + j);
+      const std::size_t out = static_cast<std::size_t>(y0 + j + 1) * stride + 1;
+      out_b[j] = table_b.data() + out;
+      out_bb[j] = table_bb.data() + out;
+      out_ab[j] = table_ab.data() + out;
+    }
+    const std::size_t above = static_cast<std::size_t>(y0) * stride + 1;
+    kernels.window_sums_pair_f64(a_rows, b_rows, count,
+                                 static_cast<std::size_t>(width),
+                                 table_b.data() + above,
+                                 table_bb.data() + above,
+                                 table_ab.data() + above, out_b, out_bb,
+                                 out_ab);
   }
 }
 

@@ -5,7 +5,8 @@
 // built from the independent pieces only: hvs_transform of both
 // rasters, then quality::uiqi (the two-span PairStats and the generic
 // per-window loop — no cached reference moments, no q-row kernel), then
-// the same index-to-percent mapping.  Every comparison is bitwise.
+// the same index-to-percent mapping, all on the scalar backend.  Every
+// comparison is bitwise.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -111,9 +112,13 @@ FloatImage normalized(const GrayImage16& img) {
   return out;
 }
 
-/// The full-raster metric the evaluator must reproduce.
+/// The full-raster metric the evaluator must reproduce, always on the
+/// scalar reference loops (so a vector kernel the evaluator shares with
+/// PairStats or the HVS blur cannot agree with itself).
 double oracle(const FloatImage& ref, const FloatImage& test,
               const DistortionOptions& opts) {
+  const BackendGuard guard;
+  hebs::kernels::set_backend("scalar");
   if (opts.metric == Metric::kUiqi) {
     return index_to_percent(uiqi(ref, test, opts.uiqi));
   }
@@ -292,12 +297,56 @@ TEST(DistortionIdentity, RasterShorterThanBlurSupport) {
   }
 }
 
-TEST(DistortionIdentity, Hd720pMatchesFullRasterMetric) {
+// The stream collects blurred rows in groups of four and steps the
+// integral tables one group at a time, so the last group of a raster
+// holds h % 4 rows, and a window stride skips q rows inside a group.
+// Heights with every remainder, strides 1..3, with and without the blur.
+TEST(DistortionIdentity, GroupedRowsEveryRemainderAndStride) {
   const BackendGuard guard;
-  const GrayImage img = make_u8(1280, 720, 16);
+  for (const std::string& backend : supported_backends()) {
+    ASSERT_EQ(hebs::kernels::set_backend(backend),
+              hebs::kernels::SetBackendResult::kOk);
+    for (const double sigma : {0.0, 1.0}) {
+      for (const int block : {2, 8}) {
+        for (const int stride : {1, 2, 3}) {
+          for (int h = block + 9; h <= block + 12; ++h) {
+            SCOPED_TRACE(backend + " sigma=" + std::to_string(sigma) +
+                         " block=" + std::to_string(block) + " stride=" +
+                         std::to_string(stride) + " h=" + std::to_string(h) +
+                         " (h % 4 = " + std::to_string(h % 4) + ")");
+            DistortionOptions opts =
+                make_opts(Metric::kUiqiHvs, sigma, true, block);
+            opts.uiqi.stride = stride;
+            const GrayImage img = make_u8(29, h, 21);
+            const FloatLut levels = make_levels(256);
+            const FloatImage ref = normalized(img);
+            const DistortionEvaluator eval(ref, opts);
+            const double got = eval.percent_mapped(img, levels);
+            const double want = oracle(ref, levels.apply(img), opts);
+            EXPECT_TRUE(same_bits(got, want)) << got << " vs " << want;
+
+            const DistortionEvaluator from_gray(img, opts);
+            const double got_int = from_gray.percent_mapped(img, levels);
+            EXPECT_TRUE(same_bits(got_int, want)) << got_int << " vs " << want;
+
+            FloatImage test = levels.apply(make_u8(29, h, 22));
+            const double got_f = eval.percent(test);
+            const double want_f = oracle(ref, test, opts);
+            EXPECT_TRUE(same_bits(got_f, want_f)) << got_f << " vs " << want_f;
+          }
+        }
+      }
+    }
+  }
+}
+
+/// The paper's default configuration on a w x h frame, every backend.
+void check_hd_frame(int w, int h) {
+  const BackendGuard guard;
+  const GrayImage img = make_u8(w, h, 16);
   const FloatLut levels = make_levels(256);
   const FloatImage ref = normalized(img);
-  const DistortionOptions opts;  // the paper's default configuration
+  const DistortionOptions opts;
   for (const std::string& backend : supported_backends()) {
     ASSERT_EQ(hebs::kernels::set_backend(backend),
               hebs::kernels::SetBackendResult::kOk);
@@ -307,6 +356,15 @@ TEST(DistortionIdentity, Hd720pMatchesFullRasterMetric) {
     const double want = oracle(ref, levels.apply(img), opts);
     EXPECT_TRUE(same_bits(got, want)) << got << " vs " << want;
   }
+}
+
+TEST(DistortionIdentity, Hd720pMatchesFullRasterMetric) {
+  check_hd_frame(1280, 720);
+}
+
+// 723 rows: the stream's last row group holds three rows.
+TEST(DistortionIdentity, Hd1280x723MatchesFullRasterMetric) {
+  check_hd_frame(1280, 723);
 }
 
 }  // namespace

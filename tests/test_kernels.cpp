@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <random>
@@ -172,6 +173,18 @@ std::vector<const double*> clamped_rows(const double* src, int w, int h,
   return rows;
 }
 
+/// Normalized random taps for a 2*radius+1-tap blur.
+std::vector<double> random_taps(std::mt19937& rng, int radius) {
+  std::vector<double> taps(static_cast<std::size_t>(2 * radius) + 1);
+  double norm = 0.0;
+  for (auto& t : taps) {
+    t = 0.05 + static_cast<double>(rng() % 1000) / 1000.0;
+    norm += t;
+  }
+  for (auto& t : taps) t /= norm;
+  return taps;
+}
+
 TEST(KernelParity, FuzzAllBackendsBitIdenticalToScalar) {
   const auto sets = supported_backends();
   ASSERT_FALSE(sets.empty());
@@ -187,13 +200,7 @@ TEST(KernelParity, FuzzAllBackendsBitIdenticalToScalar) {
     const FuzzCase c = make_case(rng);
     const std::size_t n = c.bytes.size();
     const int radius = 1 + static_cast<int>(rng() % 4);
-    std::vector<double> taps(static_cast<std::size_t>(2 * radius) + 1);
-    double norm = 0.0;
-    for (auto& t : taps) {
-      t = 0.05 + static_cast<double>(rng() % 1000) / 1000.0;
-      norm += t;
-    }
-    for (auto& t : taps) t /= norm;
+    const std::vector<double> taps = random_taps(rng, radius);
 
     // Scalar reference outputs.
     std::vector<std::uint64_t> counts_ref(256, 7);  // accumulate contract
@@ -208,16 +215,31 @@ TEST(KernelParity, FuzzAllBackendsBitIdenticalToScalar) {
     const double sumf_ref = ref.sum_f64(c.fa.data(), n);
     std::vector<double> prefix_ref(n);
     ref.prefix_row_f64(c.fa.data(), c.fb.data(), prefix_ref.data(), n);
-    std::vector<double> ws_s_ref(n);
-    std::vector<double> ws_ss_ref(n);
-    ref.window_sums_single_f64(c.fa.data(), n, c.fb.data(), c.fb.data(),
-                               ws_s_ref.data(), ws_ss_ref.data());
-    std::vector<double> wp_b_ref(n);
-    std::vector<double> wp_bb_ref(n);
-    std::vector<double> wp_ab_ref(n);
-    ref.window_sums_pair_f64(c.fa.data(), c.fb.data(), n, c.fa.data(),
-                             c.fa.data(), c.fa.data(), wp_b_ref.data(),
-                             wp_bb_ref.data(), wp_ab_ref.data());
+    // Window sums over a group of the raster's first 1..4 rows, each
+    // row's `above` chained to the output of the row before it.
+    const int group = std::min(c.h, 1 + iter % kWindowSumRows);
+    const auto w = static_cast<std::size_t>(c.w);
+    const auto rows_of = [&](auto* base) {
+      std::vector<decltype(base)> rows;
+      for (int r = 0; r < group; ++r) rows.push_back(base + r * w);
+      return rows;
+    };
+    const auto a_rows = rows_of(c.fa.data());
+    const auto b_rows = rows_of(c.fb.data());
+    const std::size_t gn = static_cast<std::size_t>(group) * w;
+    std::vector<double> ws_s_ref(gn);
+    std::vector<double> ws_ss_ref(gn);
+    ref.window_sums_single_f64(a_rows.data(), group, w, c.fb.data(),
+                               c.fb.data(), rows_of(ws_s_ref.data()).data(),
+                               rows_of(ws_ss_ref.data()).data());
+    std::vector<double> wp_b_ref(gn);
+    std::vector<double> wp_bb_ref(gn);
+    std::vector<double> wp_ab_ref(gn);
+    ref.window_sums_pair_f64(a_rows.data(), b_rows.data(), group, w,
+                             c.fa.data(), c.fa.data(), c.fa.data(),
+                             rows_of(wp_b_ref.data()).data(),
+                             rows_of(wp_bb_ref.data()).data(),
+                             rows_of(wp_ab_ref.data()).data());
     std::vector<double> brow_ref(n);
     std::vector<double> bcol_ref(n);
     for (int y = 0; y < c.h; ++y) {
@@ -258,21 +280,24 @@ TEST(KernelParity, FuzzAllBackendsBitIdenticalToScalar) {
       expect_bytes_eq(prefix_out, prefix_ref, "prefix_row_f64", *set, c.w,
                       c.h);
 
-      std::vector<double> ws_s(n);
-      std::vector<double> ws_ss(n);
-      set->window_sums_single_f64(c.fa.data(), n, c.fb.data(), c.fb.data(),
-                                  ws_s.data(), ws_ss.data());
+      std::vector<double> ws_s(gn);
+      std::vector<double> ws_ss(gn);
+      set->window_sums_single_f64(a_rows.data(), group, w, c.fb.data(),
+                                  c.fb.data(), rows_of(ws_s.data()).data(),
+                                  rows_of(ws_ss.data()).data());
       expect_bytes_eq(ws_s, ws_s_ref, "window_sums_single_f64(s)", *set, c.w,
                       c.h);
       expect_bytes_eq(ws_ss, ws_ss_ref, "window_sums_single_f64(ss)", *set,
                       c.w, c.h);
 
-      std::vector<double> wp_b(n);
-      std::vector<double> wp_bb(n);
-      std::vector<double> wp_ab(n);
-      set->window_sums_pair_f64(c.fa.data(), c.fb.data(), n, c.fa.data(),
-                                c.fa.data(), c.fa.data(), wp_b.data(),
-                                wp_bb.data(), wp_ab.data());
+      std::vector<double> wp_b(gn);
+      std::vector<double> wp_bb(gn);
+      std::vector<double> wp_ab(gn);
+      set->window_sums_pair_f64(a_rows.data(), b_rows.data(), group, w,
+                                c.fa.data(), c.fa.data(), c.fa.data(),
+                                rows_of(wp_b.data()).data(),
+                                rows_of(wp_bb.data()).data(),
+                                rows_of(wp_ab.data()).data());
       expect_bytes_eq(wp_b, wp_b_ref, "window_sums_pair_f64(b)", *set, c.w,
                       c.h);
       expect_bytes_eq(wp_bb, wp_bb_ref, "window_sums_pair_f64(bb)", *set, c.w,
@@ -306,13 +331,7 @@ TEST(KernelParity, BlurColRowPointersAtBordersAndRepeats) {
   const KernelSet& ref = scalar_kernels();
   std::mt19937 rng(20261017);
   for (int radius = 1; radius <= 8; ++radius) {
-    std::vector<double> taps(static_cast<std::size_t>(2 * radius) + 1);
-    double norm = 0.0;
-    for (auto& t : taps) {
-      t = 0.05 + static_cast<double>(rng() % 1000) / 1000.0;
-      norm += t;
-    }
-    for (auto& t : taps) t /= norm;
+    const std::vector<double> taps = random_taps(rng, radius);
     for (const int h : {1, 2, radius, radius + 1, 2 * radius + 1,
                         2 * radius + 3}) {
       for (const int w : {1, 2, 3, 5, 8, 13, 33}) {
@@ -349,6 +368,142 @@ TEST(KernelParity, BlurColRowPointersAtBordersAndRepeats) {
           set->blur_col_f64(same.data(), w, taps.data(), radius, got.data());
           expect_bytes_eq(got, want, "blur_col_f64 (one repeated row)", *set,
                           w, h);
+        }
+      }
+    }
+  }
+}
+
+// The vector blurs run 16 (AVX2) or 8 (SSE4.2) outputs per step with
+// the taps broadcast once per call, up to a tap budget; longer filters
+// and the leftover outputs take narrower loops.  Widths here put the
+// interior (w - 2r outputs for the row blur, w for the column blur) on
+// both sides of every step width, and radii 9..12 overrun the budget.
+TEST(KernelParity, BlurUnrolledBodyWidthsAndRadii) {
+  const auto sets = supported_backends();
+  const KernelSet& ref = scalar_kernels();
+  std::mt19937 rng(20261018);
+  for (const int radius : {1, 2, 3, 4, 8, 9, 10, 12}) {
+    const std::vector<double> taps = random_taps(rng, radius);
+    for (const int body : {1, 7, 8, 9, 15, 16, 17, 23, 31, 32, 33, 47, 48,
+                           49, 63, 64, 65}) {
+      for (const int w : {body, body + 2 * radius}) {
+        const int h = 2 * radius + 3;
+        std::vector<double> src(static_cast<std::size_t>(w) * h);
+        for (auto& v : src) v = static_cast<double>(rng() % 100000) / 99999.0;
+        std::vector<double> row_want(static_cast<std::size_t>(w));
+        std::vector<double> col_want(static_cast<std::size_t>(w));
+        ref.blur_row_f64(src.data(), row_want.data(), w, taps.data(), radius);
+        const int y = h / 2;
+        const auto rows = clamped_rows(src.data(), w, h, y, radius);
+        ref.blur_col_f64(rows.data(), w, taps.data(), radius,
+                         col_want.data());
+        for (const KernelSet* set : sets) {
+          SCOPED_TRACE("radius " + std::to_string(radius));
+          std::vector<double> got(static_cast<std::size_t>(w));
+          set->blur_row_f64(src.data(), got.data(), w, taps.data(), radius);
+          expect_bytes_eq(got, row_want, "blur_row_f64 (body widths)", *set,
+                          w, h);
+          set->blur_col_f64(rows.data(), w, taps.data(), radius, got.data());
+          expect_bytes_eq(got, col_want, "blur_col_f64 (body widths)", *set,
+                          w, h);
+        }
+      }
+    }
+  }
+}
+
+// window_sums_* take a group of 1..4 rows whose `above` rows chain
+// (row r's above is row r-1's output).  A raster streamed in groups of
+// every size, with each group's above row the previous group's last
+// output and the output rows scattered as in the streamed evaluator's
+// ring, must build exactly the table the reference loop builds one row
+// at a time.
+TEST(KernelParity, WindowSumGroupsChainLikeSingleRows) {
+  const auto sets = supported_backends();
+  const KernelSet& ref = scalar_kernels();
+  std::mt19937 rng(20261019);
+  std::uniform_real_distribution<double> val(-1.0, 1.0);
+  for (const std::size_t n :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4},
+        std::size_t{5}, std::size_t{7}, std::size_t{8}, std::size_t{13},
+        std::size_t{16}, std::size_t{33}, std::size_t{1283}}) {
+    const int h = 11;
+    std::vector<double> a(n * h);
+    std::vector<double> b(n * h);
+    for (auto& v : a) v = val(rng);
+    for (auto& v : b) v = val(rng);
+    std::vector<double> seed_row(n);
+    for (auto& v : seed_row) v = val(rng) * 100.0;
+
+    // Reference: one row per call, table row y+1 from row y.
+    std::vector<std::vector<double>> want(6, std::vector<double>(n * (h + 1)));
+    for (auto& t : want) std::copy(seed_row.begin(), seed_row.end(), t.begin());
+    for (int y = 0; y < h; ++y) {
+      const double* a_row = a.data() + y * n;
+      const double* b_row = b.data() + y * n;
+      const auto at = [&](int t, int row) { return want[t].data() + row * n; };
+      double* out_s = at(0, y + 1);
+      double* out_ss = at(1, y + 1);
+      ref.window_sums_single_f64(&a_row, 1, n, at(0, y), at(1, y), &out_s,
+                                 &out_ss);
+      double* out_b = at(2, y + 1);
+      double* out_bb = at(3, y + 1);
+      double* out_ab = at(4, y + 1);
+      ref.window_sums_pair_f64(&a_row, &b_row, 1, n, at(2, y), at(3, y),
+                               at(4, y), &out_b, &out_bb, &out_ab);
+    }
+
+    for (const KernelSet* set : sets) {
+      for (int pattern = 0; pattern < 4; ++pattern) {
+        // Table row t lives in ring slot (t * 5) % 12: rows of one group
+        // are never adjacent in memory.
+        std::vector<std::vector<double>> ring(6,
+                                              std::vector<double>(n * 12));
+        const auto slot = [&](int t, int row) {
+          return ring[t].data() + static_cast<std::size_t>((row * 5) % 12) * n;
+        };
+        for (int t = 0; t < 5; ++t) {
+          std::copy(seed_row.begin(), seed_row.end(), slot(t, 0));
+        }
+        std::vector<std::vector<double>> got(5,
+                                             std::vector<double>(n * (h + 1)));
+        for (int y0 = 0; y0 < h;) {
+          const int count = std::min(h - y0, 1 + (pattern + y0) % 4);
+          const double* a_rows[4];
+          const double* b_rows[4];
+          double* outs[5][4];
+          for (int j = 0; j < count; ++j) {
+            a_rows[j] = a.data() + (y0 + j) * n;
+            b_rows[j] = b.data() + (y0 + j) * n;
+            for (int t = 0; t < 5; ++t) outs[t][j] = slot(t, y0 + 1 + j);
+          }
+          set->window_sums_single_f64(a_rows, count, n, slot(0, y0),
+                                      slot(1, y0), outs[0], outs[1]);
+          set->window_sums_pair_f64(a_rows, b_rows, count, n, slot(2, y0),
+                                    slot(3, y0), slot(4, y0), outs[2],
+                                    outs[3], outs[4]);
+          for (int j = 0; j < count; ++j) {
+            for (int t = 0; t < 5; ++t) {
+              std::copy(outs[t][j], outs[t][j] + n,
+                        got[t].data() + (y0 + 1 + j) * n);
+            }
+          }
+          y0 += count;
+        }
+        static const char* const kNames[] = {
+            "window_sums_single_f64(s)", "window_sums_single_f64(ss)",
+            "window_sums_pair_f64(b)", "window_sums_pair_f64(bb)",
+            "window_sums_pair_f64(ab)"};
+        for (int t = 0; t < 5; ++t) {
+          // Row 0 is the seed row in `want`; compare table rows 1..h.
+          const std::vector<double> want_rows(want[t].begin() + n,
+                                              want[t].end());
+          const std::vector<double> got_rows(got[t].begin() + n,
+                                             got[t].end());
+          SCOPED_TRACE("pattern " + std::to_string(pattern));
+          expect_bytes_eq(got_rows, want_rows, kNames[t], *set,
+                          static_cast<int>(n), h);
         }
       }
     }
@@ -585,6 +740,149 @@ TEST(KernelParity, UiqiQRowAcrossBackends) {
                 0)
           << "uiqi_q_row_f64 diverges on " << set->name << " (iter " << iter
           << ", block " << block << ", n_win " << n_win << ")";
+    }
+  }
+}
+
+/// Prefix rows whose window rectangle sums (block wide) are the
+/// column values' sums: top stays zero, bot[x] = col[0] + ... +
+/// col[x-1].
+std::vector<double> prefix_of(const std::vector<double>& col) {
+  std::vector<double> out(col.size() + 1, 0.0);
+  for (std::size_t x = 0; x < col.size(); ++x) out[x + 1] = out[x] + col[x];
+  return out;
+}
+
+// Windows whose lanes disagree on the q branch: flat runs of test value
+// 0.5 against a flat reference (var_b == 0 exactly, so d12 == 0 and q
+// takes the 2·mean_prod/denom1 fallback), zero runs against a zero mean
+// (denom1 == 0: q = 1), and live windows in between, so one 4-window
+// vector mixes live and degenerate lanes and the deferred fallback
+// division runs.  Every block 2..11 (n_px 4, 16 and 64 take the
+// exact-reciprocal path).
+TEST(KernelParity, UiqiQRowMixedLanesEveryBlock) {
+  const auto sets = supported_backends();
+  const KernelSet& ref = scalar_kernels();
+  std::mt19937 rng(20261020);
+  // Multiples of 1/64: every prefix and rectangle sum below is exact, so
+  // a flat window's variance is exactly zero.
+  const auto val = [](std::mt19937& g) {
+    return static_cast<double>(1 + g() % 64) / 64.0;
+  };
+  const double q_fallback = 2.0 * (0.25 * 0.5) / (0.25 * 0.25 + 0.5 * 0.5);
+  for (int block = 2; block <= 11; ++block) {
+    const double n_px = static_cast<double>(block) * block;
+    std::size_t branch_hits[3] = {0, 0, 0};  // fallback, q = 1, live
+    for (int iter = 0; iter < 6; ++iter) {
+      // Column values (block rows summed) in segments: flat 0.5, flat 0,
+      // or random, each segment block + 0..3 columns long.
+      std::vector<double> col_b;
+      std::vector<int> kind;
+      for (int segment = iter; col_b.size() < 90; ++segment) {
+        const int k = segment % 3;
+        const std::size_t len = static_cast<std::size_t>(block) + rng() % 4;
+        for (std::size_t j = 0; j < len; ++j) {
+          const double v = k == 0 ? 0.5 : (k == 1 ? 0.0 : val(rng));
+          col_b.push_back(v * block);
+          kind.push_back(k);
+        }
+      }
+      const std::size_t n_win = col_b.size() - static_cast<std::size_t>(block) + 1;
+      std::vector<double> col_bb(col_b.size());
+      std::vector<double> col_ab(col_b.size());
+      for (std::size_t j = 0; j < col_b.size(); ++j) {
+        const double v = col_b[j] / block;
+        col_bb[j] = v * v * block;
+        col_ab[j] = v * 0.25 * block;
+      }
+      std::vector<double> mean_a(n_win);
+      std::vector<double> var_a(n_win);
+      for (std::size_t x = 0; x < n_win; ++x) {
+        // A window inside one flat segment gets a flat reference.
+        bool flat = true;
+        for (int j = 1; j < block; ++j) {
+          flat = flat && kind[x + j] == kind[x] && kind[x] != 2;
+        }
+        mean_a[x] = flat && kind[x] == 1 ? 0.0 : 0.25;
+        var_a[x] = flat ? 0.0 : val(rng) * 0.1;
+      }
+      const std::vector<double> zero(col_b.size() + 1, 0.0);
+      const std::vector<double> b_bot = prefix_of(col_b);
+      const std::vector<double> bb_bot = prefix_of(col_bb);
+      const std::vector<double> ab_bot = prefix_of(col_ab);
+      std::vector<double> q_ref(n_win);
+      ref.uiqi_q_row_f64(mean_a.data(), var_a.data(), zero.data(),
+                         b_bot.data(), zero.data(), bb_bot.data(),
+                         zero.data(), ab_bot.data(), n_win, block, n_px,
+                         q_ref.data());
+      for (const double q : q_ref) {
+        ++branch_hits[q == q_fallback ? 0 : (q == 1.0 ? 1 : 2)];
+      }
+      for (const KernelSet* set : sets) {
+        std::vector<double> q(n_win);
+        set->uiqi_q_row_f64(mean_a.data(), var_a.data(), zero.data(),
+                            b_bot.data(), zero.data(), bb_bot.data(),
+                            zero.data(), ab_bot.data(), n_win, block, n_px,
+                            q.data());
+        EXPECT_EQ(std::memcmp(q.data(), q_ref.data(), n_win * sizeof(double)),
+                  0)
+            << "uiqi_q_row_f64 (mixed lanes) diverges on " << set->name
+            << " (block " << block << ", iter " << iter << ")";
+      }
+    }
+    // The fixture must reach every branch.
+    for (const std::size_t hits : branch_hits) {
+      EXPECT_GT(hits, 0u) << "block " << block;
+    }
+  }
+}
+
+// The exact-reciprocal rule: with n_px a power of two a backend may
+// scale rect sums by 1/n_px instead of dividing.  Rect sums of ±0,
+// subnormals, the smallest normal and values near the top of the range
+// must come out bit-identical to the reference division, for power-of-
+// two n_px (1 .. 2^20) and for others.
+TEST(KernelParity, UiqiQRowReciprocalRuleOnSpecialSums) {
+  const auto sets = supported_backends();
+  const KernelSet& ref = scalar_kernels();
+  std::mt19937 rng(20261021);
+  static const double kSpecials[] = {
+      0.0,      -0.0,     5e-324,   -5e-324,   1e-310,  -3.3e-309,
+      2.2250738585072014e-308,    1e300,     -1e300,  1.7e308,
+      -1.7e308, 0.75,     -0.3,     64.0,      1e-200};
+  const auto pick = [&] {
+    return kSpecials[rng() % (sizeof(kSpecials) / sizeof(kSpecials[0]))];
+  };
+  for (const double n_px : {1.0, 2.0, 4.0, 16.0, 64.0, 1024.0, 1048576.0,
+                            9.0, 25.0, 49.0, 100.0, 121.0, 0.75}) {
+    for (const int block : {2, 8}) {
+      const std::size_t n_win = 37;
+      const std::size_t cols = n_win + static_cast<std::size_t>(block) + 1;
+      std::vector<std::vector<double>> t(6, std::vector<double>(cols));
+      for (auto& row : t) {
+        for (auto& v : row) v = pick();
+      }
+      std::vector<double> mean_a(n_win);
+      std::vector<double> var_a(n_win);
+      for (std::size_t x = 0; x < n_win; ++x) {
+        mean_a[x] = pick();
+        var_a[x] = std::fabs(pick());
+      }
+      std::vector<double> q_ref(n_win);
+      ref.uiqi_q_row_f64(mean_a.data(), var_a.data(), t[0].data(),
+                         t[1].data(), t[2].data(), t[3].data(), t[4].data(),
+                         t[5].data(), n_win, block, n_px, q_ref.data());
+      for (const KernelSet* set : sets) {
+        std::vector<double> q(n_win);
+        set->uiqi_q_row_f64(mean_a.data(), var_a.data(), t[0].data(),
+                            t[1].data(), t[2].data(), t[3].data(),
+                            t[4].data(), t[5].data(), n_win, block, n_px,
+                            q.data());
+        EXPECT_EQ(std::memcmp(q.data(), q_ref.data(), n_win * sizeof(double)),
+                  0)
+            << "uiqi_q_row_f64 (special sums) diverges on " << set->name
+            << " (n_px " << n_px << ", block " << block << ")";
+      }
     }
   }
 }
