@@ -55,14 +55,16 @@ Status ImageView::validate() const {
 
 namespace hebs::api {
 
-hebs::image::GrayImage materialize_gray(const ImageView& view) {
-  hebs::image::GrayImage out(view.width(), view.height());
+void materialize_gray(const ImageView& view, hebs::image::GrayImage& out) {
   const int w = view.width();
+  if (out.empty() || out.width() != w || out.height() != view.height()) {
+    out = hebs::image::GrayImage(w, view.height());
+  }
   if (view.format() == PixelFormat::kGray8) {
     for (int y = 0; y < view.height(); ++y) {
       std::memcpy(&out(0, y), view.row(y), static_cast<std::size_t>(w));
     }
-    return out;
+    return;
   }
   // BT.601 luma through the dispatched kernel — the same kernel
   // image::RgbImage::to_luma runs, so the two ingestion paths are
@@ -73,12 +75,20 @@ hebs::image::GrayImage materialize_gray(const ImageView& view) {
     kernels.luma_bt601_rgb8(view.row(y), static_cast<std::size_t>(w),
                             &out(0, y));
   }
+}
+
+hebs::image::GrayImage materialize_gray(const ImageView& view) {
+  hebs::image::GrayImage out;
+  materialize_gray(view, out);
   return out;
 }
 
-hebs::image::GrayImage16 materialize_gray16(const ImageView& view,
-                                            int levels) {
-  hebs::image::GrayImage16 out(view.width(), view.height(), levels);
+void materialize_gray16(const ImageView& view, int levels,
+                        hebs::image::GrayImage16& out) {
+  if (out.empty() || out.width() != view.width() ||
+      out.height() != view.height() || out.levels() != levels) {
+    out = hebs::image::GrayImage16(view.width(), view.height(), levels);
+  }
   const std::size_t row_bytes = static_cast<std::size_t>(view.width()) * 2;
   auto dst = out.pixels();
   for (int y = 0; y < view.height(); ++y) {
@@ -93,18 +103,19 @@ hebs::image::GrayImage16 materialize_gray16(const ImageView& view,
     HEBS_REQUIRE(v <= max_sample,
                  "gray16 sample exceeds the session's bit depth");
   }
-  return out;
 }
 
-hebs::image::RgbImage materialize_rgb(const ImageView& view) {
-  hebs::image::RgbImage out(view.width(), view.height());
+void materialize_rgb(const ImageView& view, hebs::image::RgbImage& out) {
+  if (out.empty() || out.width() != view.width() ||
+      out.height() != view.height()) {
+    out = hebs::image::RgbImage(view.width(), view.height());
+  }
   const std::size_t row_bytes = static_cast<std::size_t>(view.width()) * 3;
   auto dst = out.data();
   for (int y = 0; y < view.height(); ++y) {
     std::memcpy(dst.data() + static_cast<std::size_t>(y) * row_bytes,
                 view.row(y), row_bytes);
   }
-  return out;
 }
 
 }  // namespace hebs::api

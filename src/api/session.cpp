@@ -408,47 +408,90 @@ struct Session::Impl {
     return check_frames(frames, what, color);
   }
 
+  /// The rasters a call copies its views into before the engine runs.
+  struct Staging {
+    std::vector<hebs::image::GrayImage> gray;
+    std::vector<hebs::image::GrayImage16> gray16;
+    std::vector<hebs::image::RgbImage> rgb;
+  };
+  /// Held by the one multi-frame call staging into `staging`, which the
+  /// session keeps across calls so a steady caller copies each frame
+  /// into the storage its previous call used.  The copies run on the
+  /// calling thread outside any PoolScope, so the pool-alloc fault point
+  /// still fires only inside engine per-frame work.
+  util::Mutex staging_mu;
+  Staging staging HEBS_GUARDED_BY(staging_mu);
+
+  /// Runs `body(staging)` on the session's staging rasters, or on
+  /// call-local ones when another call holds them (concurrent callers
+  /// never queue).
+  template <typename Body>
+  auto with_staging(Body&& body) HEBS_EXCLUDES(staging_mu) {
+    if (staging_mu.try_lock()) {
+      util::MutexLock lock(staging_mu, std::adopt_lock);
+      return body(staging);
+    }
+    Staging local;
+    return body(local);
+  }
+
+  /// Copies gray8/rgb8 views into `out` as luma rasters.
+  static std::span<const hebs::image::GrayImage> stage_gray(
+      std::span<const ImageView> frames,
+      std::vector<hebs::image::GrayImage>& out) {
+    out.resize(frames.size());
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      api::materialize_gray(frames[i], out[i]);
+    }
+    return out;
+  }
+
+  /// Copies rgb8 views into `out`.
+  static std::span<const hebs::image::RgbImage> stage_rgb(
+      std::span<const ImageView> frames,
+      std::vector<hebs::image::RgbImage>& out) {
+    out.resize(frames.size());
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      api::materialize_rgb(frames[i], out[i]);
+    }
+    return out;
+  }
+
   /// Copies gray16 views onto the session's level lattice; a sample
   /// above the declared depth is the caller's frame (kInvalidImage), not
   /// a library failure.
-  Expected<std::vector<hebs::image::GrayImage16>> materialize_deep(
-      std::span<const ImageView> frames) const {
-    std::vector<hebs::image::GrayImage16> images;
-    images.reserve(frames.size());
+  Status stage_deep(std::span<const ImageView> frames,
+                    std::vector<hebs::image::GrayImage16>& out) const {
+    out.resize(frames.size());
     for (std::size_t i = 0; i < frames.size(); ++i) {
       try {
-        images.push_back(api::materialize_gray16(frames[i], levels()));
+        api::materialize_gray16(frames[i], levels(), out[i]);
       } catch (const util::InvalidArgument& e) {
         return Status(StatusCode::kInvalidImage,
                       "frame " + std::to_string(i) + ": " + e.what());
       }
     }
-    return images;
+    return Status();
   }
 
   /// The one engine call behind process/process_batch: `policy` on
-  /// every frame, materialized at the session depth.
+  /// every frame, staged at the session depth into `st`.
   Expected<std::vector<FrameResult>> decide(std::span<const ImageView> frames,
                                             const pipeline::Policy& p,
-                                            double d_max_percent) {
+                                            double d_max_percent,
+                                            Staging& st) {
     std::vector<pipeline::FrameFault> faults;
     if (deep()) {
-      auto images = materialize_deep(frames);
-      if (!images) return images.status();
+      if (Status s = stage_deep(frames, st.gray16); !s.ok()) return s;
       return to_frame_results(
           engine.process_batch(std::span<const hebs::image::GrayImage16>(
-                                   *images),
+                                   st.gray16),
                                p, d_max_percent, &faults),
           faults);
     }
-    std::vector<hebs::image::GrayImage> images;
-    images.reserve(frames.size());
-    for (const ImageView& view : frames) {
-      images.push_back(api::materialize_gray(view));
-    }
     return to_frame_results(
-        engine.process_batch(std::span<const hebs::image::GrayImage>(images),
-                             p, d_max_percent, &faults),
+        engine.process_batch(stage_gray(frames, st.gray), p, d_max_percent,
+                             &faults),
         faults);
   }
 
@@ -456,16 +499,11 @@ struct Session::Impl {
   /// stage on the deciding worker.
   std::vector<FrameResult> decide_color(std::span<const ImageView> frames,
                                         const pipeline::Policy& p,
-                                        double d_max_percent) {
-    std::vector<hebs::image::RgbImage> rgbs;
-    rgbs.reserve(frames.size());
-    for (const ImageView& view : frames) {
-      rgbs.push_back(api::materialize_rgb(view));
-    }
+                                        double d_max_percent, Staging& st) {
     std::vector<pipeline::FrameFault> faults;
     return to_frame_results(
-        engine.process_batch_color(rgbs, p, d_max_percent, color_mode,
-                                   &faults),
+        engine.process_batch_color(stage_rgb(frames, st.rgb), p,
+                                   d_max_percent, color_mode, &faults),
         faults);
   }
 };
@@ -672,10 +710,11 @@ Expected<FrameResult> Session::process(const FrameRequest& request) {
     const pipeline::Policy* policy = impl_->policy.get();
     if (request.fixed_range > 0) policy = &at_range;
     const std::span<const ImageView> one(&request.image, 1);
+    Impl::Staging staged;  // one frame: not worth keeping across calls
     Expected<std::vector<FrameResult>> results =
         request.color_output
-            ? impl_->decide_color(one, *policy, request.d_max_percent)
-            : impl_->decide(one, *policy, request.d_max_percent);
+            ? impl_->decide_color(one, *policy, request.d_max_percent, staged)
+            : impl_->decide(one, *policy, request.d_max_percent, staged);
     if (!results) return results.status();
     FrameResult result = std::move(results->front());
     fill_breakdown(counters_before,
@@ -698,7 +737,9 @@ Expected<std::vector<FrameResult>> Session::process_batch(
   }
   if (Status s = impl_->check_policy(false); !s.ok()) return s;
   try {
-    return impl_->decide(frames, *impl_->policy, d_max_percent);
+    return impl_->with_staging([&](Impl::Staging& st) {
+      return impl_->decide(frames, *impl_->policy, d_max_percent, st);
+    });
   } catch (const std::exception& e) {
     return from_exception(e, "process_batch");
   }
@@ -718,7 +759,9 @@ Expected<std::vector<FrameResult>> Session::process_batch_color(
     return s;
   }
   try {
-    return impl_->decide_color(frames, *impl_->policy, d_max_percent);
+    return impl_->with_staging([&](Impl::Staging& st) {
+      return impl_->decide_color(frames, *impl_->policy, d_max_percent, st);
+    });
   } catch (const std::exception& e) {
     return from_exception(e, "process_batch_color");
   }
@@ -732,14 +775,12 @@ Expected<std::vector<VideoFrameResult>> Session::process_video(
     return s;
   }
   try {
-    std::vector<hebs::image::GrayImage> images;
-    images.reserve(frames.size());
-    for (const ImageView& view : frames) {
-      images.push_back(api::materialize_gray(view));
-    }
     std::vector<pipeline::FrameFault> faults;
-    const auto decisions = impl_->engine.process_stream(
-        images, impl_->make_video_options(d_max_percent), &faults);
+    const auto decisions = impl_->with_staging([&](Impl::Staging& st) {
+      return impl_->engine.process_stream(
+          Impl::stage_gray(frames, st.gray),
+          impl_->make_video_options(d_max_percent), &faults);
+    });
     std::vector<VideoFrameResult> out;
     out.reserve(decisions.size());
     for (std::size_t i = 0; i < decisions.size(); ++i) {
@@ -761,15 +802,13 @@ Expected<std::vector<VideoFrameResult>> Session::process_video_color(
     return s;
   }
   try {
-    std::vector<hebs::image::RgbImage> rgbs;
-    rgbs.reserve(frames.size());
-    for (const ImageView& view : frames) {
-      rgbs.push_back(api::materialize_rgb(view));
-    }
     std::vector<pipeline::FrameFault> faults;
-    const auto results = impl_->engine.process_stream_color(
-        rgbs, impl_->make_video_options(d_max_percent), impl_->color_mode,
-        &faults);
+    const auto results = impl_->with_staging([&](Impl::Staging& st) {
+      return impl_->engine.process_stream_color(
+          Impl::stage_rgb(frames, st.rgb),
+          impl_->make_video_options(d_max_percent), impl_->color_mode,
+          &faults);
+    });
     std::vector<VideoFrameResult> out;
     out.reserve(results.size());
     for (std::size_t i = 0; i < results.size(); ++i) {

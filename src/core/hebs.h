@@ -65,6 +65,8 @@ struct HebsOptions {
   bool coarse_search = true;
   /// Distortion metric configuration (paper default: UIQI over HVS).
   hebs::quality::DistortionOptions distortion;
+
+  bool operator==(const HebsOptions&) const = default;
 };
 
 /// Everything HEBS produced for one image.

@@ -213,10 +213,17 @@ void RgbImage::set(int x, int y, Pixel p) noexcept {
 }
 
 GrayImage RgbImage::to_luma() const {
-  GrayImage out(width_, height_);
+  GrayImage out;
+  to_luma(out);
+  return out;
+}
+
+void RgbImage::to_luma(GrayImage& out) const {
+  if (out.empty() || out.width() != width_ || out.height() != height_) {
+    out = GrayImage(width_, height_);  // throws for an empty image
+  }
   kernels::active().luma_bt601_rgb8(data_.data(), out.size(),
                                     out.pixels().data());
-  return out;
 }
 
 RgbImage RgbImage::from_gray(const GrayImage& g) {

@@ -248,6 +248,10 @@ class RgbImage {
   /// matching the paper's 2005 context).
   GrayImage to_luma() const;
 
+  /// Same, into `out`, reusing its storage when it already has this
+  /// image's geometry.
+  void to_luma(GrayImage& out) const;
+
   /// Replicates a grayscale image into all three channels.
   static RgbImage from_gray(const GrayImage& g);
 

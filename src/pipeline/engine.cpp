@@ -115,6 +115,41 @@ bool deadline_blown(const EngineOptions& opts,
              .count() > opts.frame_deadline_us;
 }
 
+/// The slot's context for `opts` and `model`: the one its last frame
+/// used when that was built for the same ones, else a fresh one (a
+/// quarantined or never-used slot has none).  Rebinding clears every
+/// frame-derived cache, so a kept context computes exactly what a fresh
+/// one does.
+FrameContext& context_for(std::unique_ptr<FrameContext>& ctx,
+                          const core::HebsOptions& opts,
+                          const hebs::power::LcdSubsystemPower& model) {
+  if (!ctx || ctx->options() != opts || ctx->power_model() != model) {
+    ctx = std::make_unique<FrameContext>(opts, model);
+  }
+  return *ctx;
+}
+
+/// A color batch frame: its RGB raster and the luma raster its worker
+/// extracts into.
+struct ColorFrame {
+  const hebs::image::RgbImage* rgb = nullptr;
+  hebs::image::GrayImage* luma = nullptr;
+};
+
+/// Binds a batch frame; a color frame binds its BT.601 luma.
+void bind_frame(FrameContext& ctx, const hebs::image::GrayImage& frame) {
+  ctx.rebind(frame);
+}
+
+void bind_frame(FrameContext& ctx, const hebs::image::GrayImage16& frame) {
+  ctx.rebind(frame);
+}
+
+void bind_frame(FrameContext& ctx, const ColorFrame& frame) {
+  frame.rgb->to_luma(*frame.luma);
+  ctx.rebind(*frame.luma);
+}
+
 }  // namespace
 
 PipelineEngine::PipelineEngine(EngineOptions opts,
@@ -123,23 +158,52 @@ PipelineEngine::PipelineEngine(EngineOptions opts,
       model_(std::move(power_model)),
       pool_(opts_.num_threads) {
   slot_.pool = make_pool(opts_);
-  slot_.lanes = std::make_unique<ProbeLanes>(
+  lanes_ = std::make_unique<ProbeLanes>(
       pool_, opts_.use_buffer_pool,
       util::PoolOptions{opts_.pool_max_retained_bytes, opts_.pool_max_bytes});
 }
 
-/// Runs `per_frame` for every image on the pool, each worker reusing one
-/// rebound FrameContext drawing from its own recycling buffer pool; a
-/// single image runs inline on the engine's persistent slot instead.
-/// Results land at their frame's index, so output order never depends
-/// on scheduling.
+template <typename Body>
+void PipelineEngine::with_worker_slots(std::size_t count, Body&& body) {
+  const auto run = [&body](std::span<WorkerSlot> slots) {
+    try {
+      body(slots);
+    } catch (...) {
+      // Only a precondition violation leaves a call by exception, and it
+      // may leave any context mid-update: none serves a later call.
+      for (WorkerSlot& s : slots) s.ctx.reset();
+      throw;
+    }
+  };
+  if (workers_mu_.try_lock()) {
+    util::MutexLock lock(workers_mu_, std::adopt_lock);
+    while (workers_.size() < count) {
+      workers_.emplace_back();
+      workers_.back().pool = make_pool(opts_);
+    }
+    run(std::span<WorkerSlot>(workers_).first(count));
+    return;
+  }
+  // Another batch or stream call holds the slots: run on call-local ones
+  // rather than queue, so concurrent callers of one engine still run in
+  // parallel.
+  std::vector<WorkerSlot> local(count);
+  for (WorkerSlot& s : local) s.pool = make_pool(opts_);
+  run(local);
+}
+
+/// Runs `per_frame` for every image on the pool, each worker rebinding
+/// the FrameContext of its worker slot and drawing from the slot's
+/// recycling buffer pool; a single image runs inline on the engine's
+/// single-frame slot instead.  Results land at their frame's index, so
+/// output order never depends on scheduling.
 ///
 /// Containment: a frame whose work throws (or blows the frame deadline)
 /// lands `fallback(i)` at its index instead of failing the batch, and
-/// the worker's (or slot's) context is discarded — its memo state may be
-/// mid-update, and no later frame may read poisoned caches.  The next
-/// frame there starts from a fresh context, so post-fault frames are
-/// bit-identical to a cold run.
+/// the slot's context is discarded — its memo state may be mid-update,
+/// and no later frame may read poisoned caches.  The next frame there
+/// (in this call or a later one) starts from a fresh context, so
+/// post-fault frames are bit-identical to a cold run.
 template <typename Result, typename Image, typename PerFrame,
           typename Fallback>
 std::vector<Result> PipelineEngine::map_frames(
@@ -153,24 +217,27 @@ std::vector<Result> PipelineEngine::map_frames(
   // The per-frame containment body, shared by the inline single-frame
   // path and the fan-out.  The SuppressScope around the fallback keeps
   // a persistent injected fault from re-firing inside the handler.
-  const auto run_contained = [&](std::unique_ptr<FrameContext>& ctx,
-                                 std::size_t i, ProbeLanes* lanes) {
+  const auto run_contained = [&](WorkerSlot& slot, std::size_t i,
+                                 ProbeLanes* lanes) {
+    util::PoolScope scope(slot.pool.get());
+    obs::ScopedSpan frame_span(obs::Span::kFrame,
+                               static_cast<std::int32_t>(i));
     const auto start = DeadlineClock::now();
     try {
       util::fault::maybe_fail(util::fault::Point::kWorkerTask);
-      if (!ctx) ctx = std::make_unique<FrameContext>(opts_.hebs, model_);
-      ctx->set_probe_lanes(lanes);
-      ctx->rebind(images[i]);
-      results[i] = per_frame(*ctx, i);
+      FrameContext& ctx = context_for(slot.ctx, opts_.hebs, model_);
+      ctx.set_probe_lanes(lanes);
+      bind_frame(ctx, images[i]);
+      results[i] = per_frame(ctx, i);
     } catch (const util::InvalidArgument&) {
       // Precondition violations are caller bugs, not runtime faults:
       // degrading would hide them, so they propagate out of the batch
       // (the pool rethrows the first one after the barrier).  The
       // context may be mid-update all the same, so it goes too.
-      ctx.reset();
+      slot.ctx.reset();
       throw;
     } catch (const std::exception& e) {
-      ctx.reset();  // quarantine
+      slot.ctx.reset();  // quarantine
       util::fault::SuppressScope no_refire;
       results[i] = fallback(i);
       record_fault(faults, i, is_io_error(e),
@@ -190,44 +257,31 @@ std::vector<Result> PipelineEngine::map_frames(
     // Single frame: frame-level fan-out cannot help, so run inline on
     // the calling thread; the slot's search may borrow idle workers for
     // speculative probes (never blocking on a busy pool).
-    const auto run_inline = [&](std::unique_ptr<FrameContext>& ctx,
-                                util::BufferPool* buffers,
-                                ProbeLanes* lanes) {
-      util::PoolScope scope(buffers);
-      obs::ScopedSpan frame_span(obs::Span::kFrame, 0);
-      run_contained(ctx, 0, lanes);
-    };
     if (slot_mu_.try_lock()) {
-      // The persistent slot: back-to-back calls recycle one context and
-      // one pool instead of building both.
       util::MutexLock lock(slot_mu_, std::adopt_lock);
-      run_inline(slot_.ctx, slot_.pool.get(), slot_.lanes.get());
+      run_contained(slot_, 0, lanes_.get());
     } else {
-      // Another caller holds the slot: run on a one-off pool and
-      // context rather than queue, so concurrent callers of one engine
-      // still run in parallel.  The context is declared after its pool,
-      // so it releases its pooled caches first.
-      const auto buffers = make_pool(opts_);
-      std::unique_ptr<FrameContext> ctx;
-      run_inline(ctx, buffers.get(), nullptr);
+      // Another caller holds the slot: run on a one-off slot rather
+      // than queue, so concurrent callers of one engine still run in
+      // parallel.
+      WorkerSlot one_off;
+      one_off.pool = make_pool(opts_);
+      run_contained(one_off, 0, nullptr);
     }
     return results;
   }
-  const auto workers = static_cast<std::size_t>(pool_.thread_count());
-  std::vector<std::unique_ptr<FrameContext>> contexts(workers);
-  std::vector<std::unique_ptr<util::BufferPool>> pools(workers);
-  pool_.parallel_for(images.size(), [&](std::size_t i, int worker) {
-    const auto w = static_cast<std::size_t>(worker);
-    if (!pools[w]) pools[w] = make_pool(opts_);
-    util::PoolScope scope(pools[w].get());
-    obs::ScopedSpan frame_span(obs::Span::kFrame,
-                               static_cast<std::int32_t>(i));
-    run_contained(contexts[w], i, nullptr);
+  // Slot k decides frames k, k + W, k + 2W, … in order, so which
+  // frames a slot's pool serves never depends on scheduling: a repeated
+  // call recycles every block its predecessor used.
+  const std::size_t width = std::min<std::size_t>(
+      static_cast<std::size_t>(pool_.thread_count()), images.size());
+  with_worker_slots(width, [&](std::span<WorkerSlot> slots) {
+    pool_.parallel_for(width, [&](std::size_t k, int) {
+      for (std::size_t i = k; i < images.size(); i += width) {
+        run_contained(slots[k], i, nullptr);
+      }
+    });
   });
-  // Contexts must release their pooled caches before the pools detach
-  // (detached blocks go back to the heap instead of recycling — only a
-  // lifetime nicety here, but it keeps pool accounting exact).
-  contexts.clear();
   return results;
 }
 
@@ -292,14 +346,15 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
   // are duplicates depends only on clip position, so reuse and the
   // decisions it yields are the same at every thread count.
   //
-  // Each slot owns a persistent FrameContext, a recycling BufferPool,
-  // and — temporal mode — the coherence state of the runs it searches
-  // (with one worker that is every source of the clip).  A search is
-  // warm-started only from its clip predecessor's: a seed from further
-  // back can verify a different bracket where measured distortion is
-  // non-monotone, and which frame a slot searched last depends on the
-  // worker count.  Peak memory stays at `slots` cached contexts,
-  // however long a run is.
+  // Slot k runs on the engine's worker slot k — its FrameContext and
+  // recycling BufferPool persist across calls — and owns, for this call,
+  // the coherence state of the runs it searches (temporal mode; with one
+  // worker that is every source of the clip), so every clip starts
+  // cold.  A search is warm-started only from its clip predecessor's: a
+  // seed from further back can verify a different bracket where
+  // measured distortion is non-monotone, and which frame a slot searched
+  // last depends on the worker count.  Peak memory stays at `slots`
+  // cached contexts, however long a run is.
   const auto threads = static_cast<std::size_t>(pool_.thread_count());
   const std::size_t slots = std::max<std::size_t>(
       1, std::min(frames.size(), threads == 1 ? 1 : 2 * threads));
@@ -307,9 +362,8 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
   // every frame is searched.
   const bool dedupe = opts_.temporal_reuse;
 
-  struct Slot {
-    std::unique_ptr<util::BufferPool> pool;
-    std::unique_ptr<FrameContext> ctx;
+  // A slot's state for this call.
+  struct Run {
     TemporalReuse reuse;
     core::HebsResult raw;
     // The slot's run in the current round: frames [first, end), each
@@ -322,20 +376,14 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
     std::size_t source = 0;
     std::size_t end = 0;
     bool chained = false;
-    Slot(const EngineOptions& opts, bool temporal_on)
-        : pool(make_pool(opts)), reuse(slot_reuse_options(temporal_on)) {}
+    explicit Run(bool temporal_on) : reuse(reuse_options(temporal_on)) {}
 
-    static TemporalOptions slot_reuse_options(bool temporal_on) {
+    static TemporalOptions reuse_options(bool temporal_on) {
       TemporalOptions t;  // delta threshold keeps its one default
       t.enabled = temporal_on;
       return t;
     }
   };
-  std::vector<Slot> slot_states;
-  slot_states.reserve(slots);
-  for (std::size_t k = 0; k < slots; ++k) {
-    slot_states.emplace_back(opts_, opts_.temporal_reuse);
-  }
 
   // Per-frame round state.  `degraded`: the frame carries the identity
   // fallback (search or re-derivation fault); `rederive_fault`: the
@@ -355,58 +403,6 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
   std::vector<core::FrameDecision> decisions;
   decisions.reserve(frames.size());
 
-  // Containment of a frame faulted in the search: its context's memo
-  // state and its temporal chain may be poisoned (mid-update when the
-  // fault unwound), so both are discarded — the slot's next search
-  // runs the cold path on a fresh context, exactly as a cold run
-  // started there would — and the frame carries the identity fallback.
-  const auto contain = [&](Slot& s, std::size_t i, bool io,
-                           std::string message, bool deadline = false) {
-    s.ctx.reset();
-    s.reuse.reset();
-    state[i].degraded = true;
-    record_fault(faults, i, io, std::move(message), deadline);
-  };
-
-  // One frame's search on its slot; false when it was contained.
-  const auto search_frame = [&](Slot& s, std::size_t i) {
-    obs::ScopedSpan frame_span(obs::Span::kFrame,
-                               static_cast<std::int32_t>(i));
-    const auto start = DeadlineClock::now();
-    try {
-      util::fault::maybe_fail(util::fault::Point::kWorkerTask);
-      if (!s.ctx) {
-        s.ctx = std::make_unique<FrameContext>(vopts.hebs,
-                                               controller.power_model());
-      }
-      // TemporalReuse handles both modes: disabled, it degrades to
-      // rebind + run_exact (the cold path).
-      s.raw = s.reuse.process(*s.ctx, frames[i], vopts.d_max_percent,
-                              s.chained);
-      // The re-derivations read the frame caches concurrently; none
-      // may be built lazily under them.
-      s.ctx->warm_probe_caches();
-    } catch (const util::InvalidArgument&) {
-      throw;  // caller bug, not a runtime fault — see map_frames
-    } catch (const std::exception& e) {
-      contain(s, i, is_io_error(e),
-              fault_message("stream search", i, e.what()));
-      return false;
-    }
-    if (deadline_blown(opts_, start)) {
-      obs::add(obs::Counter::kDeadlineMiss);
-      // The computed state is valid, merely late — but the emitted
-      // decision is the fallback and the controller treats it as a
-      // discontinuity, so the slot restarts cold too (uniform
-      // degradation contract: one recovery story for every fault).
-      contain(s, i, /*io=*/false,
-              deadline_message("stream search", i, opts_.frame_deadline_us),
-              /*deadline=*/true);
-      return false;
-    }
-    return true;
-  };
-
   // The degraded frame's decision: the identity fallback, planned as a
   // stream discontinuity.  Copying the pooled fallback must not re-fire
   // a persistent injected allocation fault.
@@ -415,156 +411,217 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
     return controller.apply_degraded(identity_fallback(frames[i]));
   };
 
-  // One callable per step for the whole clip (constructing a
-  // std::function per round would put an allocation back into the
-  // steady state).
-  std::size_t begin = 0;
-  const std::function<void(std::size_t, int)> search_round =
-      [&](std::size_t k, int) {
-        Slot& s = slot_states[k];
-        util::PoolScope scope(s.pool.get());
-        // A degraded frame is no reuse source: the next frame of the
-        // run is searched as an ordinary frame on the fresh context, as
-        // a cold run started after the reset would search it.
-        s.source = s.first;
-        while (s.source < s.end && !search_frame(s, s.source)) ++s.source;
-      };
-
-  const std::function<void(std::size_t, int)> rederive_round =
-      [&](std::size_t j, int) {
-        const std::size_t i = begin + j;
-        FrameState& f = state[i];
-        // Degraded: planned as a discontinuity already; repeat: copied
-        // after the step.
-        if (f.degraded || f.repeat) return;
-        const Slot& s = slot_states[f.slot];
-        util::PoolScope scope(s.pool.get());
-        obs::ScopedSpan post_span(obs::Span::kFlickerPost,
-                                  static_cast<std::int32_t>(i));
-        try {
-          // Writes nothing into the context, so a run's frames share it.
-          controller.rederive(*s.ctx, s.raw, decisions[i]);
-        } catch (const util::InvalidArgument&) {
-          throw;  // caller bug, not a runtime fault — see map_frames
-        } catch (const std::exception& e) {
-          f.degraded = true;
-          f.rederive_fault = true;
-          record_fault(faults, i, is_io_error(e),
-                       fault_message("flicker re-derivation", i, e.what()));
-        }
-      };
-
-  for (std::size_t end = 0; begin < frames.size(); begin = end) {
-    // 0. Form the round's runs: `slots` sources, each with the frames
-    // after it that equal their predecessor.
-    std::size_t count = 0;
-    end = begin;
-    while (count < slots && end < frames.size()) {
-      Slot& s = slot_states[count];
-      s.chained = s.end == end;
-      s.first = end;
-      do {
-        state[end] = FrameState{count, false, false, false};
-        ++end;
-      } while (dedupe && end < frames.size() &&
-               same_bytes(frames[end], frames[end - 1]));
-      s.end = end;
-      ++count;
+  with_worker_slots(slots, [&](std::span<WorkerSlot> workers) {
+    std::vector<Run> runs;
+    runs.reserve(slots);
+    for (std::size_t k = 0; k < slots; ++k) {
+      runs.emplace_back(opts_.temporal_reuse);
     }
 
-    // 1. The per-run exact HEBS search.  Contexts stay alive into the
-    // re-derivation, which reuses their caches.
-    pool_.parallel_for(count, search_round);
+    // Containment of a frame faulted in the search: its context's memo
+    // state and its temporal chain may be poisoned (mid-update when the
+    // fault unwound), so both are discarded — the slot's next search
+    // runs the cold path on a fresh context, exactly as a cold run
+    // started there would — and the frame carries the identity fallback.
+    const auto contain = [&](std::size_t k, std::size_t i, bool io,
+                             std::string message, bool deadline = false) {
+      workers[k].ctx.reset();
+      runs[k].reuse.reset();
+      state[i].degraded = true;
+      record_fault(faults, i, io, std::move(message), deadline);
+    };
 
-    // 2. The ordered plan: scene cuts and the β recurrence, in frame
-    // order.  A frame degraded in the search resets the controller (a
-    // stream discontinuity) instead of advancing it.  A duplicate plans
-    // on its source's histogram — the same counts its own would have.
-    for (std::size_t i = begin; i < end; ++i) {
-      if (state[i].degraded) {
-        decisions.push_back(degraded_decision(i));
-        continue;
-      }
-      const Slot& s = slot_states[state[i].slot];
-      if (i != s.source) {
-        // The duplicate's temporal level-1 record: a frame span around
-        // its (instant) reuse, as a searched frame's span wraps its
-        // search.
-        obs::ScopedSpan frame_span(obs::Span::kFrame,
-                                   static_cast<std::int32_t>(i));
-        obs::ScopedSpan reuse_span(obs::Span::kTemporalReuse, 2);
-        obs::add(obs::Counter::kTemporalFrames);
-        obs::add(obs::Counter::kTemporalByteIdentical);
-      }
-      decisions.push_back(controller.plan_flicker(s.ctx->exact_histogram(),
-                                                  s.raw.point.beta));
-      // Frames [source, end) of a run are all undegraded here.
-      state[i].repeat =
-          i != s.source && decisions[i].beta == decisions[i - 1].beta;
-    }
-
-    // 3. The applied-β re-derivations, one task per frame.
-    pool_.parallel_for(end - begin, rederive_round);
-
-    // 4. Emit: the decisions already sit at their frame index, but for
-    // the repeats, copied here in frame order (each from a predecessor
-    // already final).  A re-derivation fault — the copy counts as the
-    // repeat's re-derivation — stops the copies: the first frame whose
-    // re-derivation faulted degrades and resets the controller; the
-    // frames after it were planned on the history that reset discards,
-    // so they are re-planned and re-derived in order from the reset
-    // controller (serially: the path is rare), exactly as a cold run
-    // started after the fault computes them.
-    std::size_t i = begin;
-    for (; i < end && !state[i].rederive_fault; ++i) {
-      FrameState& f = state[i];
-      if (!f.repeat) continue;
-      util::PoolScope scope(slot_states[f.slot].pool.get());
-      obs::ScopedSpan post_span(obs::Span::kFlickerPost,
-                                static_cast<std::int32_t>(i));
+    // One frame's search on slot k; false when it was contained.
+    const auto search_frame = [&](std::size_t k, std::size_t i) {
+      Run& s = runs[k];
+      obs::ScopedSpan frame_span(obs::Span::kFrame,
+                                 static_cast<std::int32_t>(i));
+      const auto start = DeadlineClock::now();
       try {
-        decisions[i].point = decisions[i - 1].point;
-        decisions[i].evaluation = decisions[i - 1].evaluation;
+        util::fault::maybe_fail(util::fault::Point::kWorkerTask);
+        FrameContext& ctx = context_for(workers[k].ctx, vopts.hebs,
+                                        controller.power_model());
+        // TemporalReuse handles both modes: disabled, it degrades to
+        // rebind + run_exact (the cold path).
+        s.raw = s.reuse.process(ctx, frames[i], vopts.d_max_percent,
+                                s.chained);
+        // The re-derivations read the frame caches concurrently; none
+        // may be built lazily under them.
+        ctx.warm_probe_caches();
+      } catch (const util::InvalidArgument&) {
+        throw;  // caller bug, not a runtime fault — see map_frames
       } catch (const std::exception& e) {
-        f.degraded = true;
-        f.rederive_fault = true;
-        record_fault(faults, i, is_io_error(e),
-                     fault_message("flicker re-derivation", i, e.what()));
-        break;
+        contain(k, i, is_io_error(e),
+                fault_message("stream search", i, e.what()));
+        return false;
       }
-    }
-    for (; i < end; ++i) {
-      FrameState& f = state[i];
-      if (!f.degraded) {
-        const Slot& s = slot_states[f.slot];
-        util::PoolScope scope(s.pool.get());
+      if (deadline_blown(opts_, start)) {
+        obs::add(obs::Counter::kDeadlineMiss);
+        // The computed state is valid, merely late — but the emitted
+        // decision is the fallback and the controller treats it as a
+        // discontinuity, so the slot restarts cold too (uniform
+        // degradation contract: one recovery story for every fault).
+        contain(k, i, /*io=*/false,
+                deadline_message("stream search", i,
+                                 opts_.frame_deadline_us),
+                /*deadline=*/true);
+        return false;
+      }
+      return true;
+    };
+
+    // One callable per step for the whole clip (constructing a
+    // std::function per round would put an allocation back into the
+    // steady state).
+    std::size_t begin = 0;
+    const std::function<void(std::size_t, int)> search_round =
+        [&](std::size_t k, int) {
+          Run& s = runs[k];
+          util::PoolScope scope(workers[k].pool.get());
+          // A degraded frame is no reuse source: the next frame of the
+          // run is searched as an ordinary frame on the fresh context,
+          // as a cold run started after the reset would search it.
+          s.source = s.first;
+          while (s.source < s.end && !search_frame(k, s.source)) ++s.source;
+        };
+
+    const std::function<void(std::size_t, int)> rederive_round =
+        [&](std::size_t j, int) {
+          const std::size_t i = begin + j;
+          FrameState& f = state[i];
+          // Degraded: planned as a discontinuity already; repeat: copied
+          // after the step.
+          if (f.degraded || f.repeat) return;
+          const WorkerSlot& w = workers[f.slot];
+          util::PoolScope scope(w.pool.get());
+          obs::ScopedSpan post_span(obs::Span::kFlickerPost,
+                                    static_cast<std::int32_t>(i));
+          try {
+            // Writes nothing into the context, so a run's frames share
+            // it.
+            controller.rederive(*w.ctx, runs[f.slot].raw, decisions[i]);
+          } catch (const util::InvalidArgument&) {
+            throw;  // caller bug, not a runtime fault — see map_frames
+          } catch (const std::exception& e) {
+            f.degraded = true;
+            f.rederive_fault = true;
+            record_fault(faults, i, is_io_error(e),
+                         fault_message("flicker re-derivation", i, e.what()));
+          }
+        };
+
+    for (std::size_t end = 0; begin < frames.size(); begin = end) {
+      // 0. Form the round's runs: `slots` sources, each with the frames
+      // after it that equal their predecessor.
+      std::size_t count = 0;
+      end = begin;
+      while (count < slots && end < frames.size()) {
+        Run& s = runs[count];
+        s.chained = s.end == end;
+        s.first = end;
+        do {
+          state[end] = FrameState{count, false, false, false};
+          ++end;
+        } while (dedupe && end < frames.size() &&
+                 same_bytes(frames[end], frames[end - 1]));
+        s.end = end;
+        ++count;
+      }
+
+      // 1. The per-run exact HEBS search.  Contexts stay alive into the
+      // re-derivation, which reuses their caches.
+      pool_.parallel_for(count, search_round);
+
+      // 2. The ordered plan: scene cuts and the β recurrence, in frame
+      // order.  A frame degraded in the search resets the controller (a
+      // stream discontinuity) instead of advancing it.  A duplicate
+      // plans on its source's histogram — the same counts its own would
+      // have.
+      for (std::size_t i = begin; i < end; ++i) {
+        if (state[i].degraded) {
+          decisions.push_back(degraded_decision(i));
+          continue;
+        }
+        const Run& s = runs[state[i].slot];
+        if (i != s.source) {
+          // The duplicate's temporal level-1 record: a frame span around
+          // its (instant) reuse, as a searched frame's span wraps its
+          // search.
+          obs::ScopedSpan frame_span(obs::Span::kFrame,
+                                     static_cast<std::int32_t>(i));
+          obs::ScopedSpan reuse_span(obs::Span::kTemporalReuse, 2);
+          obs::add(obs::Counter::kTemporalFrames);
+          obs::add(obs::Counter::kTemporalByteIdentical);
+        }
+        decisions.push_back(controller.plan_flicker(
+            workers[state[i].slot].ctx->exact_histogram(),
+            s.raw.point.beta));
+        // Frames [source, end) of a run are all undegraded here.
+        state[i].repeat =
+            i != s.source && decisions[i].beta == decisions[i - 1].beta;
+      }
+
+      // 3. The applied-β re-derivations, one task per frame.
+      pool_.parallel_for(end - begin, rederive_round);
+
+      // 4. Emit: the decisions already sit at their frame index, but for
+      // the repeats, copied here in frame order (each from a predecessor
+      // already final).  A re-derivation fault — the copy counts as the
+      // repeat's re-derivation — stops the copies: the first frame whose
+      // re-derivation faulted degrades and resets the controller; the
+      // frames after it were planned on the history that reset discards,
+      // so they are re-planned and re-derived in order from the reset
+      // controller (serially: the path is rare), exactly as a cold run
+      // started after the fault computes them.
+      std::size_t i = begin;
+      for (; i < end && !state[i].rederive_fault; ++i) {
+        FrameState& f = state[i];
+        if (!f.repeat) continue;
+        util::PoolScope scope(workers[f.slot].pool.get());
         obs::ScopedSpan post_span(obs::Span::kFlickerPost,
                                   static_cast<std::int32_t>(i));
         try {
-          decisions[i] = controller.apply_flicker_control(*s.ctx, s.raw);
-        } catch (const util::InvalidArgument&) {
-          throw;  // caller bug, not a runtime fault — see map_frames
+          decisions[i].point = decisions[i - 1].point;
+          decisions[i].evaluation = decisions[i - 1].evaluation;
         } catch (const std::exception& e) {
           f.degraded = true;
           f.rederive_fault = true;
           record_fault(faults, i, is_io_error(e),
                        fault_message("flicker re-derivation", i, e.what()));
+          break;
         }
       }
-      if (f.degraded) decisions[i] = degraded_decision(i);
+      for (; i < end; ++i) {
+        FrameState& f = state[i];
+        if (!f.degraded) {
+          const WorkerSlot& w = workers[f.slot];
+          util::PoolScope scope(w.pool.get());
+          obs::ScopedSpan post_span(obs::Span::kFlickerPost,
+                                    static_cast<std::int32_t>(i));
+          try {
+            decisions[i] =
+                controller.apply_flicker_control(*w.ctx, runs[f.slot].raw);
+          } catch (const util::InvalidArgument&) {
+            throw;  // caller bug, not a runtime fault — see map_frames
+          } catch (const std::exception& e) {
+            f.degraded = true;
+            f.rederive_fault = true;
+            record_fault(faults, i, is_io_error(e),
+                         fault_message("flicker re-derivation", i, e.what()));
+          }
+        }
+        if (f.degraded) decisions[i] = degraded_decision(i);
+      }
+      // A slot whose frame faulted in the re-derivation restarts cold,
+      // like one faulted in the search.  Only now: the rest of its run
+      // replayed on its context above.
+      for (i = begin; i < end; ++i) {
+        if (!state[i].rederive_fault) continue;
+        workers[state[i].slot].ctx.reset();
+        runs[state[i].slot].reuse.reset();
+      }
     }
-    // A slot whose frame faulted in the re-derivation restarts cold,
-    // like one faulted in the search.  Only now: the rest of its run
-    // replayed on its context above.
-    for (i = begin; i < end; ++i) {
-      if (!state[i].rederive_fault) continue;
-      Slot& s = slot_states[state[i].slot];
-      s.ctx.reset();
-      s.reuse.reset();
-    }
-  }
-  // Release pooled caches before their pools detach (see map_frames).
-  slot_states.clear();
+  });
   return decisions;
 }
 
@@ -608,25 +665,35 @@ std::vector<ColorBatchResult> PipelineEngine::process_batch_color(
     double d_max_percent, core::ColorMode mode,
     std::vector<FrameFault>* faults) {
   policy.prepare();
-  // Luma extraction is ordered-independent but cheap (one dispatched
-  // kernel sweep per frame); done up front so the lumas outlive every
-  // context binding.
-  const auto lumas = materialize_lumas(images);
+  // Each frame's worker extracts its BT.601 luma (bind_frame) into a
+  // raster allocated here, outside any pool.  Freed when the call
+  // returns, its memory serves the caller's output copies; a luma kept
+  // in a slot's pool raised album-color-720p peak RSS by 2 MiB.
+  std::vector<hebs::image::GrayImage> lumas;
+  std::vector<ColorFrame> frames;
+  lumas.reserve(images.size());
+  frames.reserve(images.size());
+  for (const auto& img : images) {
+    lumas.emplace_back(img.width(), img.height());
+    frames.push_back({&img, &lumas.back()});
+  }
   return map_frames<ColorBatchResult>(
-      std::span<const hebs::image::GrayImage>(lumas),
-      [&images, &lumas, &policy, d_max_percent, mode](FrameContext& ctx,
-                                                      std::size_t i) {
+      std::span<const ColorFrame>(frames),
+      [&images, &policy, d_max_percent, mode](FrameContext& ctx,
+                                              std::size_t i) {
         ColorBatchResult r;
         r.luma = policy.decide(ctx, d_max_percent);
-        r.color = run_color_stage(images[i], lumas[i], r.luma.point, mode);
+        r.color = run_color_stage(images[i], ctx.image(), r.luma.point, mode);
         return r;
       },
-      [&images, &lumas](std::size_t i) {
+      [&images](std::size_t i) {
         // Degraded color frame: identity decision, and the displayed
         // raster is the unmodified input (β = 1 + identity LUT changes
-        // no pixel, so the chromaticity drift is exactly zero).
+        // no pixel, so the chromaticity drift is exactly zero).  The
+        // fault may have hit before the worker extracted the luma, so it
+        // is extracted again here.
         ColorBatchResult r;
-        r.luma = identity_fallback(lumas[i]);
+        r.luma = identity_fallback(images[i].to_luma());
         r.color.displayed = images[i];
         r.color.hue_error = 0.0;
         return r;

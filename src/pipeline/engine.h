@@ -19,6 +19,12 @@
 // β strictly in frame order, and the per-frame re-derivation for that β
 // runs concurrently again — producing exactly the decisions the serial
 // controller makes.
+//
+// Both modes run on worker slots the engine keeps across calls (batch
+// slot k and stream slot k on worker slot k): each holds a buffer pool
+// and a FrameContext, so back-to-back calls recycle the previous call's
+// buffers instead of building fresh pools and contexts (DESIGN.md §9,
+// "Engine slots").
 #pragma once
 
 #include <cstdint>
@@ -213,17 +219,21 @@ class PipelineEngine {
       std::vector<FrameFault>* faults = nullptr);
 
  private:
-  /// The engine's persistent single-frame state (DESIGN.md §9): every
-  /// one-frame call rebinds `ctx`, drawing from `pool`, instead of
-  /// building both per call, and lends the context `lanes` — the pool's
-  /// idle workers, for speculative search probes (DESIGN.md §11).
-  /// Members destroy in reverse order, so the context releases its
-  /// pooled caches before the pools detach.
-  struct FrameSlot {
+  /// One worker's state, kept across calls (DESIGN.md §9, "Engine
+  /// slots"): batch slot k and stream slot k run on worker slot k, and
+  /// one-frame calls on the single-frame slot.  Members destroy in
+  /// reverse order, so the context releases its pooled caches before
+  /// the pool detaches.
+  struct WorkerSlot {
     std::unique_ptr<util::BufferPool> pool;  ///< null = plain heap
-    std::unique_ptr<ProbeLanes> lanes;
     std::unique_ptr<FrameContext> ctx;       ///< null = cold/quarantined
   };
+
+  /// Runs `body(slots)` on `count` worker slots: the engine's own when
+  /// no other call holds them, else call-local ones (a concurrent caller
+  /// never queues).  A call that throws out quarantines every context.
+  template <typename Body>
+  void with_worker_slots(std::size_t count, Body&& body);
 
   /// Runs `per_frame` on every image with per-frame fault containment
   /// (defined in engine.cpp, next to its only callers).
@@ -237,9 +247,16 @@ class PipelineEngine {
   hebs::power::LcdSubsystemPower model_;
   ThreadPool pool_;
   /// Held by the one single-frame call running on the slot; a call that
-  /// finds it taken runs on a one-off context instead of waiting.
+  /// finds it taken runs on a one-off slot instead of waiting.  The
+  /// slot's search may borrow `lanes_` — the pool's idle workers — for
+  /// speculative probes (DESIGN.md §11).
   util::Mutex slot_mu_;
-  FrameSlot slot_ HEBS_GUARDED_BY(slot_mu_);
+  WorkerSlot slot_ HEBS_GUARDED_BY(slot_mu_);
+  std::unique_ptr<ProbeLanes> lanes_ HEBS_GUARDED_BY(slot_mu_);
+  /// Held by the one batch or stream call running on the worker slots;
+  /// grown on demand to the largest slot count a call has asked for.
+  util::Mutex workers_mu_;
+  std::vector<WorkerSlot> workers_ HEBS_GUARDED_BY(workers_mu_);
 };
 
 }  // namespace hebs::pipeline

@@ -28,6 +28,8 @@ class CcflModel {
     double c_lin = 0.0;  ///< linear-region intercept (W)
     double a_sat = 0.0;  ///< saturation-region slope (W per unit β)
     double c_sat = 0.0;  ///< saturation-region intercept (W)
+
+    bool operator==(const Coefficients&) const = default;
   };
 
   explicit CcflModel(const Coefficients& coeffs);
@@ -53,6 +55,8 @@ class CcflModel {
   double full_power() const { return power(1.0); }
 
   const Coefficients& coefficients() const noexcept { return coeffs_; }
+
+  bool operator==(const CcflModel&) const = default;
 
  private:
   Coefficients coeffs_;

@@ -65,6 +65,8 @@ class LcdSubsystemPower {
   const CcflModel& ccfl() const noexcept { return ccfl_; }
   const TftPanelModel& panel() const noexcept { return panel_; }
 
+  bool operator==(const LcdSubsystemPower&) const = default;
+
  private:
   CcflModel ccfl_;
   TftPanelModel panel_;

@@ -28,6 +28,8 @@ class TftPanelModel {
     double a = 0.0;
     double b = 0.0;
     double c = 0.0;
+
+    bool operator==(const Coefficients&) const = default;
   };
 
   explicit TftPanelModel(const Coefficients& coeffs);
@@ -50,6 +52,8 @@ class TftPanelModel {
   double image_power(const hebs::histogram::Histogram& hist) const;
 
   const Coefficients& coefficients() const noexcept { return coeffs_; }
+
+  bool operator==(const TftPanelModel&) const = default;
 
  private:
   Coefficients coeffs_;

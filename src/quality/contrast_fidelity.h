@@ -24,6 +24,8 @@ namespace hebs::quality {
 struct ContrastFidelityOptions {
   int block_size = 8;
   int stride = 4;
+
+  bool operator==(const ContrastFidelityOptions&) const = default;
 };
 
 /// Contrast fidelity in [0, 1]; 1 when every window's contrast is fully

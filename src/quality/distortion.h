@@ -44,6 +44,8 @@ struct DistortionOptions {
   HvsOptions hvs;
   ContrastFidelityOptions contrast;
   MsSsimOptions ms_ssim;
+
+  bool operator==(const DistortionOptions&) const = default;
 };
 
 /// Distortion percentage in [0, 100] between a reference image and a

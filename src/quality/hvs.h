@@ -31,6 +31,8 @@ struct HvsOptions {
   double csf_sigma = 1.0;
   /// When false, the L* lightness mapping is skipped.
   bool lightness_mapping = true;
+
+  bool operator==(const HvsOptions&) const = default;
 };
 
 /// Applies the HVS front end to a normalized-luminance raster; the result

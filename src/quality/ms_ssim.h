@@ -19,6 +19,8 @@ struct MsSsimOptions {
   int scales = 5;
   /// Per-scale SSIM window options.
   SsimOptions ssim;
+
+  bool operator==(const MsSsimOptions&) const = default;
 };
 
 /// MS-SSIM score in [-1, 1]; 1 iff the images are identical.  Images

@@ -20,6 +20,8 @@ struct SsimOptions {
   int stride = 1;
   double k1 = 0.01;  ///< luminance stabilization constant factor
   double k2 = 0.03;  ///< contrast stabilization constant factor
+
+  bool operator==(const SsimOptions&) const = default;
 };
 
 /// Mean SSIM over all windows; images must be equal sized and at least

@@ -17,6 +17,8 @@ namespace hebs::quality {
 struct UiqiOptions {
   int block_size = 8;  ///< window side; the reference implementation uses 8
   int stride = 1;      ///< window step; 1 reproduces the reference exactly
+
+  bool operator==(const UiqiOptions&) const = default;
 };
 
 /// Mean UIQI over all windows. Images must be non-empty and equal sized,

@@ -441,6 +441,7 @@ TEST(ObsSession, StatsCountFramesAndBreakdownFillsOnSingleFrames) {
 // Cross-thread coherence: an 8-thread batch must count exactly one
 // decided frame per image, with every increment arriving from a worker
 // thread (TSan runs this file; relaxed atomics must come back clean).
+// The batch fans out once, one item per worker slot (DESIGN.md §7).
 TEST(ObsSession, CountersAreCoherentAcrossWorkerThreads) {
   constexpr std::size_t kImages = 16;
   auto session =
@@ -452,8 +453,8 @@ TEST(ObsSession, CountersAreCoherentAcrossWorkerThreads) {
   ASSERT_TRUE(results.has_value());
   const auto stats = session->stats();
   EXPECT_EQ(stats.frames_decided, kImages);
-  EXPECT_GE(stats.parallel_for_calls, 1u);
-  EXPECT_GE(stats.parallel_for_items, kImages);
+  EXPECT_EQ(stats.parallel_for_calls, 1u);
+  EXPECT_EQ(stats.parallel_for_items, 8u);
 }
 
 }  // namespace
