@@ -101,10 +101,11 @@ class Session {
   /// Color video: every frame must be an rgb8 view.  The
   /// flicker-controlled luma decisions are bit-identical to
   /// process_video on the pre-converted luma clip (same temporal fast
-  /// path and pools); the ordered color post-stage renders each
-  /// applied operating point per the session's color_mode, reusing the
-  /// previous frame's rendering on static content when temporal_reuse
-  /// is on.  Requires policy "hebs-exact", like process_video.
+  /// path and pools); each frame's applied operating point renders
+  /// per the session's color_mode right after its re-derivation, and a
+  /// frame whose RGB bytes and applied β equal its predecessor's reuses
+  /// that rendering when temporal_reuse is on.  Requires policy
+  /// "hebs-exact", like process_video.
   Expected<std::vector<VideoFrameResult>> process_video_color(
       const std::vector<ImageView>& frames, double d_max_percent);
 

@@ -99,7 +99,9 @@ void fill_evaluation(const core::EvaluatedPoint& eval, FrameResult& out) {
   }
 }
 
-FrameResult to_frame_result(const core::HebsResult& r) {
+/// One engine result on the facade's result type: a batch frame's on
+/// FrameResult, a stream frame's on VideoFrameResult.
+FrameResult to_result(const core::HebsResult& r) {
   FrameResult out;
   fill_evaluation(r.evaluation, out);
   out.g_min = r.target.g_min;
@@ -110,10 +112,22 @@ FrameResult to_frame_result(const core::HebsResult& r) {
   return out;
 }
 
-FrameResult to_frame_result(const core::FrameDecision& d) {
-  FrameResult out;
-  fill_evaluation(d.evaluation, out);
-  out.lambda = to_api_points(d.point.luminance_transform);
+FrameResult to_result(const pipeline::ColorBatchResult& r) {
+  FrameResult out = to_result(r.luma);
+  fill_color(r.color.displayed, r.color.hue_error, out);
+  return out;
+}
+
+VideoFrameResult to_result(const core::FrameDecision& d) {
+  VideoFrameResult out{d.raw_beta, d.beta, d.scene_cut, {}};
+  fill_evaluation(d.evaluation, out.frame);
+  out.frame.lambda = to_api_points(d.point.luminance_transform);
+  return out;
+}
+
+VideoFrameResult to_result(const pipeline::ColorStreamResult& r) {
+  VideoFrameResult out = to_result(r.decision);
+  fill_color(r.color.displayed, r.color.hue_error, out.frame);
   return out;
 }
 
@@ -157,30 +171,19 @@ void fill_fault(const pipeline::FrameFault& f, FrameResult& out) {
   out.status = fault_status(f);
 }
 
-/// The facade results of an engine batch, each with its containment
-/// record applied.
-std::vector<FrameResult> to_frame_results(
-    const std::vector<core::HebsResult>& results,
-    const std::vector<pipeline::FrameFault>& faults) {
-  std::vector<FrameResult> out;
-  out.reserve(results.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    out.push_back(to_frame_result(results[i]));
-    fill_fault(faults[i], out.back());
-  }
-  return out;
-}
+FrameResult& frame_of(FrameResult& r) { return r; }
+FrameResult& frame_of(VideoFrameResult& r) { return r.frame; }
 
-std::vector<FrameResult> to_frame_results(
-    const std::vector<pipeline::ColorBatchResult>& results,
-    const std::vector<pipeline::FrameFault>& faults) {
-  std::vector<FrameResult> out;
+/// The facade results of an engine batch or stream, each with its
+/// containment record applied.
+template <typename Result>
+auto to_results(const std::vector<Result>& results,
+                const std::vector<pipeline::FrameFault>& faults) {
+  std::vector<decltype(to_result(results.front()))> out;
   out.reserve(results.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
-    out.push_back(to_frame_result(results[i].luma));
-    fill_color(results[i].color.displayed, results[i].color.hue_error,
-               out.back());
-    fill_fault(faults[i], out.back());
+    out.push_back(to_result(results[i]));
+    fill_fault(faults[i], frame_of(out.back()));
   }
   return out;
 }
@@ -307,10 +310,8 @@ struct Session::Impl {
     opts.max_beta_step = cfg.max_beta_step();
     opts.ema_alpha = cfg.ema_alpha();
     opts.scene_cut_threshold = cfg.scene_cut_threshold();
-    opts.num_threads = cfg.threads();
-    opts.temporal_reuse = cfg.temporal_reuse();
-    opts.use_buffer_pool = cfg.buffer_pool();
-    opts.frame_deadline_us = cfg.frame_deadline_us();
+    // Threads, temporal reuse, pools and the deadline reach the stream
+    // through the engine's options (make_engine_options).
     return opts;
   }
 
@@ -388,26 +389,6 @@ struct Session::Impl {
     return Status();
   }
 
-  /// Shared validation of process_video and process_video_color.
-  Status check_video(const std::vector<ImageView>& frames,
-                     double d_max_percent, const char* what,
-                     bool color) const {
-    if (Status s = check_budget(d_max_percent); !s.ok()) return s;
-    if (deep()) {
-      return Status(StatusCode::kInvalidOption,
-                    "video processing is not supported on deep-pixel sessions "
-                    "(bit_depth " +
-                        std::to_string(cfg.bit_depth()) + ")");
-    }
-    if (!info->video) {
-      return Status(StatusCode::kInvalidOption,
-                    "video processing runs the per-frame exact search and "
-                    "requires policy \"hebs-exact\" (policy is \"" +
-                        cfg.policy() + "\")");
-    }
-    return check_frames(frames, what, color);
-  }
-
   /// The rasters a call copies its views into before the engine runs.
   struct Staging {
     std::vector<hebs::image::GrayImage> gray;
@@ -483,13 +464,13 @@ struct Session::Impl {
     std::vector<pipeline::FrameFault> faults;
     if (deep()) {
       if (Status s = stage_deep(frames, st.gray16); !s.ok()) return s;
-      return to_frame_results(
+      return to_results(
           engine.process_batch(std::span<const hebs::image::GrayImage16>(
                                    st.gray16),
                                p, d_max_percent, &faults),
           faults);
     }
-    return to_frame_results(
+    return to_results(
         engine.process_batch(stage_gray(frames, st.gray), p, d_max_percent,
                              &faults),
         faults);
@@ -501,10 +482,49 @@ struct Session::Impl {
                                         const pipeline::Policy& p,
                                         double d_max_percent, Staging& st) {
     std::vector<pipeline::FrameFault> faults;
-    return to_frame_results(
+    return to_results(
         engine.process_batch_color(stage_rgb(frames, st.rgb), p,
                                    d_max_percent, color_mode, &faults),
         faults);
+  }
+
+  /// The one engine call behind process_video and process_video_color
+  /// (`what`): the stream on the staged luma clip, or on the rgb8 clip
+  /// with the color stage for `color`.
+  Expected<std::vector<VideoFrameResult>> video(
+      const std::vector<ImageView>& frames, double d_max_percent,
+      bool color, const char* what) {
+    if (Status s = check_budget(d_max_percent); !s.ok()) return s;
+    if (deep()) {
+      return Status(StatusCode::kInvalidOption,
+                    "video processing is not supported on deep-pixel sessions "
+                    "(bit_depth " +
+                        std::to_string(cfg.bit_depth()) + ")");
+    }
+    if (!info->video) {
+      return Status(StatusCode::kInvalidOption,
+                    "video processing runs the per-frame exact search and "
+                    "requires policy \"hebs-exact\" (policy is \"" +
+                        cfg.policy() + "\")");
+    }
+    if (Status s = check_frames(frames, what, color); !s.ok()) return s;
+    try {
+      return with_staging([&](Staging& st) {
+        std::vector<pipeline::FrameFault> faults;
+        const core::VideoOptions vopts = make_video_options(d_max_percent);
+        if (color) {
+          return to_results(
+              engine.process_stream_color(stage_rgb(frames, st.rgb), vopts,
+                                          color_mode, &faults),
+              faults);
+        }
+        return to_results(engine.process_stream(stage_gray(frames, st.gray),
+                                                vopts, &faults),
+                          faults);
+      });
+    } catch (const std::exception& e) {
+      return from_exception(e, what);
+    }
   }
 };
 
@@ -769,60 +789,12 @@ Expected<std::vector<FrameResult>> Session::process_batch_color(
 
 Expected<std::vector<VideoFrameResult>> Session::process_video(
     const std::vector<ImageView>& frames, double d_max_percent) {
-  if (Status s =
-          impl_->check_video(frames, d_max_percent, "process_video", false);
-      !s.ok()) {
-    return s;
-  }
-  try {
-    std::vector<pipeline::FrameFault> faults;
-    const auto decisions = impl_->with_staging([&](Impl::Staging& st) {
-      return impl_->engine.process_stream(
-          Impl::stage_gray(frames, st.gray),
-          impl_->make_video_options(d_max_percent), &faults);
-    });
-    std::vector<VideoFrameResult> out;
-    out.reserve(decisions.size());
-    for (std::size_t i = 0; i < decisions.size(); ++i) {
-      const auto& d = decisions[i];
-      out.push_back({d.raw_beta, d.beta, d.scene_cut, to_frame_result(d)});
-      fill_fault(faults[i], out.back().frame);
-    }
-    return out;
-  } catch (const std::exception& e) {
-    return from_exception(e, "process_video");
-  }
+  return impl_->video(frames, d_max_percent, false, "process_video");
 }
 
 Expected<std::vector<VideoFrameResult>> Session::process_video_color(
     const std::vector<ImageView>& frames, double d_max_percent) {
-  if (Status s = impl_->check_video(frames, d_max_percent,
-                                    "process_video_color", true);
-      !s.ok()) {
-    return s;
-  }
-  try {
-    std::vector<pipeline::FrameFault> faults;
-    const auto results = impl_->with_staging([&](Impl::Staging& st) {
-      return impl_->engine.process_stream_color(
-          Impl::stage_rgb(frames, st.rgb),
-          impl_->make_video_options(d_max_percent), impl_->color_mode,
-          &faults);
-    });
-    std::vector<VideoFrameResult> out;
-    out.reserve(results.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const auto& r = results[i];
-      VideoFrameResult v{r.decision.raw_beta, r.decision.beta,
-                         r.decision.scene_cut, to_frame_result(r.decision)};
-      fill_color(r.color.displayed, r.color.hue_error, v.frame);
-      fill_fault(faults[i], v.frame);
-      out.push_back(std::move(v));
-    }
-    return out;
-  } catch (const std::exception& e) {
-    return from_exception(e, "process_video_color");
-  }
+  return impl_->video(frames, d_max_percent, true, "process_video_color");
 }
 
 }  // namespace hebs

@@ -36,6 +36,10 @@ struct VideoOptions {
   double ema_alpha = 0.5;
   /// Histogram L1 distance (0..2) above which a scene cut is declared.
   double scene_cut_threshold = 0.5;
+  // The four fields below configure process_clip only: it builds its
+  // engine from them.  A PipelineEngine's stream entry points ignore
+  // them and run on the engine's own EngineOptions.
+
   /// Worker threads for process_clip's engine-backed per-frame search
   /// and applied-β re-derivation; <= 0 selects the hardware concurrency.
   /// With temporal_reuse = false, decisions are identical for every

@@ -244,6 +244,8 @@ class RgbImage {
   std::span<const std::uint8_t> data() const noexcept { return data_; }
   std::span<std::uint8_t> data() noexcept { return data_; }
 
+  bool operator==(const RgbImage& other) const = default;
+
   /// ITU-R BT.601 luma extraction (the standard for SDTV-era content,
   /// matching the paper's 2005 context).
   GrayImage to_luma() const;

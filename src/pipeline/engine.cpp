@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "obs/counters.h"
@@ -31,31 +31,27 @@ std::unique_ptr<util::BufferPool> make_pool(const EngineOptions& opts) {
 
 /// The provably-safe result a degraded frame emits: β = 1 and the
 /// identity LUT — the display shows the unmodified frame (zero
-/// distortion) at full backlight (zero saving).  Power reports stay
-/// zero: power accounting is not available for a frame whose pipeline
-/// never completed.  Runs under a SuppressScope so a persistent
-/// injected fault (e.g. pool-alloc:count=0) cannot re-fire inside its
-/// own containment handler.
-core::HebsResult identity_fallback(const hebs::image::GrayImage& frame) {
+/// distortion) at full backlight (zero saving), on the frame's own
+/// level lattice.  Power reports stay zero: power accounting is not
+/// available for a frame whose pipeline never completed.  Runs under a
+/// SuppressScope so a persistent injected fault (e.g.
+/// pool-alloc:count=0) cannot re-fire inside its own containment
+/// handler.
+template <typename Image>
+core::HebsResult identity_fallback(const Image& frame) {
   util::fault::SuppressScope no_refire;
   core::HebsResult r;
   r.point = core::identity_operating_point();
   r.lambda = r.point.luminance_transform;
-  r.target = {0, hebs::image::kMaxPixel};
   r.evaluation.point = r.point;
-  r.evaluation.transformed = frame;  // identity: displayed == input
-  return r;
-}
-
-/// Deep-pixel twin of identity_fallback, on the frame's own lattice.
-core::HebsResult identity_fallback(const hebs::image::GrayImage16& frame) {
-  util::fault::SuppressScope no_refire;
-  core::HebsResult r;
-  r.point = core::identity_operating_point();
-  r.lambda = r.point.luminance_transform;
-  r.target = {0, frame.max_pixel()};
-  r.evaluation.point = r.point;
-  r.evaluation.transformed16 = frame;  // identity: displayed == input
+  // identity: displayed == input
+  if constexpr (std::is_same_v<Image, hebs::image::GrayImage16>) {
+    r.target = {0, frame.max_pixel()};
+    r.evaluation.transformed16 = frame;
+  } else {
+    r.target = {0, hebs::image::kMaxPixel};
+    r.evaluation.transformed = frame;
+  }
   return r;
 }
 
@@ -86,23 +82,32 @@ void record_fault(std::vector<FrameFault>* faults, std::size_t i, bool io,
   f.message = std::move(message);
 }
 
-/// Byte equality of two frames: same size, then memcmp.
-bool same_bytes(std::span<const std::uint8_t> a,
-                std::span<const std::uint8_t> b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size()) == 0;
-}
-
-bool same_bytes(const hebs::image::GrayImage& a,
-                const hebs::image::GrayImage& b) {
-  return a.width() == b.width() && a.height() == b.height() &&
-         same_bytes(a.pixels(), b.pixels());
-}
-
-bool same_bytes(const hebs::image::RgbImage& a,
-                const hebs::image::RgbImage& b) {
-  return a.width() == b.width() && a.height() == b.height() &&
-         same_bytes(a.data(), b.data());
+/// The engine's one catch ladder (DESIGN.md §14), around frame i's
+/// `work` in `stage`.  A util::InvalidArgument is a caller bug, not a
+/// runtime fault: degrading would hide it, so it propagates (the pool
+/// rethrows the first one after the barrier) — after `quarantine`, as
+/// the state may be mid-update all the same.  Any other exception is
+/// contained: `quarantine` discards the state that computed the frame,
+/// `fallback` emits the frame's identity result under a SuppressScope
+/// (a persistent injected fault must not re-fire inside its own
+/// handler), and the fault is recorded.  Returns false when contained.
+template <typename Work, typename Quarantine, typename Fallback>
+bool contain_faults(std::vector<FrameFault>* faults, std::size_t i,
+                    const char* stage, Work&& work, Quarantine&& quarantine,
+                    Fallback&& fallback) {
+  try {
+    work();
+    return true;
+  } catch (const util::InvalidArgument&) {
+    quarantine();
+    throw;
+  } catch (const std::exception& e) {
+    quarantine();
+    util::fault::SuppressScope no_refire;
+    fallback();
+    record_fault(faults, i, is_io_error(e), fault_message(stage, i, e.what()));
+    return false;
+  }
 }
 
 using DeadlineClock = std::chrono::steady_clock;
@@ -137,11 +142,8 @@ struct ColorFrame {
 };
 
 /// Binds a batch frame; a color frame binds its BT.601 luma.
-void bind_frame(FrameContext& ctx, const hebs::image::GrayImage& frame) {
-  ctx.rebind(frame);
-}
-
-void bind_frame(FrameContext& ctx, const hebs::image::GrayImage16& frame) {
+template <typename Image>
+void bind_frame(FrameContext& ctx, const Image& frame) {
   ctx.rebind(frame);
 }
 
@@ -149,6 +151,52 @@ void bind_frame(FrameContext& ctx, const ColorFrame& frame) {
   frame.rgb->to_luma(*frame.luma);
   ctx.rebind(*frame.luma);
 }
+
+/// The post-decision color stage (core::render_color) shaped into the
+/// engine's per-frame output type.
+ColorFrameOutput run_color_stage(const hebs::image::RgbImage& rgb,
+                                 const hebs::image::GrayImage& luma,
+                                 const core::OperatingPoint& point,
+                                 core::ColorMode mode) {
+  obs::ScopedSpan span(obs::Span::kColorRender);
+  core::ColorRendering rendering = core::render_color(rgb, luma, point, mode);
+  return {std::move(rendering.displayed), rendering.hue_error};
+}
+
+// ---- stream post-stages (DESIGN.md §9, "Stream rounds") ---------------
+//
+// What a stream frame's applied decision turns into beyond the decision
+// itself, by frame index: `render` runs right after the frame's
+// re-derivation, on its worker, slot pool and containment; `copy` gives
+// a repeat its predecessor's output; `degrade` gives a degraded frame
+// the identity output.  A repeat copies only when `same_input` holds:
+// the frame's input bytes equal its predecessor's.
+
+/// A gray stream: the decision is the whole output, and a duplicate's
+/// input is its luma, equal to its predecessor's by construction.
+struct GrayPost {
+  void render(std::size_t, const core::FrameDecision&) {}
+  bool same_input(std::size_t) const { return true; }
+  void copy(std::size_t) {}
+  void degrade(std::size_t) {}
+};
+
+/// A color stream: each applied point renders onto the frame's RGB
+/// raster, and only RGB-identical frames share a rendering.
+struct ColorPost {
+  std::span<const hebs::image::RgbImage> rgb;
+  std::span<const hebs::image::GrayImage> lumas;
+  core::ColorMode mode;
+  std::vector<ColorFrameOutput> out;
+
+  void render(std::size_t i, const core::FrameDecision& d) {
+    out[i] = run_color_stage(rgb[i], lumas[i], d.point, mode);
+  }
+  bool same_input(std::size_t i) const { return rgb[i] == rgb[i - 1]; }
+  void copy(std::size_t i) { out[i] = out[i - 1]; }
+  // β = 1 and the identity LUT change no pixel: zero chromaticity drift.
+  void degrade(std::size_t i) { out[i] = {rgb[i], 0.0}; }
+};
 
 }  // namespace
 
@@ -214,37 +262,25 @@ std::vector<Result> PipelineEngine::map_frames(
     faults->resize(images.size());
   }
   std::vector<Result> results(images.size());
-  // The per-frame containment body, shared by the inline single-frame
-  // path and the fan-out.  The SuppressScope around the fallback keeps
-  // a persistent injected fault from re-firing inside the handler.
+  // The per-frame body, shared by the inline single-frame path and the
+  // fan-out.
   const auto run_contained = [&](WorkerSlot& slot, std::size_t i,
                                  ProbeLanes* lanes) {
     util::PoolScope scope(slot.pool.get());
     obs::ScopedSpan frame_span(obs::Span::kFrame,
                                static_cast<std::int32_t>(i));
     const auto start = DeadlineClock::now();
-    try {
-      util::fault::maybe_fail(util::fault::Point::kWorkerTask);
-      FrameContext& ctx = context_for(slot.ctx, opts_.hebs, model_);
-      ctx.set_probe_lanes(lanes);
-      bind_frame(ctx, images[i]);
-      results[i] = per_frame(ctx, i);
-    } catch (const util::InvalidArgument&) {
-      // Precondition violations are caller bugs, not runtime faults:
-      // degrading would hide them, so they propagate out of the batch
-      // (the pool rethrows the first one after the barrier).  The
-      // context may be mid-update all the same, so it goes too.
-      slot.ctx.reset();
-      throw;
-    } catch (const std::exception& e) {
-      slot.ctx.reset();  // quarantine
-      util::fault::SuppressScope no_refire;
-      results[i] = fallback(i);
-      record_fault(faults, i, is_io_error(e),
-                   fault_message("search", i, e.what()));
-      return;
-    }
-    if (deadline_blown(opts_, start)) {
+    const bool done = contain_faults(
+        faults, i, "search",
+        [&] {
+          util::fault::maybe_fail(util::fault::Point::kWorkerTask);
+          FrameContext& ctx = context_for(slot.ctx, opts_.hebs, model_);
+          ctx.set_probe_lanes(lanes);
+          bind_frame(ctx, images[i]);
+          results[i] = per_frame(ctx, i);
+        },
+        [&] { slot.ctx.reset(); }, [&] { results[i] = fallback(i); });
+    if (done && deadline_blown(opts_, start)) {
       obs::add(obs::Counter::kDeadlineMiss);
       util::fault::SuppressScope no_refire;
       results[i] = fallback(i);
@@ -285,8 +321,9 @@ std::vector<Result> PipelineEngine::map_frames(
   return results;
 }
 
-std::vector<core::HebsResult> PipelineEngine::process_batch(
-    std::span<const hebs::image::GrayImage> images, const Policy& policy,
+template <typename Image>
+std::vector<core::HebsResult> PipelineEngine::decide_batch(
+    std::span<const Image> images, const Policy& policy,
     double d_max_percent, std::vector<FrameFault>* faults) {
   policy.prepare();
   return map_frames<core::HebsResult>(
@@ -299,16 +336,15 @@ std::vector<core::HebsResult> PipelineEngine::process_batch(
 }
 
 std::vector<core::HebsResult> PipelineEngine::process_batch(
+    std::span<const hebs::image::GrayImage> images, const Policy& policy,
+    double d_max_percent, std::vector<FrameFault>* faults) {
+  return decide_batch(images, policy, d_max_percent, faults);
+}
+
+std::vector<core::HebsResult> PipelineEngine::process_batch(
     std::span<const hebs::image::GrayImage16> images, const Policy& policy,
     double d_max_percent, std::vector<FrameFault>* faults) {
-  policy.prepare();
-  return map_frames<core::HebsResult>(
-      images,
-      [&policy, d_max_percent](FrameContext& ctx, std::size_t) {
-        return policy.decide(ctx, d_max_percent);
-      },
-      [&images](std::size_t i) { return identity_fallback(images[i]); },
-      faults);
+  return decide_batch(images, policy, d_max_percent, faults);
 }
 
 std::vector<core::HebsResult> PipelineEngine::process_batch(
@@ -317,9 +353,10 @@ std::vector<core::HebsResult> PipelineEngine::process_batch(
   return process_batch(images, ExactPolicy(), d_max_percent, faults);
 }
 
-std::vector<core::FrameDecision> PipelineEngine::process_stream(
+template <typename Post>
+std::vector<core::FrameDecision> PipelineEngine::run_stream(
     std::span<const hebs::image::GrayImage> frames,
-    core::VideoBacklightController& controller,
+    core::VideoBacklightController& controller, Post&& post,
     std::vector<FrameFault>* faults) {
   const core::VideoOptions& vopts = controller.options();
   if (faults != nullptr) {
@@ -331,9 +368,10 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
   // searches run on the pool; the controller plans the round's applied
   // β values in frame order on the calling thread (the scalar
   // recurrence — the only truly ordered work); the applied-β
-  // re-derivations run on the pool, one task per frame; and the
-  // decisions land by frame index.  The controller's state advances
-  // exactly as serial processing would.
+  // re-derivations, each followed by its frame's post-stage render, run
+  // on the pool, one task per frame; and the decisions land by frame
+  // index.  The controller's state advances exactly as serial
+  // processing would.
   //
   // A round holds `slots` *runs*: a source frame plus the frames after
   // it that are byte-identical to their predecessor (the duplicates).
@@ -376,22 +414,20 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
     std::size_t source = 0;
     std::size_t end = 0;
     bool chained = false;
-    explicit Run(bool temporal_on) : reuse(reuse_options(temporal_on)) {}
-
-    static TemporalOptions reuse_options(bool temporal_on) {
-      TemporalOptions t;  // delta threshold keeps its one default
-      t.enabled = temporal_on;
-      return t;
-    }
+    // The delta threshold keeps its one default.
+    explicit Run(bool temporal_on)
+        : reuse(TemporalOptions{.enabled = temporal_on}) {}
   };
 
   // Per-frame round state.  `degraded`: the frame carries the identity
   // fallback (search or re-derivation fault); `rederive_fault`: the
-  // fault hit the re-derivation; `repeat`: a duplicate planned at its
-  // predecessor's β — its re-derivation, a deterministic function of
-  // (pixels, raw result, β), would reproduce the predecessor's bits, so
-  // it copies them instead.  Written by the frame's worker (or the
-  // plan), read on the calling thread after the step's barrier.
+  // fault hit the re-derivation (its slot is quarantined after the
+  // round's replay); `repeat`: a duplicate planned at its predecessor's
+  // β whose input bytes equal its predecessor's — its re-derivation and
+  // post-stage, deterministic functions of (input, raw result, β),
+  // would reproduce the predecessor's bits, so it copies them instead.
+  // Written by the frame's worker (or the plan), read on the calling
+  // thread after the step's barrier.
   struct FrameState {
     std::size_t slot = 0;
     bool degraded = false;
@@ -403,11 +439,12 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
   std::vector<core::FrameDecision> decisions;
   decisions.reserve(frames.size());
 
-  // The degraded frame's decision: the identity fallback, planned as a
+  // The degraded frame's output: the identity fallback, planned as a
   // stream discontinuity.  Copying the pooled fallback must not re-fire
   // a persistent injected allocation fault.
   const auto degraded_decision = [&](std::size_t i) {
     util::fault::SuppressScope no_refire;
+    post.degrade(i);
     return controller.apply_degraded(identity_fallback(frames[i]));
   };
 
@@ -418,17 +455,14 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
       runs.emplace_back(opts_.temporal_reuse);
     }
 
-    // Containment of a frame faulted in the search: its context's memo
-    // state and its temporal chain may be poisoned (mid-update when the
-    // fault unwound), so both are discarded — the slot's next search
-    // runs the cold path on a fresh context, exactly as a cold run
-    // started there would — and the frame carries the identity fallback.
-    const auto contain = [&](std::size_t k, std::size_t i, bool io,
-                             std::string message, bool deadline = false) {
+    // Quarantine of a slot whose frame faulted in the search: its
+    // context's memo state and its temporal chain may be poisoned
+    // (mid-update when the fault unwound), so both are discarded — the
+    // slot's next search runs the cold path on a fresh context, exactly
+    // as a cold run started there would.
+    const auto quarantine = [&](std::size_t k) {
       workers[k].ctx.reset();
       runs[k].reuse.reset();
-      state[i].degraded = true;
-      record_fault(faults, i, io, std::move(message), deadline);
     };
 
     // One frame's search on slot k; false when it was contained.
@@ -437,22 +471,21 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
       obs::ScopedSpan frame_span(obs::Span::kFrame,
                                  static_cast<std::int32_t>(i));
       const auto start = DeadlineClock::now();
-      try {
-        util::fault::maybe_fail(util::fault::Point::kWorkerTask);
-        FrameContext& ctx = context_for(workers[k].ctx, vopts.hebs,
-                                        controller.power_model());
-        // TemporalReuse handles both modes: disabled, it degrades to
-        // rebind + run_exact (the cold path).
-        s.raw = s.reuse.process(ctx, frames[i], vopts.d_max_percent,
-                                s.chained);
-        // The re-derivations read the frame caches concurrently; none
-        // may be built lazily under them.
-        ctx.warm_probe_caches();
-      } catch (const util::InvalidArgument&) {
-        throw;  // caller bug, not a runtime fault — see map_frames
-      } catch (const std::exception& e) {
-        contain(k, i, is_io_error(e),
-                fault_message("stream search", i, e.what()));
+      if (!contain_faults(
+              faults, i, "stream search",
+              [&] {
+                util::fault::maybe_fail(util::fault::Point::kWorkerTask);
+                FrameContext& ctx = context_for(workers[k].ctx, vopts.hebs,
+                                                controller.power_model());
+                // TemporalReuse handles both modes: disabled, it
+                // degrades to rebind + run_exact (the cold path).
+                s.raw = s.reuse.process(ctx, frames[i], vopts.d_max_percent,
+                                        s.chained);
+                // The re-derivations read the frame caches
+                // concurrently; none may be built lazily under them.
+                ctx.warm_probe_caches();
+              },
+              [&] { quarantine(k); }, [&] { state[i].degraded = true; })) {
         return false;
       }
       if (deadline_blown(opts_, start)) {
@@ -461,13 +494,25 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
         // decision is the fallback and the controller treats it as a
         // discontinuity, so the slot restarts cold too (uniform
         // degradation contract: one recovery story for every fault).
-        contain(k, i, /*io=*/false,
-                deadline_message("stream search", i,
-                                 opts_.frame_deadline_us),
-                /*deadline=*/true);
+        quarantine(k);
+        state[i].degraded = true;
+        record_fault(faults, i, /*io=*/false,
+                     deadline_message("stream search", i,
+                                      opts_.frame_deadline_us),
+                     /*deadline=*/true);
         return false;
       }
       return true;
+    };
+
+    // A fault in frame i's re-derivation, post-stage or repeat copy:
+    // the frame degrades, and its slot is quarantined once the round's
+    // replay no longer needs its context.
+    const auto rederive_contained = [&](std::size_t i, auto&& work) {
+      FrameState& f = state[i];
+      return contain_faults(
+          faults, i, "flicker re-derivation", work,
+          [&f] { f.rederive_fault = true; }, [&f] { f.degraded = true; });
     };
 
     // One callable per step for the whole clip (constructing a
@@ -488,7 +533,7 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
     const std::function<void(std::size_t, int)> rederive_round =
         [&](std::size_t j, int) {
           const std::size_t i = begin + j;
-          FrameState& f = state[i];
+          const FrameState& f = state[i];
           // Degraded: planned as a discontinuity already; repeat: copied
           // after the step.
           if (f.degraded || f.repeat) return;
@@ -496,18 +541,12 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
           util::PoolScope scope(w.pool.get());
           obs::ScopedSpan post_span(obs::Span::kFlickerPost,
                                     static_cast<std::int32_t>(i));
-          try {
+          rederive_contained(i, [&] {
             // Writes nothing into the context, so a run's frames share
             // it.
             controller.rederive(*w.ctx, runs[f.slot].raw, decisions[i]);
-          } catch (const util::InvalidArgument&) {
-            throw;  // caller bug, not a runtime fault — see map_frames
-          } catch (const std::exception& e) {
-            f.degraded = true;
-            f.rederive_fault = true;
-            record_fault(faults, i, is_io_error(e),
-                         fault_message("flicker re-derivation", i, e.what()));
-          }
+            post.render(i, decisions[i]);
+          });
         };
 
     for (std::size_t end = 0; begin < frames.size(); begin = end) {
@@ -523,7 +562,7 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
           state[end] = FrameState{count, false, false, false};
           ++end;
         } while (dedupe && end < frames.size() &&
-                 same_bytes(frames[end], frames[end - 1]));
+                 frames[end] == frames[end - 1]);
         s.end = end;
         ++count;
       }
@@ -557,58 +596,50 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
             workers[state[i].slot].ctx->exact_histogram(),
             s.raw.point.beta));
         // Frames [source, end) of a run are all undegraded here.
-        state[i].repeat =
-            i != s.source && decisions[i].beta == decisions[i - 1].beta;
+        state[i].repeat = i != s.source &&
+                          decisions[i].beta == decisions[i - 1].beta &&
+                          post.same_input(i);
       }
 
-      // 3. The applied-β re-derivations, one task per frame.
+      // 3. The applied-β re-derivations and post-stages, one task per
+      // frame.
       pool_.parallel_for(end - begin, rederive_round);
 
-      // 4. Emit: the decisions already sit at their frame index, but for
+      // 4. Emit: the outputs already sit at their frame index, but for
       // the repeats, copied here in frame order (each from a predecessor
       // already final).  A re-derivation fault — the copy counts as the
       // repeat's re-derivation — stops the copies: the first frame whose
       // re-derivation faulted degrades and resets the controller; the
       // frames after it were planned on the history that reset discards,
-      // so they are re-planned and re-derived in order from the reset
-      // controller (serially: the path is rare), exactly as a cold run
-      // started after the fault computes them.
+      // so they are re-planned, re-derived and rendered in order from the
+      // reset controller (serially: the path is rare), exactly as a cold
+      // run started after the fault computes them.
       std::size_t i = begin;
       for (; i < end && !state[i].rederive_fault; ++i) {
-        FrameState& f = state[i];
-        if (!f.repeat) continue;
-        util::PoolScope scope(workers[f.slot].pool.get());
+        if (!state[i].repeat) continue;
+        util::PoolScope scope(workers[state[i].slot].pool.get());
         obs::ScopedSpan post_span(obs::Span::kFlickerPost,
                                   static_cast<std::int32_t>(i));
-        try {
-          decisions[i].point = decisions[i - 1].point;
-          decisions[i].evaluation = decisions[i - 1].evaluation;
-        } catch (const std::exception& e) {
-          f.degraded = true;
-          f.rederive_fault = true;
-          record_fault(faults, i, is_io_error(e),
-                       fault_message("flicker re-derivation", i, e.what()));
+        if (!rederive_contained(i, [&] {
+              decisions[i].point = decisions[i - 1].point;
+              decisions[i].evaluation = decisions[i - 1].evaluation;
+              post.copy(i);
+            })) {
           break;
         }
       }
       for (; i < end; ++i) {
-        FrameState& f = state[i];
+        const FrameState& f = state[i];
         if (!f.degraded) {
           const WorkerSlot& w = workers[f.slot];
           util::PoolScope scope(w.pool.get());
           obs::ScopedSpan post_span(obs::Span::kFlickerPost,
                                     static_cast<std::int32_t>(i));
-          try {
+          rederive_contained(i, [&] {
             decisions[i] =
                 controller.apply_flicker_control(*w.ctx, runs[f.slot].raw);
-          } catch (const util::InvalidArgument&) {
-            throw;  // caller bug, not a runtime fault — see map_frames
-          } catch (const std::exception& e) {
-            f.degraded = true;
-            f.rederive_fault = true;
-            record_fault(faults, i, is_io_error(e),
-                         fault_message("flicker re-derivation", i, e.what()));
-          }
+            post.render(i, decisions[i]);
+          });
         }
         if (f.degraded) decisions[i] = degraded_decision(i);
       }
@@ -616,9 +647,7 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
       // like one faulted in the search.  Only now: the rest of its run
       // replayed on its context above.
       for (i = begin; i < end; ++i) {
-        if (!state[i].rederive_fault) continue;
-        workers[state[i].slot].ctx.reset();
-        runs[state[i].slot].reuse.reset();
+        if (state[i].rederive_fault) quarantine(state[i].slot);
       }
     }
   });
@@ -627,38 +656,17 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
 
 std::vector<core::FrameDecision> PipelineEngine::process_stream(
     std::span<const hebs::image::GrayImage> frames,
+    core::VideoBacklightController& controller,
+    std::vector<FrameFault>* faults) {
+  return run_stream(frames, controller, GrayPost{}, faults);
+}
+
+std::vector<core::FrameDecision> PipelineEngine::process_stream(
+    std::span<const hebs::image::GrayImage> frames,
     const core::VideoOptions& opts, std::vector<FrameFault>* faults) {
   core::VideoBacklightController controller(opts, model_);
   return process_stream(frames, controller, faults);
 }
-
-namespace {
-
-/// The post-decision color stage (core::render_color) shaped into the
-/// engine's per-frame output type.
-ColorFrameOutput run_color_stage(const hebs::image::RgbImage& rgb,
-                                 const hebs::image::GrayImage& luma,
-                                 const core::OperatingPoint& point,
-                                 core::ColorMode mode) {
-  obs::ScopedSpan span(obs::Span::kColorRender);
-  core::ColorRendering rendering = core::render_color(rgb, luma, point, mode);
-  return {std::move(rendering.displayed), rendering.hue_error};
-}
-
-std::vector<hebs::image::GrayImage> materialize_lumas(
-    std::span<const hebs::image::RgbImage> images) {
-  std::vector<hebs::image::GrayImage> lumas;
-  lumas.reserve(images.size());
-  for (const auto& img : images) lumas.push_back(img.to_luma());
-  return lumas;
-}
-
-bool same_point(const core::OperatingPoint& a, const core::OperatingPoint& b) {
-  return a.beta == b.beta &&
-         a.luminance_transform.points() == b.luminance_transform.points();
-}
-
-}  // namespace
 
 std::vector<ColorBatchResult> PipelineEngine::process_batch_color(
     std::span<const hebs::image::RgbImage> images, const Policy& policy,
@@ -712,71 +720,26 @@ std::vector<ColorStreamResult> PipelineEngine::process_stream_color(
     std::span<const hebs::image::RgbImage> frames,
     const core::VideoOptions& opts, core::ColorMode mode,
     std::vector<FrameFault>* faults) {
-  const auto lumas = materialize_lumas(frames);
-  // Containment records are needed locally even when the caller passed
-  // no sink: the color stage below must know which decisions carry the
-  // identity fallback (their slot rendering is the unmodified input)
-  // and which previous frames are ineligible as reuse sources.
-  std::vector<FrameFault> stream_faults;
-  auto decisions = process_stream(lumas, opts, &stream_faults);
-
-  // Ordered color post-stage.  Rendering is a deterministic function of
-  // (frame bytes, applied point, mode), so when both match the previous
-  // frame the previous rendering is reused wholesale — the color
-  // counterpart of the luma side's unchanged-frame fast path, and the
-  // reason a static RGB clip pays one memcpy instead of the per-pixel
-  // transform + chroma measurement per frame.
-  // No pool scope here: the stage's only allocations are the output
-  // rasters, which all escape into `out` — nothing would ever recycle.
-  std::vector<ColorStreamResult> out;
-  out.reserve(decisions.size());
-  for (std::size_t i = 0; i < decisions.size(); ++i) {
-    ColorStreamResult r;
-    r.decision = std::move(decisions[i]);
-    if (stream_faults[i].degraded) {
-      // The stream already emitted the identity decision for this
-      // frame; its rendering is the unmodified input (β = 1 + identity
-      // LUT change no pixel → zero chromaticity drift), no per-pixel
-      // work and no chance of a second fault in the color stage.
-      r.color.displayed = frames[i];
-      r.color.hue_error = 0.0;
-      out.push_back(std::move(r));
-      continue;
-    }
-    const bool reuse = opts.temporal_reuse && i > 0 &&
-                       !stream_faults[i - 1].degraded &&
-                       same_point(r.decision.point, out.back().decision.point) &&
-                       same_bytes(frames[i], frames[i - 1]);
-    if (reuse) {
-      r.color.displayed = out.back().color.displayed;
-      r.color.hue_error = out.back().color.hue_error;
-    } else {
-      try {
-        r.color = run_color_stage(frames[i], lumas[i], r.decision.point, mode);
-      } catch (const util::InvalidArgument&) {
-        throw;  // caller bug, not a runtime fault — see map_frames
-      } catch (const std::exception& e) {
-        // Color-stage containment: the whole frame degrades to the
-        // identity fallback — decision and rendering stay consistent
-        // (displaying the untouched raster at the computed β < 1 would
-        // dim the frame, which is a visible artifact, not a fallback).
-        // The stage is stateless per frame, so nothing needs quarantine.
-        util::fault::SuppressScope no_refire;
-        const core::HebsResult fb = identity_fallback(lumas[i]);
-        r.decision.raw_beta = fb.point.beta;
-        r.decision.beta = fb.point.beta;
-        r.decision.scene_cut = false;
-        r.decision.point = fb.point;
-        r.decision.evaluation = fb.evaluation;
-        r.color.displayed = frames[i];
-        r.color.hue_error = 0.0;
-        record_fault(&stream_faults, i, is_io_error(e),
-                     fault_message("color render", i, e.what()));
-      }
-    }
-    out.push_back(std::move(r));
+  // The stream decides, and dedupes, on each frame's BT.601 luma, which
+  // the run formation compares on the calling thread before a round's
+  // searches — so every luma is extracted up front, on the pool, into
+  // rasters allocated here outside any pool (as process_batch_color's).
+  std::vector<hebs::image::GrayImage> lumas;
+  lumas.reserve(frames.size());
+  for (const auto& f : frames) lumas.emplace_back(f.width(), f.height());
+  pool_.parallel_for(frames.size(), [&](std::size_t i, int) {
+    frames[i].to_luma(lumas[i]);
+  });
+  ColorPost post{frames, lumas, mode,
+                 std::vector<ColorFrameOutput>(frames.size())};
+  core::VideoBacklightController controller(opts, model_);
+  auto decisions = run_stream(
+      std::span<const hebs::image::GrayImage>(lumas), controller, post,
+      faults);
+  std::vector<ColorStreamResult> out(frames.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    out[i] = {std::move(decisions[i]), std::move(post.out[i])};
   }
-  if (faults != nullptr) *faults = std::move(stream_faults);
   return out;
 }
 

@@ -18,7 +18,9 @@
 // concurrently, the VideoBacklightController plans each frame's applied
 // β strictly in frame order, and the per-frame re-derivation for that β
 // runs concurrently again — producing exactly the decisions the serial
-// controller makes.
+// controller makes.  Gray and color video share that one stream core; a
+// color frame decides on its luma and renders right after its
+// re-derivation, on the same worker.
 //
 // Both modes run on worker slots the engine keeps across calls (batch
 // slot k and stream slot k on worker slot k): each holds a buffer pool
@@ -63,7 +65,8 @@ struct EngineOptions {
   /// steady-state allocations).
   std::size_t pool_max_retained_bytes = 0;
   /// Stream mode: temporal-coherence fast path (duplicate-frame reuse,
-  /// incremental histograms, warm-started searches).  Outputs are
+  /// incremental histograms, warm-started searches; a color repeat
+  /// reuses its predecessor's rendering).  Outputs are
   /// bit-identical to the cold path whenever measured distortion is
   /// monotone over the search interval (sub-0.1% quantization wiggles
   /// are the only exception; every decision honors the distortion
@@ -205,14 +208,17 @@ class PipelineEngine {
       std::span<const hebs::image::RgbImage> images, double d_max_percent,
       core::ColorMode mode, std::vector<FrameFault>* faults = nullptr);
 
-  /// Color stream: luma decisions through the full stream machinery
-  /// (flicker control, temporal fast path, pools — bit-identical to
-  /// process_stream on the pre-converted luma clip), then the ordered
-  /// color post-stage renders each applied operating point.  With
-  /// opts.temporal_reuse the stage reuses the previous frame's RGB
-  /// rendering when the input bytes and the applied point are
-  /// unchanged (static content skips the per-pixel work; outputs are
-  /// identical either way).
+  /// Color stream: the process_stream rounds on each frame's BT.601
+  /// luma (decisions bit-identical to process_stream on the
+  /// pre-converted luma clip, dedupe keyed on luma bytes), with the
+  /// color stage rendering each applied operating point right after
+  /// the frame's re-derivation, on the same worker, pool and
+  /// containment — a render fault degrades the frame like any
+  /// re-derivation fault.  With EngineOptions::temporal_reuse a repeat
+  /// (a luma duplicate planned at its predecessor's β) whose RGB bytes
+  /// also equal its predecessor's copies that rendering (static
+  /// content skips the per-pixel work; outputs are identical either
+  /// way).
   std::vector<ColorStreamResult> process_stream_color(
       std::span<const hebs::image::RgbImage> frames,
       const core::VideoOptions& opts, core::ColorMode mode,
@@ -242,6 +248,23 @@ class PipelineEngine {
   std::vector<Result> map_frames(std::span<const Image> images,
                                  PerFrame&& per_frame, Fallback&& fallback,
                                  std::vector<FrameFault>* faults);
+
+  /// The body of both process_batch(…, const Policy&, …) overloads.
+  template <typename Image>
+  std::vector<core::HebsResult> decide_batch(std::span<const Image> images,
+                                             const Policy& policy,
+                                             double d_max_percent,
+                                             std::vector<FrameFault>* faults);
+
+  /// The stream rounds behind process_stream and process_stream_color,
+  /// deciding on the luma clip `frames`; `post` is the per-frame
+  /// post-stage (gray: none; color: the render) that runs right after
+  /// each frame's re-derivation (defined in engine.cpp).
+  template <typename Post>
+  std::vector<core::FrameDecision> run_stream(
+      std::span<const hebs::image::GrayImage> frames,
+      core::VideoBacklightController& controller, Post&& post,
+      std::vector<FrameFault>* faults);
 
   EngineOptions opts_;
   hebs::power::LcdSubsystemPower model_;

@@ -834,6 +834,151 @@ TEST_F(FaultMatrixTest, StreamColorContains) {
   }
 }
 
+TEST_F(FaultMatrixTest, StreamColorPoolAllocSweepMatchesColdSuffix) {
+  // The color render runs in the stream's re-derivation step, on the
+  // frame's slot pool, so a pool-alloc fault can land in it.  Sweep the
+  // fault over the pool draws of a clip with a static run, a
+  // chroma-only change (luma equal to its predecessor's, RGB not) and a
+  // scene cut: wherever it lands — search, re-derivation, render or a
+  // repeat's copy — one frame degrades to the identity decision and its
+  // unmodified RGB, the frames before it are the clean run's, and every
+  // frame after it equals a cold color run started just after it.
+  const auto album = small_rgb_album(2, 32);
+  RgbImage chroma_only = album[0];
+  const GrayImage luma0 = album[0].to_luma();
+  for (int y = 0; y < 12; ++y) {
+    for (int x = 0; x < 12; ++x) {
+      const std::uint8_t v = luma0(x, y);
+      chroma_only.set(x, y, {v, v, v});
+    }
+  }
+  ASSERT_EQ(chroma_only.to_luma(), luma0);
+  ASSERT_FALSE(chroma_only == album[0]);
+  const std::vector<RgbImage> frames = {album[0], album[0], chroma_only,
+                                        album[1]};
+  std::vector<GrayImage> lumas;
+  for (const RgbImage& f : frames) lumas.push_back(f.to_luma());
+
+  struct Config {
+    int threads;
+    bool temporal;
+  };
+  const auto engine_for = [](Config c) {
+    EngineOptions opts;
+    opts.num_threads = c.threads;
+    opts.temporal_reuse = c.temporal;
+    return PipelineEngine(opts, model());
+  };
+  const auto video_for = [](Config c) {
+    core::VideoOptions vopts;
+    vopts.num_threads = c.threads;
+    vopts.temporal_reuse = c.temporal;
+    return vopts;
+  };
+  const auto color_run = [&](Config c, std::span<const RgbImage> clip,
+                             std::vector<FrameFault>* faults = nullptr) {
+    return engine_for(c).process_stream_color(
+        clip, video_for(c), core::ColorMode::kSharedCurve, faults);
+  };
+  // Pool draws of a clean call (the point armed so that it never fires).
+  const auto clean_draws = [](auto&& call) {
+    fault::Spec never;
+    never.point = fault::Point::kPoolAlloc;
+    never.first = std::uint64_t{1} << 62;
+    fault::install(never);
+    call();
+    const std::uint64_t draws = fault::hit_count(fault::Point::kPoolAlloc);
+    fault::clear_all();
+    return draws;
+  };
+  const auto expect_same_frame = [](const ColorStreamResult& a,
+                                    const ColorStreamResult& b) {
+    expect_same_decision(a.decision, b.decision);
+    expect_same_rgb(a.color.displayed, b.color.displayed);
+    EXPECT_EQ(a.color.hue_error, b.color.hue_error);
+  };
+
+  for (const Config c : {Config{1, false}, Config{2, false}, Config{1, true},
+                         Config{2, true}}) {
+    SCOPED_TRACE(std::string(c.temporal ? "temporal, " : "cold, ") +
+                 std::to_string(c.threads) + " threads");
+    std::vector<ColorStreamResult> clean;
+    const std::uint64_t draws =
+        clean_draws([&] { clean = color_run(c, frames); });
+    // The renders draw from the slot pools: the color stream draws more
+    // than the luma stream it decides on.
+    EXPECT_GT(draws, clean_draws([&] {
+                (void)engine_for(c).process_stream(lumas, video_for(c));
+              }));
+    // Every 97th draw, and the last.
+    std::vector<std::uint64_t> points;
+    for (std::uint64_t n = 1; n < draws; n += 97) points.push_back(n);
+    points.push_back(draws);
+    if (c.threads == 1 && !c.temporal) {
+      // One frame per round, each round's pool work ending in its
+      // render: the last draw of the clip's first k frames is frame
+      // k - 1's render draw — shown to be one by the luma stream on the
+      // same frames drawing fewer.
+      for (std::size_t k = 1; k <= frames.size(); ++k) {
+        const std::span<const RgbImage> rgb(frames.data(), k);
+        const std::span<const GrayImage> gray(lumas.data(), k);
+        const std::uint64_t color_k =
+            clean_draws([&] { (void)color_run(c, rgb); });
+        const std::uint64_t gray_k = clean_draws([&] {
+          (void)engine_for(c).process_stream(gray, video_for(c));
+        });
+        const std::uint64_t color_before =
+            k == 1 ? 0 : clean_draws([&] {
+              (void)color_run(c, rgb.first(k - 1));
+            });
+        const std::uint64_t gray_before =
+            k == 1 ? 0 : clean_draws([&] {
+              (void)engine_for(c).process_stream(gray.first(k - 1),
+                                                 video_for(c));
+            });
+        EXPECT_GT(color_k - color_before, gray_k - gray_before);
+        points.push_back(color_k);
+      }
+    }
+
+    for (const std::uint64_t first : points) {
+      SCOPED_TRACE("pool-alloc:first=" + std::to_string(first));
+      fault::Spec spec;
+      spec.point = fault::Point::kPoolAlloc;
+      spec.first = first;
+      fault::install(spec);
+      std::vector<FrameFault> faults;
+      std::vector<ColorStreamResult> got;
+      ASSERT_NO_THROW(got = color_run(c, frames, &faults));
+      fault::clear_all();
+      ASSERT_EQ(got.size(), frames.size());
+      std::size_t fault_at = frames.size();
+      for (std::size_t i = 0; i < frames.size(); ++i) {
+        if (!faults[i].degraded) continue;
+        ASSERT_EQ(fault_at, frames.size()) << "more than one degraded frame";
+        fault_at = i;
+        EXPECT_EQ(got[i].decision.beta, 1.0);
+        EXPECT_EQ(got[i].decision.raw_beta, 1.0);
+        EXPECT_EQ(got[i].decision.evaluation.transformed, lumas[i]);
+        expect_same_rgb(got[i].color.displayed, frames[i]);
+        EXPECT_EQ(got[i].color.hue_error, 0.0);
+      }
+      ASSERT_LT(fault_at, frames.size());
+      for (std::size_t j = 0; j < fault_at; ++j) {
+        SCOPED_TRACE("prefix frame " + std::to_string(j));
+        expect_same_frame(got[j], clean[j]);
+      }
+      const std::span<const RgbImage> suffix(frames.data() + fault_at + 1,
+                                             frames.size() - fault_at - 1);
+      const auto cold = color_run(Config{1, false}, suffix);
+      for (std::size_t j = 0; j < cold.size(); ++j) {
+        SCOPED_TRACE("suffix frame " + std::to_string(j));
+        expect_same_frame(got[fault_at + 1 + j], cold[j]);
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // Deadline degradation, driven deterministically by the stall point.
 

@@ -3,7 +3,11 @@
 // run's source result and re-derives on the source's context.  The
 // decisions must be exactly a one-thread cold run's at every thread
 // count, and the byte-identical reuse count must be the number of
-// frames equal to their predecessor — whatever the worker count.
+// frames equal to their predecessor — whatever the worker count.  A
+// color stream runs the same rounds on its frames' luma, rendering each
+// frame after its re-derivation: its decisions are the luma stream's,
+// and a frame shares its predecessor's rendering only when their RGB
+// bytes are equal too.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -225,6 +229,88 @@ TEST(StreamDedupe, DuplicatesRecordTheirReuseInTheTrace) {
     EXPECT_EQ(frames, clip.size());
     EXPECT_EQ(byte_identical, repeats(clip));
     EXPECT_EQ(post, clip.size());
+  }
+}
+
+// ---- color streams: the same rounds, the render as their post-stage --
+
+using hebs::image::RgbImage;
+
+/// `frame` with its top-left patch replaced by gray pixels of the same
+/// BT.601 luma: its luma equals frame's, its RGB does not.
+RgbImage chroma_only_change(const RgbImage& frame) {
+  RgbImage out = frame;
+  const GrayImage luma = frame.to_luma();
+  for (int y = 0; y < kSize / 3; ++y) {
+    for (int x = 0; x < kSize / 3; ++x) {
+      const std::uint8_t v = luma(x, y);
+      out.set(x, y, {v, v, v});
+    }
+  }
+  return out;
+}
+
+/// Static RGB runs, scene cuts, and chroma-only changes (frames whose
+/// luma equals their predecessor's while their RGB differs).
+std::vector<RgbImage> color_clip() {
+  const RgbImage a = hebs::image::make_usid_color(UsidId::kPeppers, kSize);
+  const RgbImage b = hebs::image::make_usid_color(UsidId::kBaboon, kSize);
+  const RgbImage c = hebs::image::make_usid_color(UsidId::kSail, kSize);
+  const RgbImage b_gray = chroma_only_change(b);
+  const RgbImage c_gray = chroma_only_change(c);
+  std::vector<RgbImage> clip;
+  const auto add = [&clip](const RgbImage& f, int n) {
+    for (int k = 0; k < n; ++k) clip.push_back(f);
+  };
+  add(a, 3);
+  add(b, 2);       // scene cut
+  add(b_gray, 3);  // chroma-only change, then its static run
+  add(b, 1);       // chroma-only change back
+  add(c, 1);       // scene cut
+  add(c_gray, 1);
+  add(c, 4);
+  add(a, 2);       // scene cut
+  return clip;
+}
+
+TEST(StreamDedupe, ColorStreamDecidesOnLumaAndRendersEveryFrame) {
+  const auto clip = color_clip();
+  std::vector<GrayImage> lumas;
+  for (const RgbImage& f : clip) lumas.push_back(f.to_luma());
+  std::size_t chroma_only = 0;
+  for (std::size_t i = 1; i < clip.size(); ++i) {
+    chroma_only += lumas[i] == lumas[i - 1] && !(clip[i] == clip[i - 1]);
+  }
+  ASSERT_EQ(chroma_only, 4u);
+  const std::size_t dups = repeats(lumas);
+  for (const bool temporal : {false, true}) {
+    for (int threads : {1, 2, 4, 8}) {
+      SCOPED_TRACE(std::string(temporal ? "temporal, " : "cold, ") +
+                   std::to_string(threads) + " threads");
+      const core::ColorMode mode = threads % 4 == 0
+                                       ? core::ColorMode::kLumaRatio
+                                       : core::ColorMode::kSharedCurve;
+      EngineOptions opts;
+      opts.num_threads = threads;
+      opts.temporal_reuse = temporal;
+      const auto before = obs::snapshot_counters();
+      const auto got = PipelineEngine(opts, model())
+                           .process_stream_color(
+                               clip, video_options(threads, temporal), mode);
+      const auto d = obs::snapshot_counters().delta_since(before);
+      // Dedupe is keyed on luma: a chroma-only change is a duplicate.
+      EXPECT_EQ(d[Counter::kTemporalByteIdentical], temporal ? dups : 0u);
+      const auto want = stream(lumas, threads, temporal);
+      ASSERT_EQ(got.size(), clip.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        SCOPED_TRACE("frame " + std::to_string(i));
+        expect_same_decision(got[i].decision, want[i]);
+        const core::ColorRendering r =
+            core::render_color(clip[i], lumas[i], got[i].decision.point, mode);
+        EXPECT_EQ(got[i].color.displayed, r.displayed);
+        EXPECT_TRUE(same_bits(got[i].color.hue_error, r.hue_error));
+      }
+    }
   }
 }
 
