@@ -94,7 +94,10 @@ class Session {
   /// flicker control (β rate limit + scene-cut release) is applied
   /// strictly in frame order.  Requires policy "hebs-exact" (the
   /// controller runs the exact per-frame search); any other policy is
-  /// rejected with kInvalidOption.
+  /// rejected with kInvalidOption.  Video is 8-bit only: a 10/16-bit
+  /// session (SessionConfig::bit_depth) is rejected with
+  /// kInvalidOption, because the temporal fast path keys on 8-bit
+  /// frames.
   Expected<std::vector<VideoFrameResult>> process_video(
       const std::vector<ImageView>& frames, double d_max_percent);
 
@@ -105,7 +108,7 @@ class Session {
   /// per the session's color_mode right after its re-derivation, and a
   /// frame whose RGB bytes and applied β equal its predecessor's reuses
   /// that rendering when temporal_reuse is on.  Requires policy
-  /// "hebs-exact", like process_video.
+  /// "hebs-exact" and an 8-bit session, like process_video.
   Expected<std::vector<VideoFrameResult>> process_video_color(
       const std::vector<ImageView>& frames, double d_max_percent);
 

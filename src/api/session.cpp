@@ -647,39 +647,9 @@ SessionStats Session::stats() const noexcept {
   const auto d =
       obs::snapshot_counters().delta_since(impl_->stats_baseline);
   SessionStats s;
-  s.frames_decided = d[obs::Counter::kFramesDecided];
-  s.temporal_frames = d[obs::Counter::kTemporalFrames];
-  s.reuse_byte_identical = d[obs::Counter::kTemporalByteIdentical];
-  s.reuse_delta_refresh = d[obs::Counter::kTemporalDeltaRefresh];
-  s.reuse_cold = d[obs::Counter::kTemporalCold];
-  s.warm_verified = d[obs::Counter::kTemporalWarmVerified];
-  s.range_probes = d[obs::Counter::kRangeProbes];
-  s.beta_probes = d[obs::Counter::kBetaProbes];
-  s.eval_memo_hits = d[obs::Counter::kEvalMemoHit];
-  s.eval_memo_misses = d[obs::Counter::kEvalMemoMiss];
-  s.range_memo_hits = d[obs::Counter::kAtRangeHit];
-  s.range_memo_misses = d[obs::Counter::kAtRangeMiss];
-  s.spec_probes = d[obs::Counter::kSpecProbes];
-  s.spec_probes_wasted = d[obs::Counter::kSpecProbesWasted];
-  s.pool_recycled = d[obs::Counter::kPoolRecycled];
-  s.pool_fresh = d[obs::Counter::kPoolFresh];
-  s.pool_bytes_outstanding = d[obs::Counter::kPoolBytesOutstanding];
-  s.parallel_for_calls = d[obs::Counter::kParallelForCalls];
-  s.parallel_for_items = d[obs::Counter::kParallelForItems];
-  s.parallel_for_queued = d[obs::Counter::kParallelForQueued];
-  s.dispatch_scalar = d[obs::Counter::kDispatchScalar];
-  s.dispatch_sse42 = d[obs::Counter::kDispatchSse42];
-  s.dispatch_avx2 = d[obs::Counter::kDispatchAvx2];
-  s.dispatch_neon = d[obs::Counter::kDispatchNeon];
-  s.frames_degraded = d[obs::Counter::kFramesDegraded];
-  s.deadline_misses = d[obs::Counter::kDeadlineMiss];
-  s.pool_heap_fallbacks = d[obs::Counter::kPoolHeapFallback];
-  s.fault_pool_alloc = d[obs::Counter::kFaultPoolAlloc];
-  s.fault_worker_task = d[obs::Counter::kFaultWorkerTask];
-  s.fault_frame_corrupt = d[obs::Counter::kFaultFrameCorrupt];
-  s.fault_curve_io = d[obs::Counter::kFaultCurveIo];
-  s.fault_trace_io = d[obs::Counter::kFaultTraceIo];
-  s.fault_stage_latency = d[obs::Counter::kFaultStageLatency];
+#define HEBS_STATS_COPY(e, name, field, kind) s.field = d[obs::Counter::e];
+  HEBS_COUNTER_TABLE(HEBS_STATS_COPY)
+#undef HEBS_STATS_COPY
   return s;
 }
 

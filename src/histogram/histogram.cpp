@@ -30,10 +30,11 @@ Histogram Histogram::from_image(const hebs::image::GrayImage16& img) {
   return h;
 }
 
-template <typename Image>
-bool Histogram::refresh_from_delta_impl(const Image& prev, const Image& cur,
-                                        std::size_t max_changed,
-                                        std::size_t* changed_out) {
+bool Histogram::refresh_from_delta(const hebs::image::GrayImage& prev,
+                                   const hebs::image::GrayImage& cur,
+                                   std::size_t max_changed,
+                                   std::size_t* changed_out) {
+  HEBS_REQUIRE(bins_ == kBins, "8-bit delta refresh needs a 256-bin histogram");
   HEBS_REQUIRE(prev.width() == cur.width() && prev.height() == cur.height(),
                "delta refresh needs equal-size frames");
   HEBS_REQUIRE(total_ == prev.size(),
@@ -41,8 +42,8 @@ bool Histogram::refresh_from_delta_impl(const Image& prev, const Image& cur,
   const auto* a = prev.pixels().data();
   const auto* b = cur.pixels().data();
   const std::size_t n = prev.size();
-  // Samples per 64-bit compare word (8 for u8 frames, 4 for u16).
-  constexpr std::size_t kStep = sizeof(std::uint64_t) / sizeof(a[0]);
+  // Samples per 64-bit compare word.
+  constexpr std::size_t kStep = sizeof(std::uint64_t);
 
   // Deltas are staged so an over-threshold bail leaves *this untouched.
   hebs::util::PoolVector<std::int64_t> delta(
@@ -84,23 +85,6 @@ bool Histogram::refresh_from_delta_impl(const Image& prev, const Image& cur,
   }
   if (changed_out != nullptr) *changed_out = changed;
   return true;
-}
-
-bool Histogram::refresh_from_delta(const hebs::image::GrayImage& prev,
-                                   const hebs::image::GrayImage& cur,
-                                   std::size_t max_changed,
-                                   std::size_t* changed_out) {
-  HEBS_REQUIRE(bins_ == kBins, "8-bit delta refresh needs a 256-bin histogram");
-  return refresh_from_delta_impl(prev, cur, max_changed, changed_out);
-}
-
-bool Histogram::refresh_from_delta(const hebs::image::GrayImage16& prev,
-                                   const hebs::image::GrayImage16& cur,
-                                   std::size_t max_changed,
-                                   std::size_t* changed_out) {
-  HEBS_REQUIRE(prev.levels() == bins_ && cur.levels() == bins_,
-               "delta refresh needs frames of the histogram's level count");
-  return refresh_from_delta_impl(prev, cur, max_changed, changed_out);
 }
 
 Histogram Histogram::from_counts(std::span<const std::uint64_t> counts) {

@@ -54,16 +54,10 @@ class Histogram {
   /// on success with `*changed_out` (nullable) set to the number of
   /// differing pixels (0 ⇒ the frames are byte-identical); returns
   /// false, leaving the histogram untouched, when more than
-  /// `max_changed` pixels differ and a full recount is cheaper.
+  /// `max_changed` pixels differ and a full recount is cheaper.  8-bit
+  /// only: video, the one delta-refresh user, runs on 8-bit sessions.
   bool refresh_from_delta(const hebs::image::GrayImage& prev,
                           const hebs::image::GrayImage& cur,
-                          std::size_t max_changed,
-                          std::size_t* changed_out = nullptr);
-
-  /// Deep-pixel twin of the delta refresh (same contract; the frames
-  /// must share this histogram's level count).
-  bool refresh_from_delta(const hebs::image::GrayImage16& prev,
-                          const hebs::image::GrayImage16& cur,
                           std::size_t max_changed,
                           std::size_t* changed_out = nullptr);
 
@@ -121,11 +115,6 @@ class Histogram {
   bool operator==(const Histogram& other) const = default;
 
  private:
-  template <typename Image>
-  bool refresh_from_delta_impl(const Image& prev, const Image& cur,
-                               std::size_t max_changed,
-                               std::size_t* changed_out);
-
   int bins_ = kBins;
   hebs::util::PoolVector<std::uint64_t> counts_;
   std::uint64_t total_ = 0;

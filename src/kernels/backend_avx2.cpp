@@ -662,8 +662,6 @@ const KernelSet* kernelset_avx2() {
       &sum_u16_avx2,
       &blur_row_f64_avx2,
       &blur_col_f64_avx2,
-      &ref::sum_f64,
-      &ref::prefix_row_f64,
       &window_sums_single_f64_avx2,
       &window_sums_pair_f64_avx2,
       &uiqi_q_row_f64_avx2,

@@ -156,8 +156,6 @@ const KernelSet* kernelset_neon() {
       &sum_u16_neon,
       &blur_row_f64_neon,
       &blur_col_f64_neon,
-      &ref::sum_f64,
-      &ref::prefix_row_f64,
       // Row lanes want one table row per lane (four on AVX2); no
       // two-row NEON variant has been measured, so reference loops.
       &ref::window_sums_single_f64,

@@ -74,21 +74,6 @@ void blur_col_f64(const double* const* rows, int w, const double* taps,
   for (int x = 0; x < w; ++x) out_row[x] = blur_col_one(rows, x, taps, radius);
 }
 
-double sum_f64(const double* v, std::size_t n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) acc += v[i];
-  return acc;
-}
-
-void prefix_row_f64(const double* v, const double* above, double* out,
-                    std::size_t n) {
-  double row = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    row += v[i];
-    out[i] = above[i] + row;
-  }
-}
-
 void window_sums_single_f64(const double* const* v, int rows,
                             std::size_t n, const double* above_s,
                             const double* above_ss,
@@ -181,8 +166,6 @@ const KernelSet* kernelset_scalar() {
       &ref::sum_u16,
       &ref::blur_row_f64,
       &ref::blur_col_f64,
-      &ref::sum_f64,
-      &ref::prefix_row_f64,
       &ref::window_sums_single_f64,
       &ref::window_sums_pair_f64,
       &ref::uiqi_q_row_f64,
@@ -207,6 +190,21 @@ void mul_f64(const double* a, const double* b, double* dst, std::size_t n) {
 
 void saxpy_f64(double a, const double* x, double* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] = y[i] + a * x[i];
+}
+
+double sum_f64(const double* v, std::size_t n) {
+  double acc = 0.0;
+  for (std::size_t i = 0; i < n; ++i) acc += v[i];
+  return acc;
+}
+
+void prefix_row_f64(const double* v, const double* above, double* out,
+                    std::size_t n) {
+  double row = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    row += v[i];
+    out[i] = above[i] + row;
+  }
 }
 
 bool exact_reciprocal(double n) {

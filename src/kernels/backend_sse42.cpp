@@ -219,8 +219,6 @@ const KernelSet* kernelset_sse42() {
       &sum_u16_sse42,
       &blur_row_f64_sse42,
       &blur_col_f64_sse42,
-      &ref::sum_f64,
-      &ref::prefix_row_f64,
       // Row lanes (kernels.h) want one table row per lane; the groups
       // are sized for AVX2's four, and a two-row SSE4.2 variant has not
       // been measured, so the window sums stay on the reference loops.

@@ -18,7 +18,8 @@
 //         chain; a backend may only run several independent chains side
 //         by side, one per lane (the window_sums_* rows take a group of
 //         up to four table rows for that).  sum_f64 and prefix_row_f64
-//         have one chain per call and stay on the reference loop.
+//         have one chain per call, so they are plain loops below, not
+//         KernelSet rows.
 //       - exact reciprocal: x / n may become x * (1/n) only when 1/n is
 //         exact (n a power of two, see exact_reciprocal); both then
 //         round the same real number, so the results are identical.
@@ -118,14 +119,6 @@ struct KernelSet {
                        int radius, double* out_row);
 
   // ------------- float kernels (scalar accumulation-order contract)
-  /// Left-to-right sum of n doubles.  Backends must keep the scalar
-  /// order: callers (image means, power integrals) are compared
-  /// bit-exactly across configurations.
-  double (*sum_f64)(const double* v, std::size_t n);
-  /// Integral-image row step: out[i] = above[i] + (v[0] + ... + v[i]),
-  /// the running sum accumulated left to right.
-  void (*prefix_row_f64)(const double* v, const double* above, double* out,
-                         std::size_t n);
   /// Fused single-raster window-sum rows for a group of `rows`
   /// (1..kWindowSumRows) consecutive raster rows: for row r, the sum and
   /// sum-of-squares integral rows of v[r] (each table's running sum in
@@ -190,6 +183,14 @@ void lut_apply_f64(const std::uint8_t* src, std::size_t n, const double* lut,
 void mul_f64(const double* a, const double* b, double* dst, std::size_t n);
 /// y[i] = y[i] + a * x[i].
 void saxpy_f64(double a, const double* x, double* y, std::size_t n);
+/// Left-to-right sum of n doubles.  One serial chain per call, so no
+/// backend may go wide on it (the row-lane rule); callers (image means,
+/// power integrals) are compared bit-exactly across configurations.
+double sum_f64(const double* v, std::size_t n);
+/// Integral-image row step: out[i] = above[i] + (v[0] + ... + v[i]),
+/// the running sum accumulated left to right (one chain, like sum_f64).
+void prefix_row_f64(const double* v, const double* above, double* out,
+                    std::size_t n);
 
 /// True when 1/n is exact (n a power of two, far from the exponent
 /// range's ends): x * (1/n) then rounds the same real number x / n does,

@@ -177,11 +177,6 @@ void blur_row_f64(const double* src, double* dst, int w,
 void blur_col_f64(const double* const* rows, int w, const double* taps,
                   int radius, double* out_row);
 
-double sum_f64(const double* v, std::size_t n);
-
-void prefix_row_f64(const double* v, const double* above, double* out,
-                    std::size_t n);
-
 void window_sums_single_f64(const double* const* v, int rows,
                             std::size_t n, const double* above_s,
                             const double* above_ss,

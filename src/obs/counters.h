@@ -24,68 +24,17 @@
 #include <cstdint>
 #include <string>
 
+#include "hebs/stats.h"  // HEBS_COUNTER_TABLE
+
 namespace hebs::obs {
 
-/// Every counter the registry tracks.  Names reported by counter_name()
-/// are the Prometheus-style series names of the text dump.
+/// Every counter the registry tracks, one per HEBS_COUNTER_TABLE row
+/// (include/hebs/stats.h).  Names reported by counter_name() are the
+/// Prometheus-style series names of the text dump.
 enum class Counter : std::size_t {
-  // Frame decisions (one per full range search, cold or warm).
-  kFramesDecided,
-  // Temporal reuse: frames seen and the level taken per frame
-  // (byte-identical / delta-refresh / cold are mutually exclusive;
-  // warm-verified counts searches whose seeded bracket verified).
-  kTemporalFrames,
-  kTemporalByteIdentical,
-  kTemporalDeltaRefresh,
-  kTemporalCold,
-  kTemporalWarmVerified,
-  // refine_beta's probe memo (the 36-slot eval array).
-  kEvalMemoHit,
-  kEvalMemoMiss,
-  // FrameContext's per-range result memo (at_range / distortion_at_range).
-  kAtRangeHit,
-  kAtRangeMiss,
-  // Search probe evaluations: exact distortion probes of the range
-  // search, and β candidate evaluations inside refine_beta.
-  kRangeProbes,
-  kBetaProbes,
-  // Speculative probes (DESIGN.md §11): probes the single-frame slot's
-  // idle workers evaluated beside the one the search blocked on, and
-  // those the serial walk never asked for.
-  kSpecProbes,
-  kSpecProbesWasted,
-  // BufferPool: recycled (free-list hit) vs fresh (heap miss) blocks,
-  // and the bytes currently checked out of any pool (a gauge).
-  kPoolRecycled,
-  kPoolFresh,
-  kPoolBytesOutstanding,
-  // Kernel dispatch sites by selected backend.
-  kDispatchScalar,
-  kDispatchSse42,
-  kDispatchAvx2,
-  kDispatchNeon,
-  // ThreadPool: fan-outs, total indices fanned out, and fan-outs that
-  // found the pool busy and queued behind another caller.
-  kParallelForCalls,
-  kParallelForItems,
-  kParallelForQueued,
-  // Fault injection (util/faultpoint.h): firings per registered point.
-  // Zero in production — nonzero only under an installed HEBS_FAULT /
-  // SessionConfig::fault_spec spec, where tests match them against the
-  // expected injection count.
-  kFaultPoolAlloc,
-  kFaultWorkerTask,
-  kFaultFrameCorrupt,
-  kFaultCurveIo,
-  kFaultTraceIo,
-  kFaultStageLatency,
-  // Graceful degradation: frames that emitted the identity fallback
-  // (contained fault or blown deadline), frames that specifically blew
-  // the soft per-frame deadline, and pool allocations served as counted
-  // heap fallbacks because the pool's byte cap was exhausted.
-  kFramesDegraded,
-  kDeadlineMiss,
-  kPoolHeapFallback,
+#define HEBS_COUNTER_ENUM(e, name, field, kind) e,
+  HEBS_COUNTER_TABLE(HEBS_COUNTER_ENUM)
+#undef HEBS_COUNTER_ENUM
   kCounterCount_,
 };
 

@@ -110,34 +110,15 @@ using trace_detail::g_trace_epoch;
 using trace_detail::Ring;
 using trace_detail::TracerState;
 
+#define HEBS_SPAN_NAME(e, name) name,
+constexpr const char* kSpanNames[] = {HEBS_SPAN_TABLE(HEBS_SPAN_NAME)};
+#undef HEBS_SPAN_NAME
+
 }  // namespace
 
 const char* span_name(Span s) noexcept {
-  switch (s) {
-    case Span::kFrame:
-      return "frame";
-    case Span::kTemporalReuse:
-      return "temporal-reuse";
-    case Span::kHistogram:
-      return "histogram";
-    case Span::kRangeSearch:
-      return "range-search";
-    case Span::kRangeProbe:
-      return "range-probe";
-    case Span::kBetaRefine:
-      return "beta-refine";
-    case Span::kBetaProbe:
-      return "beta-probe";
-    case Span::kLutApply:
-      return "lut-apply";
-    case Span::kColorRender:
-      return "color-render";
-    case Span::kFlickerPost:
-      return "flicker-post";
-    case Span::kSpanCount_:
-      break;
-  }
-  return "unknown";
+  const auto i = static_cast<std::size_t>(s);
+  return i < kSpanCount ? kSpanNames[i] : "unknown";
 }
 
 void start_tracing(const TraceOptions& opts) {

@@ -29,22 +29,43 @@
 
 namespace hebs::obs {
 
-/// Span taxonomy (DESIGN.md §13).  Chrome-trace names come from
-/// span_name().
+/// The span registry, declared once (DESIGN.md §13).  One row per
+/// span:
+///
+///   X(enumerator, chrome://tracing event name)
+///
+/// The rows expand into obs::Span and span_name(); adding a span is one
+/// row here plus its name in tools/trace/trace_schema.json.
+#define HEBS_SPAN_TABLE(X)                                                    \
+  /* One frame's decision+render on a worker; arg = frame index. */           \
+  X(kFrame, "frame")                                                          \
+  /* A stream frame's reuse level (arg): 0 cold and 1 delta-refresh from      \
+     TemporalReuse::process, 2 a byte-identical duplicate (the stream's       \
+     plan step). */                                                           \
+  X(kTemporalReuse, "temporal-reuse")                                         \
+  /* Exact histogram build (recount, not delta refresh). */                   \
+  X(kHistogram, "histogram")                                                  \
+  /* The decision: range search + β refine, one per decision. */              \
+  X(kRangeSearch, "range-search")                                             \
+  /* One exact distortion probe; arg = candidate range. */                    \
+  X(kRangeProbe, "range-probe")                                               \
+  /* refine_beta; arg = chosen per-mille β on exit. */                        \
+  X(kBetaRefine, "beta-refine")                                               \
+  /* One β candidate evaluation; arg = round(β * 1e6). */                     \
+  X(kBetaProbe, "beta-probe")                                                 \
+  /* Displayed-raster materialization (LUT application). */                   \
+  X(kLutApply, "lut-apply")                                                   \
+  /* Color post-stage rendering of one frame. */                              \
+  X(kColorRender, "color-render")                                             \
+  /* Video applied-β re-derivation on a worker (or a containment replay       \
+     on the caller); arg = frame index. */                                    \
+  X(kFlickerPost, "flicker-post")
+
+/// Span taxonomy, one per HEBS_SPAN_TABLE row.
 enum class Span : std::uint8_t {
-  kFrame,         ///< one frame's decision+render on a worker; arg = frame index
-  kTemporalReuse, ///< a stream frame's reuse level (arg): 0 cold and
-                  ///< 1 delta-refresh from TemporalReuse::process, 2 a
-                  ///< byte-identical duplicate (the stream's plan step)
-  kHistogram,     ///< exact histogram build (recount, not delta refresh)
-  kRangeSearch,   ///< the decision: range search + β refine, one per decision
-  kRangeProbe,    ///< one exact distortion probe; arg = candidate range
-  kBetaRefine,    ///< refine_beta; arg = chosen per-mille β on exit
-  kBetaProbe,     ///< one β candidate evaluation; arg = round(β * 1e6)
-  kLutApply,      ///< displayed-raster materialization (LUT application)
-  kColorRender,   ///< color post-stage rendering of one frame
-  kFlickerPost,   ///< video applied-β re-derivation on a worker (or a
-                  ///< containment replay on the caller); arg = frame index
+#define HEBS_SPAN_ENUM(e, name) e,
+  HEBS_SPAN_TABLE(HEBS_SPAN_ENUM)
+#undef HEBS_SPAN_ENUM
   kSpanCount_,
 };
 

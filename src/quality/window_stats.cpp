@@ -10,9 +10,10 @@ namespace hebs::quality {
 // All tables here follow the integral-image recurrence
 //   table[y+1][x+1] = table[y][x+1] + (v[y][0] + ... + v[y][x])
 // with the running row sum accumulated left to right.  The row step is
-// the kernel layer's prefix_row_f64 / window_sums_* primitives, whose
-// contract pins exactly that scalar accumulation order, so every table
-// is bit-identical to the pre-kernel implementation on every backend.
+// the kernel layer's prefix_row_f64 loop or its window_sums_* rows,
+// whose contract pins exactly that scalar accumulation order, so every
+// table is bit-identical to the pre-kernel implementation on every
+// backend.
 
 namespace {
 
@@ -35,9 +36,8 @@ IntegralImage::IntegralImage(std::span<const double> values, int width,
                "raster size mismatch");
   const std::size_t stride = table_stride(width);
   table_.assign(table_cells(width, height), 0.0);
-  const auto& kernels = hebs::kernels::active();
   for (int y = 0; y < height; ++y) {
-    kernels.prefix_row_f64(
+    hebs::kernels::prefix_row_f64(
         values.data() + static_cast<std::size_t>(y) * width,
         table_.data() + static_cast<std::size_t>(y) * stride + 1,
         table_.data() + (static_cast<std::size_t>(y) + 1) * stride + 1,
@@ -54,11 +54,10 @@ IntegralImage IntegralImage::of_squares(std::span<const double> values,
   const std::size_t stride = table_stride(width);
   out.table_.assign(table_cells(width, height), 0.0);
   hebs::util::PoolVector<double> scratch(static_cast<std::size_t>(width));
-  const auto& kernels = hebs::kernels::active();
   for (int y = 0; y < height; ++y) {
     const double* row = values.data() + static_cast<std::size_t>(y) * width;
     hebs::kernels::mul_f64(row, row, scratch.data(), scratch.size());
-    kernels.prefix_row_f64(
+    hebs::kernels::prefix_row_f64(
         scratch.data(),
         out.table_.data() + static_cast<std::size_t>(y) * stride + 1,
         out.table_.data() + (static_cast<std::size_t>(y) + 1) * stride + 1,
@@ -78,12 +77,11 @@ IntegralImage IntegralImage::of_products(std::span<const double> a,
   const std::size_t stride = table_stride(width);
   out.table_.assign(table_cells(width, height), 0.0);
   hebs::util::PoolVector<double> scratch(static_cast<std::size_t>(width));
-  const auto& kernels = hebs::kernels::active();
   for (int y = 0; y < height; ++y) {
     hebs::kernels::mul_f64(a.data() + static_cast<std::size_t>(y) * width,
                            b.data() + static_cast<std::size_t>(y) * width,
                            scratch.data(), scratch.size());
-    kernels.prefix_row_f64(
+    hebs::kernels::prefix_row_f64(
         scratch.data(),
         out.table_.data() + static_cast<std::size_t>(y) * stride + 1,
         out.table_.data() + (static_cast<std::size_t>(y) + 1) * stride + 1,

@@ -44,23 +44,13 @@ PointState& state_of(Point p) noexcept {
   return g_points[static_cast<std::size_t>(p)];
 }
 
+#define HEBS_FAULT_POINT_COUNTER(e, name, counter) obs::Counter::counter,
+constexpr obs::Counter kInjectionCounters[] = {
+    HEBS_FAULT_POINT_TABLE(HEBS_FAULT_POINT_COUNTER)};
+#undef HEBS_FAULT_POINT_COUNTER
+
 obs::Counter injection_counter(Point p) noexcept {
-  switch (p) {
-    case Point::kPoolAlloc:
-      return obs::Counter::kFaultPoolAlloc;
-    case Point::kWorkerTask:
-      return obs::Counter::kFaultWorkerTask;
-    case Point::kFrameCorrupt:
-      return obs::Counter::kFaultFrameCorrupt;
-    case Point::kCurveIo:
-      return obs::Counter::kFaultCurveIo;
-    case Point::kTraceIo:
-      return obs::Counter::kFaultTraceIo;
-    case Point::kStageLatency:
-    case Point::kPointCount_:
-      break;
-  }
-  return obs::Counter::kFaultStageLatency;
+  return kInjectionCounters[static_cast<std::size_t>(p)];
 }
 
 void arm(Point p) noexcept {
@@ -102,24 +92,18 @@ std::uint32_t stall_us(Point p) noexcept { return state_of(p).spec.stall_us; }
 
 }  // namespace detail
 
+namespace {
+
+#define HEBS_FAULT_POINT_NAME(e, name, counter) name,
+constexpr const char* kPointNames[] = {
+    HEBS_FAULT_POINT_TABLE(HEBS_FAULT_POINT_NAME)};
+#undef HEBS_FAULT_POINT_NAME
+
+}  // namespace
+
 const char* point_name(Point p) noexcept {
-  switch (p) {
-    case Point::kPoolAlloc:
-      return "pool-alloc";
-    case Point::kWorkerTask:
-      return "worker-task";
-    case Point::kFrameCorrupt:
-      return "frame-corrupt";
-    case Point::kCurveIo:
-      return "curve-io";
-    case Point::kTraceIo:
-      return "trace-io";
-    case Point::kStageLatency:
-      return "stage-latency";
-    case Point::kPointCount_:
-      break;
-  }
-  return "unknown";
+  const auto i = static_cast<std::size_t>(p);
+  return i < kPointCount ? kPointNames[i] : "unknown";
 }
 
 namespace {
@@ -196,10 +180,13 @@ bool parse_spec(const std::string& text, Spec* out, std::string* error) {
   const std::string name = text.substr(0, colon);
   Spec spec;
   if (!parse_point(name, &spec.point)) {
-    return fail(error, "unknown fault point \"" + name +
-                           "\" (known: pool-alloc, worker-task, "
-                           "frame-corrupt, curve-io, trace-io, "
-                           "stage-latency)");
+    std::string known;
+    for (const char* n : kPointNames) {
+      if (!known.empty()) known += ", ";
+      known += n;
+    }
+    return fail(error,
+                "unknown fault point \"" + name + "\" (known: " + known + ")");
   }
   std::string params =
       colon == std::string::npos ? std::string() : text.substr(colon + 1);

@@ -5,18 +5,8 @@
 // a failing allocation, an I/O error or a stalled stage must be
 // reproducible on demand, under sanitizers, at any thread count.  This
 // header provides that harness as a set of registered fault points the
-// library's own code consults at its failure boundaries:
-//
-//   pool-alloc     std::bad_alloc at the BufferPool/PoolAllocator
-//                  allocation boundary (util/pool.cpp)
-//   worker-task    util::Error inside the engine's per-frame worker
-//                  task (pipeline/engine.cpp)
-//   frame-corrupt  util::Error at FrameContext::rebind, simulating
-//                  corrupt/truncated frame bytes
-//   curve-io       util::IoError in DistortionCurve load/save
-//   trace-io       util::IoError in the span-trace writer
-//   stage-latency  an artificial stall (spec.stall_us) per pipeline
-//                  stage execution — the deadline tests' clock lever
+// library's own code consults at its failure boundaries, declared once
+// in HEBS_FAULT_POINT_TABLE below.
 //
 // A point fires according to an installed Spec: 1-based hit index
 // `first`, period `every`, budget `count` (0 = unlimited).  The text
@@ -48,15 +38,39 @@
 
 namespace hebs::util::fault {
 
-/// Every registered fault point.  Order matches the obs counter block
-/// (Counter::kFaultPoolAlloc..kFaultStageLatency).
+/// The fault-point registry, declared once (DESIGN.md §14).  One row
+/// per point:
+///
+///   X(enumerator, spec name, obs injection counter)
+///
+/// The rows expand into Point, point_name() and the obs counter each
+/// firing bumps (an obs::Counter enumerator, whose series name is
+/// "hebs_fault_injected_<spec name, '-' as '_'>_total").  Adding a point
+/// is one row here and its counter row in HEBS_COUNTER_TABLE, plus a
+/// throw_injected case when it throws something other than util::Error.
+#define HEBS_FAULT_POINT_TABLE(X)                                             \
+  /* std::bad_alloc at the BufferPool/PoolAllocator allocation boundary       \
+     (util/pool.cpp). */                                                      \
+  X(kPoolAlloc, "pool-alloc", kFaultPoolAlloc)                                \
+  /* util::Error inside the engine's per-frame worker task                    \
+     (pipeline/engine.cpp). */                                                \
+  X(kWorkerTask, "worker-task", kFaultWorkerTask)                             \
+  /* util::Error at FrameContext::rebind, simulating corrupt/truncated        \
+     frame bytes. */                                                          \
+  X(kFrameCorrupt, "frame-corrupt", kFaultFrameCorrupt)                       \
+  /* util::IoError in DistortionCurve load/save. */                           \
+  X(kCurveIo, "curve-io", kFaultCurveIo)                                      \
+  /* util::IoError in the span-trace writer. */                               \
+  X(kTraceIo, "trace-io", kFaultTraceIo)                                      \
+  /* An artificial stall (Spec::stall_us) per pipeline stage execution:       \
+     the deadline tests' clock lever. */                                      \
+  X(kStageLatency, "stage-latency", kFaultStageLatency)
+
+/// Every registered fault point, one per HEBS_FAULT_POINT_TABLE row.
 enum class Point : std::uint32_t {
-  kPoolAlloc,
-  kWorkerTask,
-  kFrameCorrupt,
-  kCurveIo,
-  kTraceIo,
-  kStageLatency,
+#define HEBS_FAULT_POINT_ENUM(e, name, counter) e,
+  HEBS_FAULT_POINT_TABLE(HEBS_FAULT_POINT_ENUM)
+#undef HEBS_FAULT_POINT_ENUM
   kPointCount_,
 };
 

@@ -10,9 +10,9 @@ namespace hebs::util {
 
 double mean(std::span<const double> xs) noexcept {
   if (xs.empty()) return 0.0;
-  // sum_f64 carries the scalar accumulation-order contract (kernels.h),
-  // so the mean is bit-identical under every backend.
-  return hebs::kernels::active().sum_f64(xs.data(), xs.size()) /
+  // sum_f64 is the one left-to-right loop (kernels.h), so the mean is
+  // bit-identical under every backend.
+  return hebs::kernels::sum_f64(xs.data(), xs.size()) /
          static_cast<double>(xs.size());
 }
 
@@ -51,7 +51,7 @@ double percentile(std::span<const double> xs, double p) {
 
 double sum(std::span<const double> xs) noexcept {
   if (xs.empty()) return 0.0;
-  return hebs::kernels::active().sum_f64(xs.data(), xs.size());
+  return hebs::kernels::sum_f64(xs.data(), xs.size());
 }
 
 double rms_diff(std::span<const double> xs, std::span<const double> ys) {

@@ -214,6 +214,36 @@ TEST_F(FaultMatrixTest, DisarmedHotPathCountsNothing) {
   EXPECT_EQ(fault::fired_count(fault::Point::kWorkerTask), 0u);
 }
 
+// Each point's firing moves its own injection counter and no other,
+// and that counter's series is named after the point.
+TEST_F(FaultMatrixTest, EveryPointFiresIntoItsOwnCounter) {
+  for (std::size_t i = 0; i < fault::kPointCount; ++i) {
+    const auto p = static_cast<fault::Point>(i);
+    std::string point = fault::point_name(p);
+    SCOPED_TRACE(point);
+    fault::clear_all();
+    std::string error;
+    ASSERT_TRUE(
+        fault::install_from_string(point + ":first=1,count=1", &error))
+        << error;
+    const auto before = obs::snapshot_counters();
+    EXPECT_TRUE(fault::should_fire(p));
+    EXPECT_FALSE(fault::should_fire(p));  // the budget is spent
+    const auto after = obs::snapshot_counters();
+    fault::clear_all();
+
+    std::vector<std::string> moved;
+    for (std::size_t c = 0; c < obs::kCounterCount; ++c) {
+      if (after.values[c] == before.values[c]) continue;
+      EXPECT_EQ(after.values[c] - before.values[c], 1u);
+      moved.push_back(obs::counter_name(static_cast<obs::Counter>(c)));
+    }
+    std::replace(point.begin(), point.end(), '-', '_');
+    EXPECT_EQ(moved, std::vector<std::string>{"hebs_fault_injected_" +
+                                              point + "_total"});
+  }
+}
+
 // ---------------------------------------------------------------------
 // Batch containment: every throwing point × thread counts.
 

@@ -212,9 +212,6 @@ TEST(KernelParity, FuzzAllBackendsBitIdenticalToScalar) {
     std::vector<std::uint8_t> luma_ref(n);
     ref.luma_bt601_rgb8(c.rgb.data(), n, luma_ref.data());
     const std::uint64_t sum_ref = ref.sum_u8(c.bytes.data(), n);
-    const double sumf_ref = ref.sum_f64(c.fa.data(), n);
-    std::vector<double> prefix_ref(n);
-    ref.prefix_row_f64(c.fa.data(), c.fb.data(), prefix_ref.data(), n);
     // Window sums over a group of the raster's first 1..4 rows, each
     // row's `above` chained to the output of the row before it.
     const int group = std::min(c.h, 1 + iter % kWindowSumRows);
@@ -271,14 +268,6 @@ TEST(KernelParity, FuzzAllBackendsBitIdenticalToScalar) {
 
       EXPECT_EQ(set->sum_u8(c.bytes.data(), n), sum_ref)
           << "sum_u8 on " << set->name;
-
-      EXPECT_EQ(set->sum_f64(c.fa.data(), n), sumf_ref)
-          << "sum_f64 on " << set->name;
-
-      std::vector<double> prefix_out(n);
-      set->prefix_row_f64(c.fa.data(), c.fb.data(), prefix_out.data(), n);
-      expect_bytes_eq(prefix_out, prefix_ref, "prefix_row_f64", *set, c.w,
-                      c.h);
 
       std::vector<double> ws_s(gn);
       std::vector<double> ws_ss(gn);

@@ -438,6 +438,28 @@ TEST(ObsSession, StatsCountFramesAndBreakdownFillsOnSingleFrames) {
   EXPECT_EQ(session->stats().frames_decided, 3u);
 }
 
+// SessionStats::to_text and the registry dump come from one table, so
+// the session's text lists every series once, in registry order.
+TEST(ObsSession, StatsTextFollowsTheRegistry) {
+  auto session = hebs::Session::create({});
+  ASSERT_TRUE(session.has_value());
+  const auto img = hebs::image::make_usid(hebs::image::UsidId::kLena, 48);
+  ASSERT_TRUE(session->process({view_of(img), 10.0}).has_value());
+
+  std::istringstream text(session->stats().to_text());
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(text, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), hebs::obs::kCounterCount);
+  for (std::size_t k = 0; k < lines.size(); ++k) {
+    const std::string prefix =
+        std::string(hebs::obs::counter_name(static_cast<Counter>(k))) + " ";
+    EXPECT_EQ(lines[k].rfind(prefix, 0), 0u)
+        << "line " << k << " is \"" << lines[k] << "\", expected " << prefix;
+  }
+  EXPECT_EQ(lines[static_cast<std::size_t>(Counter::kFramesDecided)],
+            "hebs_frames_decided_total 1");
+}
+
 // Cross-thread coherence: an 8-thread batch must count exactly one
 // decided frame per image, with every increment arriving from a worker
 // thread (TSan runs this file; relaxed atomics must come back clean).

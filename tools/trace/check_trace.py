@@ -15,7 +15,8 @@ Two layers, both stdlib-only so CI needs no third-party packages:
 
 Optionally cross-checks a --stats counter dump (the hebs_cli --stats
 output): every line must be "name value", every name must start with
-"hebs_", and the temporal counters must satisfy the reuse contract
+"hebs_", the series the contract reads must be present, and the
+temporal counters must satisfy the reuse contract
 byte_identical + delta_refresh + cold == temporal_frames.
 
 Exit code 0 on success, 1 with a findings list on any violation.
@@ -121,16 +122,23 @@ def check_stats(text, findings):
                             "lacks the hebs_ prefix")
         counters[parts[0]] = int(parts[1])
 
-    total = counters.get("hebs_temporal_frames_total")
-    if total is not None:
-        split = (counters.get("hebs_temporal_reuse_byte_identical_total", 0)
-                 + counters.get("hebs_temporal_reuse_delta_refresh_total", 0)
-                 + counters.get("hebs_temporal_reuse_cold_total", 0))
-        if split != total:
-            findings.append(
-                f"temporal contract violated: byte_identical + delta + cold "
-                f"= {split} but hebs_temporal_frames_total = {total}")
-    if counters.get("hebs_frames_decided_total", 0) == 0:
+    contract = ["hebs_frames_decided_total", "hebs_temporal_frames_total",
+                "hebs_temporal_reuse_byte_identical_total",
+                "hebs_temporal_reuse_delta_refresh_total",
+                "hebs_temporal_reuse_cold_total"]
+    missing = [name for name in contract if name not in counters]
+    if missing:
+        findings.append(f"stats dump lacks the contract's series {missing}")
+        return
+    total = counters["hebs_temporal_frames_total"]
+    split = (counters["hebs_temporal_reuse_byte_identical_total"]
+             + counters["hebs_temporal_reuse_delta_refresh_total"]
+             + counters["hebs_temporal_reuse_cold_total"])
+    if split != total:
+        findings.append(
+            f"temporal contract violated: byte_identical + delta + cold "
+            f"= {split} but hebs_temporal_frames_total = {total}")
+    if counters["hebs_frames_decided_total"] == 0:
         findings.append("stats dump shows zero frames decided")
 
 
