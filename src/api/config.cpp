@@ -49,7 +49,7 @@ Status SessionConfig::validate() const {
   if (!(min_beta_ > 0.0) || min_beta_ > 1.0) {
     return invalid("min_beta", "in (0, 1]", std::to_string(min_beta_));
   }
-  if (equalization_strength_ > 1.0) {
+  if (!(equalization_strength_ <= 1.0)) {
     return invalid("equalization_strength", "<= 1 (or negative for adaptive)",
                    std::to_string(equalization_strength_));
   }
@@ -79,7 +79,7 @@ Status SessionConfig::validate() const {
   if (!(ema_alpha_ > 0.0) || ema_alpha_ > 1.0) {
     return invalid("ema_alpha", "in (0, 1]", std::to_string(ema_alpha_));
   }
-  if (scene_cut_threshold_ < 0.0 || scene_cut_threshold_ > 2.0) {
+  if (!(scene_cut_threshold_ >= 0.0 && scene_cut_threshold_ <= 2.0)) {
     return invalid("scene_cut_threshold", "in [0, 2]",
                    std::to_string(scene_cut_threshold_));
   }

@@ -12,14 +12,6 @@
 
 namespace hebs::core {
 
-const char* color_mode_name(ColorMode mode) noexcept {
-  switch (mode) {
-    case ColorMode::kSharedCurve: return "shared-curve";
-    case ColorMode::kLumaRatio: return "luma-ratio";
-  }
-  return "unknown";
-}
-
 bool parse_color_mode(std::string_view name, ColorMode* out) noexcept {
   if (name == "shared-curve") {
     *out = ColorMode::kSharedCurve;

@@ -44,9 +44,6 @@ enum class ColorMode {
   kLumaRatio,
 };
 
-/// Registry-style names of the modes ("shared-curve", "luma-ratio").
-const char* color_mode_name(ColorMode mode) noexcept;
-
 /// Parses a mode name; returns false (leaving *out untouched) for
 /// anything but the two registered names.
 bool parse_color_mode(std::string_view name, ColorMode* out) noexcept;

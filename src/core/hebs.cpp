@@ -7,9 +7,9 @@
 // The front ends below are thin wrappers over the staged pipeline in
 // src/pipeline/: each builds a FrameContext (the per-frame memo of
 // histogram, reference-side metric caches, GHE curves and per-range
-// results) and drives the HistogramStage -> RangeSelectStage -> GheStage
-// -> PlcStage -> EvaluateStage sequence.  Batch and video callers should
-// prefer pipeline::PipelineEngine, which runs the same stages with
+// results) and drives the histogram -> select_target -> Φ -> PLC ->
+// evaluate sequence (pipeline/stages.h).  Batch and video callers should
+// prefer pipeline::PipelineEngine, which runs the same steps with
 // worker-context reuse and a thread pool; outputs are bit-identical
 // either way.
 

@@ -83,10 +83,6 @@ hebs::transform::PwlCurve HierarchicalLadder::effective_transform(
   return hebs::transform::PwlCurve(std::move(pts));
 }
 
-double HierarchicalLadder::quantization_step() const noexcept {
-  return opts_.vdd / std::pow(2.0, opts_.dac_bits + 1);
-}
-
 double HierarchicalLadder::quantize(double volts) const noexcept {
   const double steps = std::pow(2.0, opts_.dac_bits) - 1.0;
   const double code = std::round(volts / opts_.vdd * steps);

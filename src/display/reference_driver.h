@@ -80,10 +80,6 @@ class HierarchicalLadder {
   /// grid resolution, DAC quantization and the vdd clamp).
   hebs::transform::PwlCurve effective_transform(double beta) const;
 
-  /// Worst-case absolute voltage error introduced by DAC quantization,
-  /// in volts: vdd / 2^(dac_bits+1).
-  double quantization_step() const noexcept;
-
   const HierarchicalLadderOptions& options() const noexcept { return opts_; }
   const std::vector<double>& node_voltages() const noexcept {
     return nodes_;

@@ -184,17 +184,6 @@ GrayImage FloatImage::to_gray() const {
   return out;
 }
 
-GrayImage16 FloatImage::to_gray16(int levels) const {
-  GrayImage16 out(width_, height_, levels);
-  const double maxv = static_cast<double>(levels - 1);
-  auto dst = out.pixels();
-  for (std::size_t i = 0; i < values_.size(); ++i) {
-    const double v = util::clamp01(values_[i]);
-    dst[i] = static_cast<std::uint16_t>(std::lround(v * maxv));
-  }
-  return out;
-}
-
 RgbImage::RgbImage(int width, int height) : width_(width), height_(height) {
   HEBS_REQUIRE(width > 0 && height > 0, "image dimensions must be positive");
   data_.assign(static_cast<std::size_t>(width) * height * 3, 0);

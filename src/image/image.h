@@ -211,10 +211,6 @@ class FloatImage {
   /// Quantizes back to 8 bits with rounding and clamping.
   GrayImage to_gray() const;
 
-  /// Quantizes to a deep-pixel raster of `levels` levels:
-  /// lround(clamp01(v) * (levels-1)).
-  GrayImage16 to_gray16(int levels) const;
-
  private:
   int width_ = 0;
   int height_ = 0;

@@ -110,14 +110,41 @@ bool contain_faults(std::vector<FrameFault>* faults, std::size_t i,
   }
 }
 
-using DeadlineClock = std::chrono::steady_clock;
-
-bool deadline_blown(const EngineOptions& opts,
-                    DeadlineClock::time_point start) {
-  if (opts.frame_deadline_us <= 0) return false;
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             DeadlineClock::now() - start)
-             .count() > opts.frame_deadline_us;
+/// Frame i's contained work in `stage` — a batch frame or a stream
+/// search: the frame span, the worker-task fault point, the catch ladder
+/// (contain_faults) and the soft deadline (`deadline_us`, 0 = none).  A
+/// frame that finishes late is degraded like one that threw: its state
+/// is valid, merely late, but the frame emits the fallback, so
+/// `quarantine` discards the state that computed it too (one recovery
+/// story for every fault).  Returns false when the frame degraded.
+template <typename Work, typename Quarantine, typename Fallback>
+bool contain_frame(std::int64_t deadline_us, std::vector<FrameFault>* faults,
+                   std::size_t i, const char* stage, Work&& work,
+                   Quarantine&& quarantine, Fallback&& fallback) {
+  obs::ScopedSpan frame_span(obs::Span::kFrame, static_cast<std::int32_t>(i));
+  const auto start = std::chrono::steady_clock::now();
+  if (!contain_faults(
+          faults, i, stage,
+          [&] {
+            util::fault::maybe_fail(util::fault::Point::kWorkerTask);
+            work();
+          },
+          quarantine, fallback)) {
+    return false;
+  }
+  if (deadline_us <= 0 ||
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start)
+              .count() <= deadline_us) {
+    return true;
+  }
+  obs::add(obs::Counter::kDeadlineMiss);
+  quarantine();
+  util::fault::SuppressScope no_refire;
+  fallback();
+  record_fault(faults, i, /*io=*/false,
+               deadline_message(stage, i, deadline_us), /*deadline=*/true);
+  return false;
 }
 
 /// The slot's context for `opts` and `model`: the one its last frame
@@ -134,63 +161,58 @@ FrameContext& context_for(std::unique_ptr<FrameContext>& ctx,
   return *ctx;
 }
 
-/// A color batch frame: its RGB raster and the luma raster its worker
-/// extracts into.
-struct ColorFrame {
-  const hebs::image::RgbImage* rgb = nullptr;
-  hebs::image::GrayImage* luma = nullptr;
-};
-
-/// Binds a batch frame; a color frame binds its BT.601 luma.
-template <typename Image>
-void bind_frame(FrameContext& ctx, const Image& frame) {
-  ctx.rebind(frame);
+/// The BT.601 lumas of `frames`, which color batches and streams decide
+/// on: inline for one frame, on `pool` otherwise, into rasters allocated
+/// here, outside any slot pool.  Freed when the call returns, their
+/// memory serves the caller's output copies; a luma kept in a slot's
+/// pool raised album-color-720p peak RSS by 2 MiB.
+std::vector<hebs::image::GrayImage> extract_lumas(
+    ThreadPool& pool, std::span<const hebs::image::RgbImage> frames) {
+  std::vector<hebs::image::GrayImage> lumas;
+  lumas.reserve(frames.size());
+  for (const auto& f : frames) lumas.emplace_back(f.width(), f.height());
+  if (frames.size() == 1) {
+    frames[0].to_luma(lumas[0]);
+  } else {
+    pool.parallel_for(frames.size(), [&](std::size_t i, int) {
+      frames[i].to_luma(lumas[i]);
+    });
+  }
+  return lumas;
 }
 
-void bind_frame(FrameContext& ctx, const ColorFrame& frame) {
-  frame.rgb->to_luma(*frame.luma);
-  ctx.rebind(*frame.luma);
-}
-
-/// The post-decision color stage (core::render_color) shaped into the
-/// engine's per-frame output type.
-ColorFrameOutput run_color_stage(const hebs::image::RgbImage& rgb,
-                                 const hebs::image::GrayImage& luma,
-                                 const core::OperatingPoint& point,
-                                 core::ColorMode mode) {
-  obs::ScopedSpan span(obs::Span::kColorRender);
-  core::ColorRendering rendering = core::render_color(rgb, luma, point, mode);
-  return {std::move(rendering.displayed), rendering.hue_error};
-}
-
-// ---- stream post-stages (DESIGN.md §9, "Stream rounds") ---------------
+// ---- post-stages (DESIGN.md §9, "Stream rounds"; §10) -----------------
 //
-// What a stream frame's applied decision turns into beyond the decision
-// itself, by frame index: `render` runs right after the frame's
-// re-derivation, on its worker, slot pool and containment; `copy` gives
-// a repeat its predecessor's output; `degrade` gives a degraded frame
-// the identity output.  A repeat copies only when `same_input` holds:
-// the frame's input bytes equal its predecessor's.
+// What a frame's decision turns into beyond the decision itself, by
+// frame index: `render` applies the chosen operating point — in a batch
+// right after the frame's decision, in a stream right after its
+// re-derivation — on its worker, slot pool and containment; `degrade`
+// gives a degraded frame the identity output.  Streams only: `copy`
+// gives a repeat its predecessor's output, and a repeat copies only when
+// `same_input` holds: the frame's input bytes equal its predecessor's.
 
-/// A gray stream: the decision is the whole output, and a duplicate's
+/// Gray frames: the decision is the whole output, and a duplicate's
 /// input is its luma, equal to its predecessor's by construction.
 struct GrayPost {
-  void render(std::size_t, const core::FrameDecision&) {}
+  void render(std::size_t, const core::OperatingPoint&) {}
   bool same_input(std::size_t) const { return true; }
   void copy(std::size_t) {}
   void degrade(std::size_t) {}
 };
 
-/// A color stream: each applied point renders onto the frame's RGB
-/// raster, and only RGB-identical frames share a rendering.
+/// Color frames: each chosen point renders onto the frame's RGB raster
+/// (core::render_color), and only RGB-identical frames share a
+/// rendering.
 struct ColorPost {
   std::span<const hebs::image::RgbImage> rgb;
   std::span<const hebs::image::GrayImage> lumas;
   core::ColorMode mode;
   std::vector<ColorFrameOutput> out;
 
-  void render(std::size_t i, const core::FrameDecision& d) {
-    out[i] = run_color_stage(rgb[i], lumas[i], d.point, mode);
+  void render(std::size_t i, const core::OperatingPoint& point) {
+    obs::ScopedSpan span(obs::Span::kColorRender);
+    core::ColorRendering r = core::render_color(rgb[i], lumas[i], point, mode);
+    out[i] = {std::move(r.displayed), r.hue_error};
   }
   bool same_input(std::size_t i) const { return rgb[i] == rgb[i - 1]; }
   void copy(std::size_t i) { out[i] = out[i - 1]; }
@@ -240,54 +262,47 @@ void PipelineEngine::with_worker_slots(std::size_t count, Body&& body) {
   run(local);
 }
 
-/// Runs `per_frame` for every image on the pool, each worker rebinding
-/// the FrameContext of its worker slot and drawing from the slot's
+/// Decides every image on the pool, each worker rebinding the
+/// FrameContext of its worker slot and drawing from the slot's
 /// recycling buffer pool; a single image runs inline on the engine's
-/// single-frame slot instead.  Results land at their frame's index, so
-/// output order never depends on scheduling.
+/// single-frame slot instead.  A frame's body is `policy.decide` followed
+/// by `post.render`; results land at their frame's index, so output
+/// order never depends on scheduling.
 ///
-/// Containment: a frame whose work throws (or blows the frame deadline)
-/// lands `fallback(i)` at its index instead of failing the batch, and
-/// the slot's context is discarded — its memo state may be mid-update,
-/// and no later frame may read poisoned caches.  The next frame there
-/// (in this call or a later one) starts from a fresh context, so
-/// post-fault frames are bit-identical to a cold run.
-template <typename Result, typename Image, typename PerFrame,
-          typename Fallback>
-std::vector<Result> PipelineEngine::map_frames(
-    std::span<const Image> images, PerFrame&& per_frame, Fallback&& fallback,
-    std::vector<FrameFault>* faults) {
+/// Containment (contain_frame): a frame whose body throws or blows the
+/// frame deadline lands the identity fallback at its index, and
+/// `post.degrade` its identity output, instead of failing the batch; the
+/// slot's context is discarded — its memo state may be mid-update, and
+/// no later frame may read poisoned caches.  The next frame there (in
+/// this call or a later one) starts from a fresh context, so post-fault
+/// frames are bit-identical to a cold run.
+template <typename Image, typename Post>
+std::vector<core::HebsResult> PipelineEngine::run_batch(
+    std::span<const Image> images, const Policy& policy, double d_max_percent,
+    Post&& post, std::vector<FrameFault>* faults) {
+  policy.prepare();
   if (faults != nullptr) {
     faults->clear();
     faults->resize(images.size());
   }
-  std::vector<Result> results(images.size());
-  // The per-frame body, shared by the inline single-frame path and the
-  // fan-out.
-  const auto run_contained = [&](WorkerSlot& slot, std::size_t i,
-                                 ProbeLanes* lanes) {
+  std::vector<core::HebsResult> results(images.size());
+  const auto run_frame = [&](WorkerSlot& slot, std::size_t i,
+                             ProbeLanes* lanes) {
     util::PoolScope scope(slot.pool.get());
-    obs::ScopedSpan frame_span(obs::Span::kFrame,
-                               static_cast<std::int32_t>(i));
-    const auto start = DeadlineClock::now();
-    const bool done = contain_faults(
-        faults, i, "search",
+    contain_frame(
+        opts_.frame_deadline_us, faults, i, "search",
         [&] {
-          util::fault::maybe_fail(util::fault::Point::kWorkerTask);
           FrameContext& ctx = context_for(slot.ctx, opts_.hebs, model_);
           ctx.set_probe_lanes(lanes);
-          bind_frame(ctx, images[i]);
-          results[i] = per_frame(ctx, i);
+          ctx.rebind(images[i]);
+          results[i] = policy.decide(ctx, d_max_percent);
+          post.render(i, results[i].point);
         },
-        [&] { slot.ctx.reset(); }, [&] { results[i] = fallback(i); });
-    if (done && deadline_blown(opts_, start)) {
-      obs::add(obs::Counter::kDeadlineMiss);
-      util::fault::SuppressScope no_refire;
-      results[i] = fallback(i);
-      record_fault(faults, i, /*io=*/false,
-                   deadline_message("search", i, opts_.frame_deadline_us),
-                   /*deadline=*/true);
-    }
+        [&] { slot.ctx.reset(); },
+        [&] {
+          results[i] = identity_fallback(images[i]);
+          post.degrade(i);
+        });
   };
   if (images.size() == 1) {
     // Single frame: frame-level fan-out cannot help, so run inline on
@@ -295,14 +310,14 @@ std::vector<Result> PipelineEngine::map_frames(
     // speculative probes (never blocking on a busy pool).
     if (slot_mu_.try_lock()) {
       util::MutexLock lock(slot_mu_, std::adopt_lock);
-      run_contained(slot_, 0, lanes_.get());
+      run_frame(slot_, 0, lanes_.get());
     } else {
       // Another caller holds the slot: run on a one-off slot rather
       // than queue, so concurrent callers of one engine still run in
       // parallel.
       WorkerSlot one_off;
       one_off.pool = make_pool(opts_);
-      run_contained(one_off, 0, nullptr);
+      run_frame(one_off, 0, nullptr);
     }
     return results;
   }
@@ -314,37 +329,23 @@ std::vector<Result> PipelineEngine::map_frames(
   with_worker_slots(width, [&](std::span<WorkerSlot> slots) {
     pool_.parallel_for(width, [&](std::size_t k, int) {
       for (std::size_t i = k; i < images.size(); i += width) {
-        run_contained(slots[k], i, nullptr);
+        run_frame(slots[k], i, nullptr);
       }
     });
   });
   return results;
 }
 
-template <typename Image>
-std::vector<core::HebsResult> PipelineEngine::decide_batch(
-    std::span<const Image> images, const Policy& policy,
-    double d_max_percent, std::vector<FrameFault>* faults) {
-  policy.prepare();
-  return map_frames<core::HebsResult>(
-      images,
-      [&policy, d_max_percent](FrameContext& ctx, std::size_t) {
-        return policy.decide(ctx, d_max_percent);
-      },
-      [&images](std::size_t i) { return identity_fallback(images[i]); },
-      faults);
-}
-
 std::vector<core::HebsResult> PipelineEngine::process_batch(
     std::span<const hebs::image::GrayImage> images, const Policy& policy,
     double d_max_percent, std::vector<FrameFault>* faults) {
-  return decide_batch(images, policy, d_max_percent, faults);
+  return run_batch(images, policy, d_max_percent, GrayPost{}, faults);
 }
 
 std::vector<core::HebsResult> PipelineEngine::process_batch(
     std::span<const hebs::image::GrayImage16> images, const Policy& policy,
     double d_max_percent, std::vector<FrameFault>* faults) {
-  return decide_batch(images, policy, d_max_percent, faults);
+  return run_batch(images, policy, d_max_percent, GrayPost{}, faults);
 }
 
 std::vector<core::HebsResult> PipelineEngine::process_batch(
@@ -465,44 +466,23 @@ std::vector<core::FrameDecision> PipelineEngine::run_stream(
       runs[k].reuse.reset();
     };
 
-    // One frame's search on slot k; false when it was contained.
+    // One frame's search on slot k; false when it degraded.
     const auto search_frame = [&](std::size_t k, std::size_t i) {
       Run& s = runs[k];
-      obs::ScopedSpan frame_span(obs::Span::kFrame,
-                                 static_cast<std::int32_t>(i));
-      const auto start = DeadlineClock::now();
-      if (!contain_faults(
-              faults, i, "stream search",
-              [&] {
-                util::fault::maybe_fail(util::fault::Point::kWorkerTask);
-                FrameContext& ctx = context_for(workers[k].ctx, vopts.hebs,
-                                                controller.power_model());
-                // TemporalReuse handles both modes: disabled, it
-                // degrades to rebind + run_exact (the cold path).
-                s.raw = s.reuse.process(ctx, frames[i], vopts.d_max_percent,
-                                        s.chained);
-                // The re-derivations read the frame caches
-                // concurrently; none may be built lazily under them.
-                ctx.warm_probe_caches();
-              },
-              [&] { quarantine(k); }, [&] { state[i].degraded = true; })) {
-        return false;
-      }
-      if (deadline_blown(opts_, start)) {
-        obs::add(obs::Counter::kDeadlineMiss);
-        // The computed state is valid, merely late — but the emitted
-        // decision is the fallback and the controller treats it as a
-        // discontinuity, so the slot restarts cold too (uniform
-        // degradation contract: one recovery story for every fault).
-        quarantine(k);
-        state[i].degraded = true;
-        record_fault(faults, i, /*io=*/false,
-                     deadline_message("stream search", i,
-                                      opts_.frame_deadline_us),
-                     /*deadline=*/true);
-        return false;
-      }
-      return true;
+      return contain_frame(
+          opts_.frame_deadline_us, faults, i, "stream search",
+          [&] {
+            FrameContext& ctx = context_for(workers[k].ctx, vopts.hebs,
+                                            controller.power_model());
+            // TemporalReuse handles both modes: disabled, it degrades to
+            // rebind + run_exact (the cold path).
+            s.raw = s.reuse.process(ctx, frames[i], vopts.d_max_percent,
+                                    s.chained);
+            // The re-derivations read the frame caches concurrently;
+            // none may be built lazily under them.
+            ctx.warm_probe_caches();
+          },
+          [&] { quarantine(k); }, [&] { state[i].degraded = true; });
     };
 
     // A fault in frame i's re-derivation, post-stage or repeat copy:
@@ -545,7 +525,7 @@ std::vector<core::FrameDecision> PipelineEngine::run_stream(
             // Writes nothing into the context, so a run's frames share
             // it.
             controller.rederive(*w.ctx, runs[f.slot].raw, decisions[i]);
-            post.render(i, decisions[i]);
+            post.render(i, decisions[i].point);
           });
         };
 
@@ -638,7 +618,7 @@ std::vector<core::FrameDecision> PipelineEngine::run_stream(
           rederive_contained(i, [&] {
             decisions[i] =
                 controller.apply_flicker_control(*w.ctx, runs[f.slot].raw);
-            post.render(i, decisions[i]);
+            post.render(i, decisions[i].point);
           });
         }
         if (f.degraded) decisions[i] = degraded_decision(i);
@@ -672,41 +652,16 @@ std::vector<ColorBatchResult> PipelineEngine::process_batch_color(
     std::span<const hebs::image::RgbImage> images, const Policy& policy,
     double d_max_percent, core::ColorMode mode,
     std::vector<FrameFault>* faults) {
-  policy.prepare();
-  // Each frame's worker extracts its BT.601 luma (bind_frame) into a
-  // raster allocated here, outside any pool.  Freed when the call
-  // returns, its memory serves the caller's output copies; a luma kept
-  // in a slot's pool raised album-color-720p peak RSS by 2 MiB.
-  std::vector<hebs::image::GrayImage> lumas;
-  std::vector<ColorFrame> frames;
-  lumas.reserve(images.size());
-  frames.reserve(images.size());
-  for (const auto& img : images) {
-    lumas.emplace_back(img.width(), img.height());
-    frames.push_back({&img, &lumas.back()});
+  const auto lumas = extract_lumas(pool_, images);
+  ColorPost post{images, lumas, mode,
+                 std::vector<ColorFrameOutput>(images.size())};
+  auto decisions = run_batch(std::span<const hebs::image::GrayImage>(lumas),
+                             policy, d_max_percent, post, faults);
+  std::vector<ColorBatchResult> out(images.size());
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    out[i] = {std::move(decisions[i]), std::move(post.out[i])};
   }
-  return map_frames<ColorBatchResult>(
-      std::span<const ColorFrame>(frames),
-      [&images, &policy, d_max_percent, mode](FrameContext& ctx,
-                                              std::size_t i) {
-        ColorBatchResult r;
-        r.luma = policy.decide(ctx, d_max_percent);
-        r.color = run_color_stage(images[i], ctx.image(), r.luma.point, mode);
-        return r;
-      },
-      [&images](std::size_t i) {
-        // Degraded color frame: identity decision, and the displayed
-        // raster is the unmodified input (β = 1 + identity LUT changes
-        // no pixel, so the chromaticity drift is exactly zero).  The
-        // fault may have hit before the worker extracted the luma, so it
-        // is extracted again here.
-        ColorBatchResult r;
-        r.luma = identity_fallback(images[i].to_luma());
-        r.color.displayed = images[i];
-        r.color.hue_error = 0.0;
-        return r;
-      },
-      faults);
+  return out;
 }
 
 std::vector<ColorBatchResult> PipelineEngine::process_batch_color(
@@ -722,14 +677,8 @@ std::vector<ColorStreamResult> PipelineEngine::process_stream_color(
     std::vector<FrameFault>* faults) {
   // The stream decides, and dedupes, on each frame's BT.601 luma, which
   // the run formation compares on the calling thread before a round's
-  // searches — so every luma is extracted up front, on the pool, into
-  // rasters allocated here outside any pool (as process_batch_color's).
-  std::vector<hebs::image::GrayImage> lumas;
-  lumas.reserve(frames.size());
-  for (const auto& f : frames) lumas.emplace_back(f.width(), f.height());
-  pool_.parallel_for(frames.size(), [&](std::size_t i, int) {
-    frames[i].to_luma(lumas[i]);
-  });
+  // searches — so every luma is extracted up front.
+  const auto lumas = extract_lumas(pool_, frames);
   ColorPost post{frames, lumas, mode,
                  std::vector<ColorFrameOutput>(frames.size())};
   core::VideoBacklightController controller(opts, model_);

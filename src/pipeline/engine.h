@@ -8,7 +8,10 @@
 // index — output order (and every computed bit) is independent of the
 // thread count.  Every batch runs one pipeline::Policy (policy.h) per
 // frame, so every policy gets the same containment, deadline, fan-out
-// and context reuse.  A one-frame batch (what Session::process runs)
+// and context reuse.  Gray and color batches share that one batch core:
+// a color batch extracts its BT.601 lumas up front, decides on them,
+// and renders each frame right after its decision, on the same worker.
+// A one-frame batch (what Session::process runs)
 // instead runs inline on the calling thread, on a persistent slot — one
 // FrameContext and one buffer pool the engine keeps across calls — and
 // its search borrows the pool's idle workers for speculative probes.
@@ -78,10 +81,11 @@ struct EngineOptions {
   /// (obs kPoolHeapFallback) — it never fails a frame.
   std::size_t pool_max_bytes = 0;
   /// Soft per-frame deadline, microseconds; 0 = none.  A frame whose
-  /// decision (rebind + search; color batches include the color stage)
+  /// decision (rebind + search; color batches include the color render)
   /// takes longer still completes, but its result is replaced by the
   /// identity fallback (β = 1, identity LUT — zero distortion, zero
-  /// saving) and kDeadlineMiss/kFramesDegraded count it.  Soft: the
+  /// saving), the state that computed it is quarantined like a faulted
+  /// frame's, and kDeadlineMiss/kFramesDegraded count it.  Soft: the
   /// check runs after the frame's work, so an overrun is detected, not
   /// preempted.
   std::int64_t frame_deadline_us = 0;
@@ -194,10 +198,12 @@ class PipelineEngine {
       const core::VideoOptions& opts,
       std::vector<FrameFault>* faults = nullptr);
 
-  /// Color batch: `policy` decides each frame's BT.601 luma
-  /// (bit-identical to process_batch on pre-converted lumas), then the
-  /// post-decision color stage applies the chosen operating point to the
-  /// RGB raster in `mode` on the same worker.
+  /// Color batch: the BT.601 lumas are extracted up front, `policy`
+  /// decides each one (the process_batch core, bit-identical to
+  /// process_batch on pre-converted lumas), then the post-decision color
+  /// stage applies the chosen operating point to the RGB raster in
+  /// `mode` on the same worker, pool and containment — a render fault
+  /// degrades the frame like a search fault.
   std::vector<ColorBatchResult> process_batch_color(
       std::span<const hebs::image::RgbImage> images, const Policy& policy,
       double d_max_percent, core::ColorMode mode,
@@ -241,25 +247,21 @@ class PipelineEngine {
   template <typename Body>
   void with_worker_slots(std::size_t count, Body&& body);
 
-  /// Runs `per_frame` on every image with per-frame fault containment
-  /// (defined in engine.cpp, next to its only callers).
-  template <typename Result, typename Image, typename PerFrame,
-            typename Fallback>
-  std::vector<Result> map_frames(std::span<const Image> images,
-                                 PerFrame&& per_frame, Fallback&& fallback,
-                                 std::vector<FrameFault>* faults);
-
-  /// The body of both process_batch(…, const Policy&, …) overloads.
-  template <typename Image>
-  std::vector<core::HebsResult> decide_batch(std::span<const Image> images,
-                                             const Policy& policy,
-                                             double d_max_percent,
-                                             std::vector<FrameFault>* faults);
+  /// The batch behind process_batch and process_batch_color: `policy`
+  /// decides every image (a color batch passes its lumas), and `post` is
+  /// the per-frame post-stage (gray: none; color: the render) that runs
+  /// right after the frame's decision, inside its containment and
+  /// deadline (defined in engine.cpp).
+  template <typename Image, typename Post>
+  std::vector<core::HebsResult> run_batch(std::span<const Image> images,
+                                          const Policy& policy,
+                                          double d_max_percent, Post&& post,
+                                          std::vector<FrameFault>* faults);
 
   /// The stream rounds behind process_stream and process_stream_color,
-  /// deciding on the luma clip `frames`; `post` is the per-frame
-  /// post-stage (gray: none; color: the render) that runs right after
-  /// each frame's re-derivation (defined in engine.cpp).
+  /// deciding on the luma clip `frames`; `post` is the same post-stage
+  /// as run_batch's, run right after each frame's re-derivation
+  /// (defined in engine.cpp).
   template <typename Post>
   std::vector<core::FrameDecision> run_stream(
       std::span<const hebs::image::GrayImage> frames,

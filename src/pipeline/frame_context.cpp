@@ -97,10 +97,6 @@ const hebs::histogram::Histogram& FrameContext::histogram() const {
   return *hist_;
 }
 
-const hebs::image::FloatImage& FrameContext::reference_luminance() const {
-  return evaluator().reference();
-}
-
 const hebs::quality::DistortionEvaluator& FrameContext::evaluator() const {
   if (!evaluator_.has_value()) {
     // The evaluator normalizes the frame itself and stores the
@@ -394,14 +390,6 @@ const FrameContext::ApproxState& FrameContext::approx() const {
     approx_ = std::move(st);
   }
   return *approx_;
-}
-
-std::optional<double> FrameContext::approx_distortion_mapped(
-    const hebs::transform::FloatLut& levels) const {
-  const ApproxState& ap = approx();
-  if (!ap.usable) return std::nullopt;
-  if (bound16()) return ap.evaluator->percent_mapped(ap.proxy16, levels);
-  return ap.evaluator->percent_mapped(ap.proxy, levels);
 }
 
 std::optional<double> FrameContext::approx_distortion_at_range(

@@ -121,9 +121,6 @@ class FrameContext {
     return histogram();
   }
 
-  /// Reference luminance raster of the unmodified frame (X/255).
-  const hebs::image::FloatImage& reference_luminance() const;
-
   /// Distortion evaluator with the reference-side metric caches built.
   const hebs::quality::DistortionEvaluator& evaluator() const;
 
@@ -222,16 +219,12 @@ class FrameContext {
 
   // --- Coarse (proxy) probes -------------------------------------------
   //
-  // Guidance values for the coarse-to-fine search (DESIGN.md §11): both
-  // measure distortion on a decimated proxy of the frame, so they are
-  // cheap but approximate.  They steer WHERE the exact search probes and
-  // never feed a result — bit-identity of the search output does not
-  // depend on them.  nullopt when the frame is too small for a usable
-  // proxy (the search then skips straight to its exact fallback).
-
-  /// Approximate distortion of a per-level map of the frame.
-  std::optional<double> approx_distortion_mapped(
-      const hebs::transform::FloatLut& levels) const;
+  // Guidance values for the coarse-to-fine search (DESIGN.md §11),
+  // measured on a decimated proxy of the frame, so they are cheap but
+  // approximate.  They steer WHERE the exact search probes and never
+  // feed a result — bit-identity of the search output does not depend
+  // on them.  nullopt when the frame is too small for a usable proxy
+  // (the search then skips straight to its exact fallback).
 
   /// Approximate pipeline distortion at a dynamic range: exact target
   /// and Φ (shared memos), Λ≈Φ (PLC skipped), β from the target, then

@@ -80,12 +80,6 @@ void validate(const FrameContext& ctx, int range) {
 
 }  // namespace
 
-void HistogramStage::run(const FrameContext& ctx,
-                         core::HebsResult& result) const {
-  (void)result;
-  (void)ctx.histogram();
-}
-
 core::GheTarget select_target(const FrameContext& ctx, int range) {
   validate(ctx, range);
   const auto& hist = ctx.histogram();
@@ -102,11 +96,6 @@ core::GheTarget select_target(const FrameContext& ctx, int range) {
   // placement); otherwise compress down to the floor g_min.
   const int g_min_eff = native > 0 ? std::max(g_min, g_max - native) : g_min;
   return core::GheTarget{g_min_eff, g_max};
-}
-
-void RangeSelectStage::run(const FrameContext& ctx,
-                           core::HebsResult& result) const {
-  result.target = select_target(ctx, range_);
 }
 
 namespace {
@@ -143,49 +132,33 @@ hebs::transform::PwlCurve phi_for_target(const FrameContext& ctx,
   return phi_from_ghe(ctx, target, ctx.ghe(target));
 }
 
-void GheStage::run(const FrameContext& ctx, core::HebsResult& result) const {
-  result.phi = ghe_ != nullptr ? phi_from_ghe(ctx, result.target, *ghe_)
-                               : phi_for_target(ctx, result.target);
-}
-
-void PlcStage::run(const FrameContext& ctx, core::HebsResult& result) const {
+core::HebsResult run_stages_at_range_lean(
+    const FrameContext& ctx, int range,
+    const hebs::transform::PwlCurve* ghe) {
+  // The per-stage latency fault point precedes each of the five steps:
+  // an installed stage-latency spec stalls there, making deadline-miss
+  // behavior provokable with a deterministic clock lever (off = one
+  // relaxed load per step).
+  const auto stall = [] {
+    util::fault::maybe_stall(util::fault::Point::kStageLatency);
+  };
+  core::HebsResult result;
+  stall();
+  (void)ctx.histogram();
+  stall();
+  result.target = select_target(ctx, range);
+  stall();
+  result.phi = ghe != nullptr ? phi_from_ghe(ctx, result.target, *ghe)
+                              : phi_for_target(ctx, result.target);
+  stall();
   core::PlcResult plc = core::plc_coarsen(result.phi, ctx.options().segments);
   result.lambda = std::move(plc.curve);
   result.plc_mse = plc.mse;
-}
-
-void EvaluateStage::run(const FrameContext& ctx,
-                        core::HebsResult& result) const {
+  stall();
   const double beta = core::beta_for_gmax(
       result.target.g_max, ctx.options().min_beta, ctx.max_pixel());
   result.point = core::OperatingPoint{result.lambda, beta};
   result.evaluation = ctx.evaluate_lean(result.point);
-}
-
-core::HebsResult run_stages_at_range_lean(
-    const FrameContext& ctx, int range,
-    const hebs::transform::PwlCurve* ghe) {
-  const HistogramStage histogram_stage;
-  const RangeSelectStage range_stage(range);
-  const GheStage ghe_stage(ghe);
-  const PlcStage plc_stage;
-  const EvaluateStage evaluate_stage;
-  const Stage* const stages[] = {&histogram_stage, &range_stage, &ghe_stage,
-                                 &plc_stage, &evaluate_stage};
-  core::HebsResult result;
-  for (const Stage* stage : stages) {
-    // The per-stage latency fault point: an installed stage-latency
-    // spec stalls here, making deadline-miss behavior provokable with a
-    // deterministic clock lever (off = one relaxed load per stage).
-    util::fault::maybe_stall(util::fault::Point::kStageLatency);
-    stage->run(ctx, result);
-  }
-  return result;
-}
-
-core::HebsResult run_stages_at_range(const FrameContext& ctx, int range) {
-  core::HebsResult result = run_stages_at_range_lean(ctx, range);
-  ctx.materialize_transformed(result);
   return result;
 }
 

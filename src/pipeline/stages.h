@@ -1,16 +1,16 @@
-// The staged decomposition of the HEBS per-frame flow (Fig. 4).
+// The per-frame HEBS flow (Fig. 4), in five steps at a fixed range:
 //
-//   HistogramStage   -> image statistics (warms the context's histogram)
-//   RangeSelectStage -> effective target range [g_min_eff, g_max]
-//   GheStage         -> exact equalizing transform Φ (strength-blended)
-//   PlcStage         -> m-segment coarsening Λ
-//   EvaluateStage    -> operating point (Λ, β) + measured distortion/power
+//   histogram     -> image statistics (warms the context's histogram)
+//   select_target -> effective target range [g_min_eff, g_max]
+//   Φ             -> exact equalizing transform (GHE, strength-blended)
+//   PLC           -> m-segment coarsening Λ (core::plc_coarsen)
+//   evaluate      -> operating point (Λ, β) + measured distortion/power
 //
-// Stages communicate exclusively through the shared FrameContext (for
-// memoized frame products) and the HebsResult under construction.  The
+// The steps communicate through the shared FrameContext (for memoized
+// frame products) and the HebsResult under construction.  The
 // free-function front ends in core/hebs.h and the PipelineEngine's batch
-// and stream modes all drive these same stages, which is what guarantees
-// their outputs are bit-identical.
+// and stream modes all drive this same sequence, which is what
+// guarantees their outputs are bit-identical.
 #pragma once
 
 #include <cstdint>
@@ -24,87 +24,29 @@ class DistortionCurve;
 
 namespace hebs::pipeline {
 
-/// One step of the per-frame pipeline.  Reads memoized products from the
-/// context and fills its slice of the result.
-class Stage {
- public:
-  virtual ~Stage() = default;
-  virtual const char* name() const noexcept = 0;
-  virtual void run(const FrameContext& ctx, core::HebsResult& result) const = 0;
-};
-
-/// Warms the context's histogram (exact or injected estimate).
-class HistogramStage : public Stage {
- public:
-  const char* name() const noexcept override { return "histogram"; }
-  void run(const FrameContext& ctx, core::HebsResult& result) const override;
-};
-
-/// Picks the effective target [g_min_eff, g_max] for a requested dynamic
+/// The effective target [g_min_eff, g_max] for a requested dynamic
 /// range: caps g_max at the brightest populated level and preserves the
-/// native width when the target allows it (adaptive placement).
-class RangeSelectStage : public Stage {
- public:
-  explicit RangeSelectStage(int range) : range_(range) {}
-  const char* name() const noexcept override { return "range-select"; }
-  void run(const FrameContext& ctx, core::HebsResult& result) const override;
-
- private:
-  int range_;
-};
-
-/// Solves GHE into the selected target and applies the
-/// equalization-strength blend with the affine placement.
-class GheStage : public Stage {
- public:
-  /// `ghe` (nullable): the exact GHE curve of the target, computed by
-  /// the caller (the memo-free probes); null reads the context's memo.
-  explicit GheStage(const hebs::transform::PwlCurve* ghe = nullptr)
-      : ghe_(ghe) {}
-  const char* name() const noexcept override { return "ghe"; }
-  void run(const FrameContext& ctx, core::HebsResult& result) const override;
-
- private:
-  const hebs::transform::PwlCurve* ghe_;
-};
-
-/// Coarsens Φ to the ladder's segment budget.
-class PlcStage : public Stage {
- public:
-  const char* name() const noexcept override { return "plc"; }
-  void run(const FrameContext& ctx, core::HebsResult& result) const override;
-};
-
-/// Derives β from the target, forms the operating point, and measures
-/// distortion/power through the context's cached evaluator.
-class EvaluateStage : public Stage {
- public:
-  const char* name() const noexcept override { return "evaluate"; }
-  void run(const FrameContext& ctx, core::HebsResult& result) const override;
-};
-
-/// The effective target RangeSelectStage would pick for `range` — cheap,
-/// lets FrameContext::at_range collapse ranges that clamp to the same
-/// target onto one memo entry.
+/// native width when the target allows it (adaptive placement).  Cheap,
+/// so FrameContext::at_range also uses it to collapse ranges that clamp
+/// to the same target onto one memo entry.
 core::GheTarget select_target(const FrameContext& ctx, int range);
 
-/// The exact strength-blended transform Φ GheStage would produce for a
-/// target (the stage is a thin wrapper over this).  Exposed so the
-/// coarse search can form its Λ≈Φ proxy probes from the very curve the
-/// exact pipeline deploys.
+/// The exact strength-blended transform Φ for a target: GHE into the
+/// target, blended with the affine placement by the equalization
+/// strength.  Exposed so the coarse search can form its Λ≈Φ proxy
+/// probes from the very curve the exact pipeline deploys.
 hebs::transform::PwlCurve phi_for_target(const FrameContext& ctx,
                                          const core::GheTarget& target);
 
-/// Runs the five standard stages in order at a fixed range.  Unmemoized;
-/// use FrameContext::at_range for the cached entry point.
-core::HebsResult run_stages_at_range(const FrameContext& ctx, int range);
-
-/// Same, but leaves evaluation.transformed unmaterialized — the form
-/// FrameContext memoizes for search probes (a probe reads only curves
-/// and scalars, so caching a frame-sized raster per probed target would
-/// be pure memory waste).  FrameContext::materialize_transformed fills
-/// the raster, byte-identically, on first full access.  `ghe` as for
-/// GheStage.
+/// Runs the five steps in order at a fixed range, leaving
+/// evaluation.transformed unmaterialized — the form FrameContext
+/// memoizes for search probes (a probe reads only curves and scalars, so
+/// caching a frame-sized raster per probed target would be pure memory
+/// waste).  Unmemoized; use FrameContext::at_range for the cached entry
+/// point, and FrameContext::materialize_transformed to fill the raster,
+/// byte-identically.  `ghe` (nullable): the exact GHE curve of the
+/// target, computed by the caller (the memo-free probes); null reads the
+/// context's memo.
 core::HebsResult run_stages_at_range_lean(
     const FrameContext& ctx, int range,
     const hebs::transform::PwlCurve* ghe = nullptr);

@@ -20,12 +20,6 @@ constexpr double lerp(double a, double b, double t) noexcept {
   return a + (b - a) * t;
 }
 
-/// True when |a - b| <= tol.
-constexpr bool almost_equal(double a, double b, double tol = 1e-9) noexcept {
-  const double d = a - b;
-  return (d < 0 ? -d : d) <= tol;
-}
-
 /// Arithmetic mean; returns 0 for an empty span.
 double mean(std::span<const double> xs) noexcept;
 

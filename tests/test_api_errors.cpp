@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -98,6 +99,8 @@ TEST(SessionConfigValidate, RejectsMinBetaOutsideUnitInterval) {
 
 TEST(SessionConfigValidate, RejectsEqualizationStrengthAboveOne) {
   expect_invalid_option(SessionConfig().equalization_strength(1.01));
+  expect_invalid_option(SessionConfig().equalization_strength(
+      std::numeric_limits<double>::quiet_NaN()));
   // Negative means adaptive and is valid.
   EXPECT_TRUE(SessionConfig().equalization_strength(-1.0).validate().ok());
 }
@@ -110,6 +113,8 @@ TEST(SessionConfigValidate, RejectsVideoKnobsOutsideDomain) {
   expect_invalid_option(SessionConfig().max_beta_step(0.0));
   expect_invalid_option(SessionConfig().ema_alpha(0.0));
   expect_invalid_option(SessionConfig().scene_cut_threshold(2.5));
+  expect_invalid_option(SessionConfig().scene_cut_threshold(
+      std::numeric_limits<double>::quiet_NaN()));
   expect_invalid_option(SessionConfig().characterization_size(8));
 }
 

@@ -102,6 +102,20 @@ void expect_identity(const core::HebsResult& r, const GrayImage& input) {
   EXPECT_EQ(r.evaluation.transformed, input);
 }
 
+/// The pool draws of a clean `call`: the pool-alloc point is armed so
+/// that it never fires, and its hit count is read afterwards.
+template <typename Call>
+std::uint64_t clean_draws(Call&& call) {
+  fault::Spec never;
+  never.point = fault::Point::kPoolAlloc;
+  never.first = std::uint64_t{1} << 62;
+  fault::install(never);
+  call();
+  const std::uint64_t draws = fault::hit_count(fault::Point::kPoolAlloc);
+  fault::clear_all();
+  return draws;
+}
+
 class FaultMatrixTest : public ::testing::Test {
  protected:
   void SetUp() override { fault::clear_all(); }
@@ -375,6 +389,95 @@ TEST_F(FaultMatrixTest, BatchColorContains) {
       EXPECT_EQ(results[i].color.hue_error, 0.0);
     }
     EXPECT_EQ(degraded, 1u);
+  }
+}
+
+TEST_F(FaultMatrixTest, BatchColorPoolAllocSweepMatchesCleanRun) {
+  // A color batch frame renders right after its decision, on its slot
+  // pool and inside its containment, so a pool-alloc fault can land in
+  // the search or in the render.  Sweep a one-shot fault over the pool
+  // draws of a 4-frame batch: wherever it lands, exactly one frame
+  // degrades to the identity decision and its unmodified RGB, and every
+  // other frame equals the clean run bit for bit.
+  const auto images = small_rgb_album(4, 32);
+  std::vector<GrayImage> lumas;
+  for (const RgbImage& f : images) lumas.push_back(f.to_luma());
+  const auto engine_for = [](int threads) {
+    EngineOptions opts;
+    opts.num_threads = threads;
+    return PipelineEngine(opts, model());
+  };
+  const auto color_run = [&](int threads, std::span<const RgbImage> batch,
+                             std::vector<FrameFault>* faults = nullptr) {
+    return engine_for(threads).process_batch_color(
+        batch, 10.0, core::ColorMode::kLumaRatio, faults);
+  };
+  const auto gray_run = [&](int threads, std::span<const GrayImage> batch) {
+    return engine_for(threads).process_batch(batch, 10.0);
+  };
+
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    std::vector<ColorBatchResult> clean;
+    const std::uint64_t draws =
+        clean_draws([&] { clean = color_run(threads, images); });
+    // The renders draw from the slot pools: the color batch draws more
+    // than the gray batch on its lumas.
+    EXPECT_GT(draws, clean_draws([&] { (void)gray_run(threads, lumas); }));
+    // Every 97th draw, and the last.
+    std::vector<std::uint64_t> points;
+    for (std::uint64_t n = 1; n < draws; n += 97) points.push_back(n);
+    points.push_back(draws);
+    if (threads == 1) {
+      // One slot decides the frames in order, each frame's work ending
+      // in its render: the last draw of the first k frames is frame
+      // k - 1's render draw — shown to be one by the gray batch on the
+      // same frames drawing fewer.
+      std::uint64_t color_before = 0;
+      std::uint64_t gray_before = 0;
+      for (std::size_t k = 1; k <= images.size(); ++k) {
+        const std::uint64_t color_k = clean_draws([&] {
+          (void)color_run(threads,
+                          std::span<const RgbImage>(images.data(), k));
+        });
+        const std::uint64_t gray_k = clean_draws([&] {
+          (void)gray_run(threads,
+                         std::span<const GrayImage>(lumas.data(), k));
+        });
+        EXPECT_GT(color_k - color_before, gray_k - gray_before);
+        points.push_back(color_k);
+        color_before = color_k;
+        gray_before = gray_k;
+      }
+    }
+
+    for (const std::uint64_t first : points) {
+      SCOPED_TRACE("pool-alloc:first=" + std::to_string(first));
+      fault::Spec spec;
+      spec.point = fault::Point::kPoolAlloc;
+      spec.first = first;
+      fault::install(spec);
+      std::vector<FrameFault> faults;
+      std::vector<ColorBatchResult> got;
+      ASSERT_NO_THROW(got = color_run(threads, images, &faults));
+      fault::clear_all();
+      ASSERT_EQ(got.size(), images.size());
+      std::size_t degraded = 0;
+      for (std::size_t i = 0; i < images.size(); ++i) {
+        SCOPED_TRACE("frame " + std::to_string(i));
+        if (faults[i].degraded) {
+          ++degraded;
+          expect_identity(got[i].luma, lumas[i]);
+          expect_same_rgb(got[i].color.displayed, images[i]);
+          EXPECT_EQ(got[i].color.hue_error, 0.0);
+          continue;
+        }
+        expect_same_result(got[i].luma, clean[i].luma);
+        expect_same_rgb(got[i].color.displayed, clean[i].color.displayed);
+        EXPECT_EQ(got[i].color.hue_error, clean[i].color.hue_error);
+      }
+      EXPECT_EQ(degraded, 1u);
+    }
   }
 }
 
@@ -909,17 +1012,6 @@ TEST_F(FaultMatrixTest, StreamColorPoolAllocSweepMatchesColdSuffix) {
                              std::vector<FrameFault>* faults = nullptr) {
     return engine_for(c).process_stream_color(
         clip, video_for(c), core::ColorMode::kSharedCurve, faults);
-  };
-  // Pool draws of a clean call (the point armed so that it never fires).
-  const auto clean_draws = [](auto&& call) {
-    fault::Spec never;
-    never.point = fault::Point::kPoolAlloc;
-    never.first = std::uint64_t{1} << 62;
-    fault::install(never);
-    call();
-    const std::uint64_t draws = fault::hit_count(fault::Point::kPoolAlloc);
-    fault::clear_all();
-    return draws;
   };
   const auto expect_same_frame = [](const ColorStreamResult& a,
                                     const ColorStreamResult& b) {

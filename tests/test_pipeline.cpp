@@ -1,5 +1,5 @@
-// Tests for the staged pipeline: FrameContext memoization, the stage
-// decomposition, and the cached-vs-one-shot bit-identity contract.
+// Tests for the staged pipeline: FrameContext memoization, the per-frame
+// steps, and the cached-vs-one-shot bit-identity contract.
 #include <gtest/gtest.h>
 
 #include "hebs/advanced/core.h"
@@ -122,8 +122,9 @@ TEST(Stages, ComposeToTheFrontEndResult) {
   core::HebsOptions opts;
   opts.segments = 8;
   FrameContext ctx(img, opts, model());
-  expect_same_result(run_stages_at_range(ctx, 130),
-                     core::hebs_at_range(img, 130, opts, model()));
+  core::HebsResult result = run_stages_at_range_lean(ctx, 130);
+  ctx.materialize_transformed(result);
+  expect_same_result(result, core::hebs_at_range(img, 130, opts, model()));
 }
 
 TEST(Stages, RunIndividuallyInOrder) {
@@ -131,31 +132,30 @@ TEST(Stages, RunIndividuallyInOrder) {
   FrameContext ctx(img, {}, model());
   core::HebsResult result;
 
-  const HistogramStage histogram_stage;
-  EXPECT_STREQ(histogram_stage.name(), "histogram");
-  histogram_stage.run(ctx, result);
+  (void)ctx.histogram();
 
-  const RangeSelectStage range_stage(150);
-  EXPECT_STREQ(range_stage.name(), "range-select");
-  range_stage.run(ctx, result);
+  result.target = select_target(ctx, 150);
   EXPECT_EQ(result.target.range(), 150);
 
-  const GheStage ghe_stage;
-  EXPECT_STREQ(ghe_stage.name(), "ghe");
-  ghe_stage.run(ctx, result);
+  result.phi = phi_for_target(ctx, result.target);
   EXPECT_TRUE(result.phi.is_monotonic());
   EXPECT_GE(result.phi.segment_count(), 100);
 
-  const PlcStage plc_stage;
-  EXPECT_STREQ(plc_stage.name(), "plc");
-  plc_stage.run(ctx, result);
+  core::PlcResult plc = core::plc_coarsen(result.phi, ctx.options().segments);
+  result.lambda = std::move(plc.curve);
+  result.plc_mse = plc.mse;
   EXPECT_LE(result.lambda.segment_count(), ctx.options().segments);
 
-  const EvaluateStage evaluate_stage;
-  EXPECT_STREQ(evaluate_stage.name(), "evaluate");
-  evaluate_stage.run(ctx, result);
+  result.point = core::OperatingPoint{
+      result.lambda, core::beta_for_gmax(result.target.g_max,
+                                         ctx.options().min_beta,
+                                         ctx.max_pixel())};
+  result.evaluation = ctx.evaluate_lean(result.point);
   EXPECT_GT(result.point.beta, 0.0);
   EXPECT_GT(result.evaluation.saving_percent, 0.0);
+
+  // The steps in order are exactly what the driver composes.
+  expect_same_result(result, run_stages_at_range_lean(ctx, 150));
 }
 
 TEST(Stages, RunExactMatchesHebsExact) {
