@@ -46,7 +46,7 @@ hebs::core::OperatingPoint CbcsPolicy::choose(
   hebs::core::HebsOptions eval_opts;
   eval_opts.distortion = distortion_;
   hebs::pipeline::FrameContext ctx(image, eval_opts, power_model_);
-  const auto& hist = ctx.exact_histogram();
+  const auto& hist = ctx.histogram();
 
   hebs::core::OperatingPoint best = hebs::core::identity_operating_point();
   double best_saving = 0.0;

@@ -37,7 +37,7 @@ FrameDecision VideoBacklightController::process(
 
 FrameDecision VideoBacklightController::apply_flicker_control(
     const hebs::pipeline::FrameContext& ctx, const HebsResult& raw) {
-  FrameDecision decision = plan_flicker(ctx.exact_histogram(), raw.point.beta);
+  FrameDecision decision = plan_flicker(ctx.histogram(), raw.point.beta);
   rederive(ctx, raw, decision);
   return decision;
 }

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "obs/counters.h"
@@ -15,7 +16,9 @@
 #include "pipeline/temporal.h"
 #include "util/error.h"
 #include "util/faultpoint.h"
+#include "util/mutex.h"
 #include "util/pool.h"
+#include "util/thread_annotations.h"
 
 namespace hebs::pipeline {
 
@@ -181,7 +184,7 @@ std::vector<hebs::image::GrayImage> extract_lumas(
   return lumas;
 }
 
-// ---- post-stages (DESIGN.md §9, "Stream rounds"; §10) -----------------
+// ---- post-stages (DESIGN.md §9, "Stream pipeline"; §10) -----------------
 //
 // What a frame's decision turns into beyond the decision itself, by
 // frame index: `render` applies the chosen operating point — in a batch
@@ -218,6 +221,177 @@ struct ColorPost {
   void copy(std::size_t i) { out[i] = out[i - 1]; }
   // β = 1 and the identity LUT change no pixel: zero chromaticity drift.
   void degrade(std::size_t i) { out[i] = {rgb[i], 0.0}; }
+};
+
+// ---- the stream pipeline's scheduler (DESIGN.md §9, "Stream pipeline") -
+
+/// The bookkeeping of one stream call: which task each worker takes
+/// next, how far the clip is searched, planned and final, and which
+/// worker slots are free.  The work itself — searches, the plan, the
+/// re-derivations, the replay — is the engine's, handed in as callbacks
+/// that run_stream owns; none of them touches this state, and the plan,
+/// the replay and the release run under the lock.
+///
+/// A *run* is a source frame plus the frames after it that are
+/// byte-identical to their predecessor (one run per frame with dedupe
+/// off); run r searches on worker slot r % slots.  Runs release their
+/// slot in clip order, so "run r's slot is free" is exactly "fewer than
+/// `slots` runs hold one" — which slot a run lands on never depends on
+/// scheduling.
+class StreamSchedule {
+ public:
+  /// A frame's progress.  kReady / kCopy: planned, its re-derivation
+  /// (kCopy: a repeat's copy of its predecessor's output) not yet
+  /// taken; kFaulted: that task faulted, and the frame waits for the
+  /// replay; kDone: the frame's output is written.
+  enum class Status { kUnplanned, kReady, kCopy, kRunning, kFaulted, kDone };
+
+  /// Runs r = frames [bounds[r], bounds[r + 1]).
+  StreamSchedule(std::vector<std::size_t> bounds, std::size_t slots)
+      : bounds_(std::move(bounds)),
+        slots_(slots),
+        frames_(bounds_.back()),
+        status_(frames_, Status::kUnplanned),
+        searched_(runs(), false) {
+    run_of_.reserve(frames_);
+    for (std::size_t r = 0; r < runs(); ++r) {
+      run_of_.insert(run_of_.end(), bounds_[r + 1] - bounds_[r], r);
+    }
+  }
+
+  std::size_t runs() const { return bounds_.size() - 1; }
+  std::size_t first(std::size_t run) const { return bounds_[run]; }
+  std::size_t end(std::size_t run) const { return bounds_[run + 1]; }
+  std::size_t slot_of_frame(std::size_t i) const { return run_of_[i] % slots_; }
+
+  /// One worker's loop until every frame is final (or a task threw
+  /// out): take a task, run it outside the lock, record it.
+  /// search(r) searches run r; frame(i, copy) re-derives frame i, or
+  /// copies its predecessor's output, and returns false when that
+  /// faulted; plan(i) plans frame i and returns its status (kDone for a
+  /// degraded one); replay(b, e) recomputes frames [b, e) serially
+  /// from the controller's reset, frame b being the faulted one; and
+  /// release(r) runs once run r's frames are all final, before its
+  /// slot serves another run.
+  template <typename Search, typename Frame, typename Plan, typename Replay,
+            typename Release>
+  void work(Search&& search, Frame&& frame, Plan&& plan, Replay&& replay,
+            Release&& release) HEBS_EXCLUDES(mu_) {
+    try {
+      for (;;) {
+        Task t;
+        {
+          util::MutexLock lock(mu_);
+          while ((t = claim()).kind == Task::kWait) cv_.wait(mu_);
+        }
+        if (t.kind == Task::kStop) return;
+        bool ok = true;
+        if (t.kind == Task::kSearch) {
+          search(t.index);
+        } else {
+          ok = frame(t.index, t.copy);
+        }
+        {
+          util::MutexLock lock(mu_);
+          if (t.kind == Task::kSearch) {
+            searched_[t.index] = true;
+          } else {
+            --running_;
+            status_[t.index] = ok ? Status::kDone : Status::kFaulted;
+            if (!ok) fault_at_ = std::min(fault_at_, t.index);
+          }
+          if (!abort_) advance(plan, replay, release);
+        }
+        cv_.notify_all();
+      }
+    } catch (...) {
+      // A precondition violation leaves the call: the other workers stop
+      // at their next claim instead of waiting on this one's task.
+      {
+        util::MutexLock lock(mu_);
+        abort_ = true;
+      }
+      cv_.notify_all();
+      throw;
+    }
+  }
+
+ private:
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  struct Task {
+    enum Kind { kWait, kStop, kSearch, kFrame } kind = kWait;
+    std::size_t index = 0;  ///< the run (kSearch) or frame (kFrame)
+    bool copy = false;      ///< kFrame: a repeat's copy
+  };
+
+  /// The next task: the lowest planned frame whose re-derivation (or
+  /// copy, once its predecessor is done) is ready, below any pending
+  /// fault; else the next run's search while a slot is free.
+  Task claim() HEBS_REQUIRES(mu_) {
+    if (abort_) return {Task::kStop, 0, false};
+    const std::size_t ready_end = std::min(planned_, fault_at_);
+    for (std::size_t i = final_; i < ready_end; ++i) {
+      const Status s = status_[i];
+      if (s == Status::kReady ||
+          (s == Status::kCopy && status_[i - 1] == Status::kDone)) {
+        status_[i] = Status::kRunning;
+        ++running_;
+        return {Task::kFrame, i, s == Status::kCopy};
+      }
+    }
+    if (next_run_ < runs() && next_run_ - released_ < slots_) {
+      return {Task::kSearch, next_run_++, false};
+    }
+    return {final_ == frames_ ? Task::kStop : Task::kWait, 0, false};
+  }
+
+  /// Plans the frames the searched prefix now covers, in clip order;
+  /// moves the final prefix on, releasing each run it passes; and, once
+  /// the final prefix reaches a faulted frame and no frame task is in
+  /// flight, replays from it.  Planning stops while a fault waits: the
+  /// frames after it would be planned on history its reset discards.
+  template <typename Plan, typename Replay, typename Release>
+  void advance(Plan& plan, Replay& replay, Release& release)
+      HEBS_REQUIRES(mu_) {
+    for (;;) {
+      while (fault_at_ == kNone && planned_ < frames_ &&
+             searched_[run_of_[planned_]]) {
+        status_[planned_] = plan(planned_);
+        ++planned_;
+      }
+      while (final_ < planned_ && status_[final_] == Status::kDone) {
+        if (++final_ == end(released_)) release(released_++);
+      }
+      if (final_ == planned_ || status_[final_] != Status::kFaulted ||
+          running_ != 0) {
+        return;
+      }
+      replay(final_, planned_);
+      std::fill(status_.begin() + static_cast<std::ptrdiff_t>(final_),
+                status_.begin() + static_cast<std::ptrdiff_t>(planned_),
+                Status::kDone);
+      fault_at_ = kNone;
+    }
+  }
+
+  const std::vector<std::size_t> bounds_;
+  const std::size_t slots_;
+  const std::size_t frames_;
+  std::vector<std::size_t> run_of_;  ///< frame → run; fixed once built
+
+  util::Mutex mu_;
+  util::CondVar cv_;
+  std::vector<Status> status_ HEBS_GUARDED_BY(mu_);
+  std::vector<bool> searched_ HEBS_GUARDED_BY(mu_);  ///< per run
+  std::size_t next_run_ HEBS_GUARDED_BY(mu_) = 0;  ///< runs claimed
+  std::size_t released_ HEBS_GUARDED_BY(mu_) = 0;  ///< runs released
+  std::size_t planned_ HEBS_GUARDED_BY(mu_) = 0;   ///< frames planned
+  std::size_t final_ HEBS_GUARDED_BY(mu_) = 0;     ///< frames final
+  /// The lowest frame whose task faulted and waits for the replay.
+  std::size_t fault_at_ HEBS_GUARDED_BY(mu_) = kNone;
+  std::size_t running_ HEBS_GUARDED_BY(mu_) = 0;  ///< frame tasks out
+  bool abort_ HEBS_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace
@@ -365,80 +539,75 @@ std::vector<core::FrameDecision> PipelineEngine::run_stream(
     faults->resize(frames.size());
   }
 
-  // The clip is processed in rounds, each in four steps: the per-frame
-  // searches run on the pool; the controller plans the round's applied
-  // β values in frame order on the calling thread (the scalar
-  // recurrence — the only truly ordered work); the applied-β
-  // re-derivations, each followed by its frame's post-stage render, run
-  // on the pool, one task per frame; and the decisions land by frame
-  // index.  The controller's state advances exactly as serial
-  // processing would.
+  // The clip flows through one pipeline (DESIGN.md §9, "Stream
+  // pipeline"): the per-run searches run on the pool; the controller
+  // plans the applied β values in frame order (the scalar recurrence —
+  // the only truly ordered work), each as soon as the searches before
+  // it are done; and each planned frame's re-derivation, followed by its
+  // post-stage render, runs on the pool as soon as it is planned.  The
+  // controller's state advances exactly as serial processing would.
+  // Every worker takes its next task from a StreamSchedule: a ready
+  // re-derivation first, else the next run's search while one of the
+  // `slots` worker slots is free.
   //
-  // A round holds `slots` *runs*: a source frame plus the frames after
-  // it that are byte-identical to their predecessor (the duplicates).
-  // Runs are formed on the calling thread before the round and never
-  // cross a round boundary, so the first frame of a round is always a
-  // source.  A run takes one search lane: its duplicates inherit the
-  // source's raw result bit for bit (the search is a deterministic
-  // function of the pixels, DESIGN.md §9) and re-derive on the source's
-  // context, concurrently, through its memo-free reads.  Which frames
-  // are duplicates depends only on clip position, so reuse and the
-  // decisions it yields are the same at every thread count.
+  // A run is a source frame plus the frames after it that are
+  // byte-identical to their predecessor (the duplicates), formed on the
+  // calling thread before any search.  A run takes one search lane: its
+  // duplicates inherit the source's raw result bit for bit (the search
+  // is a deterministic function of the pixels, DESIGN.md §9) and
+  // re-derive on the source's context, concurrently, through its
+  // memo-free reads.  Which frames are duplicates depends only on clip
+  // position, so reuse and the decisions it yields are the same at
+  // every thread count.
   //
-  // Slot k runs on the engine's worker slot k — its FrameContext and
-  // recycling BufferPool persist across calls — and owns, for this call,
-  // the coherence state of the runs it searches (temporal mode; with one
-  // worker that is every source of the clip), so every clip starts
-  // cold.  A search is warm-started only from its clip predecessor's: a
-  // seed from further back can verify a different bracket where
-  // measured distortion is non-monotone, and which frame a slot searched
-  // last depends on the worker count.  Peak memory stays at `slots`
-  // cached contexts, however long a run is.
+  // Run r runs on the engine's worker slot r % slots — its FrameContext
+  // and recycling BufferPool persist across calls — and owns, for this
+  // call, the coherence state of the runs it searches (temporal mode;
+  // with one worker that is every source of the clip), so every clip
+  // starts cold.  A search is warm-started only from its clip
+  // predecessor's, which is the slot's previous search only at one
+  // worker: a seed from further back can verify a different bracket
+  // where measured distortion is non-monotone.  Peak memory stays at
+  // `slots` cached contexts, however long a run is.
   const auto threads = static_cast<std::size_t>(pool_.thread_count());
   const std::size_t slots = std::max<std::size_t>(
       1, std::min(frames.size(), threads == 1 ? 1 : 2 * threads));
+  const bool seeded = slots == 1;
   // Byte-identical reuse is temporal level 1; with temporal reuse off
   // every frame is searched.
-  const bool dedupe = opts_.temporal_reuse;
+  std::vector<std::size_t> bounds{0};
+  for (std::size_t i = 1; i < frames.size(); ++i) {
+    if (!opts_.temporal_reuse || !(frames[i] == frames[i - 1])) {
+      bounds.push_back(i);
+    }
+  }
+  if (!frames.empty()) bounds.push_back(frames.size());
+  StreamSchedule schedule(std::move(bounds), slots);
 
-  // A slot's state for this call.
+  // A slot's state for this call.  `source` is the frame of the slot's
+  // run whose search produced `raw`; the frames before it degraded in
+  // the search (source == the run's end when all of them did).
   struct Run {
     TemporalReuse reuse;
     core::HebsResult raw;
-    // The slot's run in the current round: frames [first, end), each
-    // byte-identical to the one before.  `source` is the frame whose
-    // search produced `raw`; the frames before it degraded in the
-    // search (source == end when all of them did).  `chained`: the
-    // slot's previous run ended at `first`, so its search may seed
-    // this one (always at one worker).
-    std::size_t first = 0;
     std::size_t source = 0;
-    std::size_t end = 0;
-    bool chained = false;
     // The delta threshold keeps its one default.
     explicit Run(bool temporal_on)
         : reuse(TemporalOptions{.enabled = temporal_on}) {}
   };
 
-  // Per-frame round state.  `degraded`: the frame carries the identity
-  // fallback (search or re-derivation fault); `rederive_fault`: the
-  // fault hit the re-derivation (its slot is quarantined after the
-  // round's replay); `repeat`: a duplicate planned at its predecessor's
-  // β whose input bytes equal its predecessor's — its re-derivation and
-  // post-stage, deterministic functions of (input, raw result, β),
-  // would reproduce the predecessor's bits, so it copies them instead.
-  // Written by the frame's worker (or the plan), read on the calling
-  // thread after the step's barrier.
+  // Per-frame state, written by the task that owns the frame (its
+  // search, then its re-derivation) or the replay, and read by the plan,
+  // the replay and the release once the schedule records that task
+  // done.  `degraded`: the frame carries the identity fallback (search
+  // or re-derivation fault); `rederive_fault`: the fault hit the
+  // re-derivation, so its slot is quarantined when the run releases it.
   struct FrameState {
-    std::size_t slot = 0;
     bool degraded = false;
     bool rederive_fault = false;
-    bool repeat = false;
   };
   std::vector<FrameState> state(frames.size());
-
-  std::vector<core::FrameDecision> decisions;
-  decisions.reserve(frames.size());
+  std::vector<core::FrameDecision> decisions(frames.size());
 
   // The degraded frame's output: the identity fallback, planned as a
   // stream discontinuity.  Copying the pooled fallback must not re-fire
@@ -456,11 +625,11 @@ std::vector<core::FrameDecision> PipelineEngine::run_stream(
       runs.emplace_back(opts_.temporal_reuse);
     }
 
-    // Quarantine of a slot whose frame faulted in the search: its
-    // context's memo state and its temporal chain may be poisoned
-    // (mid-update when the fault unwound), so both are discarded — the
-    // slot's next search runs the cold path on a fresh context, exactly
-    // as a cold run started there would.
+    // Quarantine of a slot whose frame faulted: its context's memo state
+    // and its temporal chain may be poisoned (mid-update when the fault
+    // unwound), so both are discarded — the slot's next search runs the
+    // cold path on a fresh context, exactly as a cold run started there
+    // would.
     const auto quarantine = [&](std::size_t k) {
       workers[k].ctx.reset();
       runs[k].reuse.reset();
@@ -477,7 +646,7 @@ std::vector<core::FrameDecision> PipelineEngine::run_stream(
             // TemporalReuse handles both modes: disabled, it degrades to
             // rebind + run_exact (the cold path).
             s.raw = s.reuse.process(ctx, frames[i], vopts.d_max_percent,
-                                    s.chained);
+                                    seeded);
             // The re-derivations read the frame caches concurrently;
             // none may be built lazily under them.
             ctx.warm_probe_caches();
@@ -485,9 +654,9 @@ std::vector<core::FrameDecision> PipelineEngine::run_stream(
           [&] { quarantine(k); }, [&] { state[i].degraded = true; });
     };
 
-    // A fault in frame i's re-derivation, post-stage or repeat copy:
-    // the frame degrades, and its slot is quarantined once the round's
-    // replay no longer needs its context.
+    // A fault in frame i's re-derivation, post-stage or repeat copy: the
+    // frame degrades, and its slot is quarantined once its run is final
+    // (the replay may still need the context).
     const auto rederive_contained = [&](std::size_t i, auto&& work) {
       FrameState& f = state[i];
       return contain_faults(
@@ -495,141 +664,120 @@ std::vector<core::FrameDecision> PipelineEngine::run_stream(
           [&f] { f.rederive_fault = true; }, [&f] { f.degraded = true; });
     };
 
-    // One callable per step for the whole clip (constructing a
-    // std::function per round would put an allocation back into the
-    // steady state).
-    std::size_t begin = 0;
-    const std::function<void(std::size_t, int)> search_round =
-        [&](std::size_t k, int) {
-          Run& s = runs[k];
-          util::PoolScope scope(workers[k].pool.get());
-          // A degraded frame is no reuse source: the next frame of the
-          // run is searched as an ordinary frame on the fresh context,
-          // as a cold run started after the reset would search it.
-          s.source = s.first;
-          while (s.source < s.end && !search_frame(k, s.source)) ++s.source;
-        };
-
-    const std::function<void(std::size_t, int)> rederive_round =
-        [&](std::size_t j, int) {
-          const std::size_t i = begin + j;
-          const FrameState& f = state[i];
-          // Degraded: planned as a discontinuity already; repeat: copied
-          // after the step.
-          if (f.degraded || f.repeat) return;
-          const WorkerSlot& w = workers[f.slot];
-          util::PoolScope scope(w.pool.get());
-          obs::ScopedSpan post_span(obs::Span::kFlickerPost,
-                                    static_cast<std::int32_t>(i));
-          rederive_contained(i, [&] {
-            // Writes nothing into the context, so a run's frames share
-            // it.
-            controller.rederive(*w.ctx, runs[f.slot].raw, decisions[i]);
-            post.render(i, decisions[i].point);
-          });
-        };
-
-    for (std::size_t end = 0; begin < frames.size(); begin = end) {
-      // 0. Form the round's runs: `slots` sources, each with the frames
-      // after it that equal their predecessor.
-      std::size_t count = 0;
-      end = begin;
-      while (count < slots && end < frames.size()) {
-        Run& s = runs[count];
-        s.chained = s.end == end;
-        s.first = end;
-        do {
-          state[end] = FrameState{count, false, false, false};
-          ++end;
-        } while (dedupe && end < frames.size() &&
-                 frames[end] == frames[end - 1]);
-        s.end = end;
-        ++count;
+    // Run r's search.  Contexts stay alive into the re-derivations,
+    // which reuse their caches.
+    const auto search = [&](std::size_t r) {
+      const std::size_t k = r % slots;
+      Run& s = runs[k];
+      util::PoolScope scope(workers[k].pool.get());
+      // A degraded frame is no reuse source: the next frame of the run
+      // is searched as an ordinary frame on the fresh context, as a cold
+      // run started after the reset would search it.
+      s.source = schedule.first(r);
+      while (s.source < schedule.end(r) && !search_frame(k, s.source)) {
+        ++s.source;
       }
+    };
 
-      // 1. The per-run exact HEBS search.  Contexts stay alive into the
-      // re-derivation, which reuses their caches.
-      pool_.parallel_for(count, search_round);
+    // Frame i's applied-β re-derivation and post-stage, or — `copy`, a
+    // repeat — its predecessor's outputs, already final; false when that
+    // faulted.
+    const auto rederive = [&](std::size_t i, bool copy) {
+      const std::size_t k = schedule.slot_of_frame(i);
+      util::PoolScope scope(workers[k].pool.get());
+      obs::ScopedSpan post_span(obs::Span::kFlickerPost,
+                                static_cast<std::int32_t>(i));
+      if (copy) {
+        return rederive_contained(i, [&] {
+          decisions[i].point = decisions[i - 1].point;
+          decisions[i].evaluation = decisions[i - 1].evaluation;
+          post.copy(i);
+        });
+      }
+      return rederive_contained(i, [&] {
+        // Writes nothing into the context, so a run's frames share it.
+        controller.rederive(*workers[k].ctx, runs[k].raw, decisions[i]);
+        post.render(i, decisions[i].point);
+      });
+    };
 
-      // 2. The ordered plan: scene cuts and the β recurrence, in frame
-      // order.  A frame degraded in the search resets the controller (a
-      // stream discontinuity) instead of advancing it.  A duplicate
-      // plans on its source's histogram — the same counts its own would
-      // have.
-      for (std::size_t i = begin; i < end; ++i) {
-        if (state[i].degraded) {
-          decisions.push_back(degraded_decision(i));
-          continue;
-        }
-        const Run& s = runs[state[i].slot];
-        if (i != s.source) {
-          // The duplicate's temporal level-1 record: a frame span around
-          // its (instant) reuse, as a searched frame's span wraps its
-          // search.
-          obs::ScopedSpan frame_span(obs::Span::kFrame,
-                                     static_cast<std::int32_t>(i));
-          obs::ScopedSpan reuse_span(obs::Span::kTemporalReuse, 2);
-          obs::add(obs::Counter::kTemporalFrames);
-          obs::add(obs::Counter::kTemporalByteIdentical);
-        }
-        decisions.push_back(controller.plan_flicker(
-            workers[state[i].slot].ctx->exact_histogram(),
-            s.raw.point.beta));
-        // Frames [source, end) of a run are all undegraded here.
-        state[i].repeat = i != s.source &&
+    // The ordered plan of frame i (under the schedule's lock, in frame
+    // order): its scene cut and β step.  A frame degraded in the search
+    // resets the controller (a stream discontinuity) instead of advancing
+    // it.  A duplicate plans on its source's histogram — the same counts
+    // its own would have.  A repeat is a duplicate planned at its
+    // predecessor's β whose input bytes equal its predecessor's: its
+    // re-derivation and post-stage, deterministic functions of (input,
+    // raw result, β), would reproduce the predecessor's bits, so it
+    // copies them instead.
+    using Status = StreamSchedule::Status;
+    const auto plan = [&](std::size_t i) {
+      if (state[i].degraded) {
+        decisions[i] = degraded_decision(i);
+        return Status::kDone;
+      }
+      const std::size_t k = schedule.slot_of_frame(i);
+      const Run& s = runs[k];
+      if (i != s.source) {
+        // The duplicate's temporal level-1 record: a frame span around
+        // its (instant) reuse, as a searched frame's span wraps its
+        // search.
+        obs::ScopedSpan frame_span(obs::Span::kFrame,
+                                   static_cast<std::int32_t>(i));
+        obs::ScopedSpan reuse_span(obs::Span::kTemporalReuse, 2);
+        obs::add(obs::Counter::kTemporalFrames);
+        obs::add(obs::Counter::kTemporalByteIdentical);
+      }
+      decisions[i] = controller.plan_flicker(workers[k].ctx->histogram(),
+                                             s.raw.point.beta);
+      // Frames [source, end) of a run are all undegraded here, and
+      // planned in one pass.
+      const bool repeat = i != s.source &&
                           decisions[i].beta == decisions[i - 1].beta &&
                           post.same_input(i);
-      }
+      return repeat ? Status::kCopy : Status::kReady;
+    };
 
-      // 3. The applied-β re-derivations and post-stages, one task per
-      // frame.
-      pool_.parallel_for(end - begin, rederive_round);
-
-      // 4. Emit: the outputs already sit at their frame index, but for
-      // the repeats, copied here in frame order (each from a predecessor
-      // already final).  A re-derivation fault — the copy counts as the
-      // repeat's re-derivation — stops the copies: the first frame whose
-      // re-derivation faulted degrades and resets the controller; the
-      // frames after it were planned on the history that reset discards,
-      // so they are re-planned, re-derived and rendered in order from the
-      // reset controller (serially: the path is rare), exactly as a cold
-      // run started after the fault computes them.
-      std::size_t i = begin;
-      for (; i < end && !state[i].rederive_fault; ++i) {
-        if (!state[i].repeat) continue;
-        util::PoolScope scope(workers[state[i].slot].pool.get());
-        obs::ScopedSpan post_span(obs::Span::kFlickerPost,
-                                  static_cast<std::int32_t>(i));
-        if (!rederive_contained(i, [&] {
-              decisions[i].point = decisions[i - 1].point;
-              decisions[i].evaluation = decisions[i - 1].evaluation;
-              post.copy(i);
-            })) {
-          break;
-        }
-      }
-      for (; i < end; ++i) {
-        const FrameState& f = state[i];
-        if (!f.degraded) {
-          const WorkerSlot& w = workers[f.slot];
-          util::PoolScope scope(w.pool.get());
+    // The replay after a re-derivation fault at frame `first`: it
+    // degrades and resets the controller; the frames planned after it,
+    // [first + 1, end), were planned on the history that reset discards,
+    // so they are re-planned, re-derived and rendered in order from the
+    // reset controller (serially, under the schedule's lock: the path is
+    // rare), exactly as a cold run started after the fault computes
+    // them.  No frame task is in flight meanwhile, and their runs still
+    // hold their slots.
+    const auto replay = [&](std::size_t first, std::size_t end) {
+      for (std::size_t i = first; i < end; ++i) {
+        if (!state[i].degraded) {
+          const std::size_t k = schedule.slot_of_frame(i);
+          util::PoolScope scope(workers[k].pool.get());
           obs::ScopedSpan post_span(obs::Span::kFlickerPost,
                                     static_cast<std::int32_t>(i));
           rederive_contained(i, [&] {
             decisions[i] =
-                controller.apply_flicker_control(*w.ctx, runs[f.slot].raw);
+                controller.apply_flicker_control(*workers[k].ctx, runs[k].raw);
             post.render(i, decisions[i].point);
           });
         }
-        if (f.degraded) decisions[i] = degraded_decision(i);
+        if (state[i].degraded) decisions[i] = degraded_decision(i);
       }
-      // A slot whose frame faulted in the re-derivation restarts cold,
-      // like one faulted in the search.  Only now: the rest of its run
-      // replayed on its context above.
-      for (i = begin; i < end; ++i) {
-        if (state[i].rederive_fault) quarantine(state[i].slot);
+    };
+
+    // Run r is final: a slot whose frame faulted in the re-derivation
+    // restarts cold, like one faulted in the search — only now, since the
+    // replay re-derived the rest of its run on its context.
+    const auto release = [&](std::size_t r) {
+      for (std::size_t i = schedule.first(r); i < schedule.end(r); ++i) {
+        if (state[i].rederive_fault) {
+          quarantine(r % slots);
+          return;
+        }
       }
-    }
+    };
+
+    pool_.parallel_for(threads, [&](std::size_t, int) {
+      schedule.work(search, rederive, plan, replay, release);
+    });
   });
   return decisions;
 }
@@ -676,8 +824,8 @@ std::vector<ColorStreamResult> PipelineEngine::process_stream_color(
     const core::VideoOptions& opts, core::ColorMode mode,
     std::vector<FrameFault>* faults) {
   // The stream decides, and dedupes, on each frame's BT.601 luma, which
-  // the run formation compares on the calling thread before a round's
-  // searches — so every luma is extracted up front.
+  // the run formation compares on the calling thread before any search
+  // — so every luma is extracted up front.
   const auto lumas = extract_lumas(pool_, frames);
   ColorPost post{frames, lumas, mode,
                  std::vector<ColorFrameOutput>(frames.size())};

@@ -17,19 +17,22 @@
 // its search borrows the pool's idle workers for speculative probes.
 //
 // Stream mode (video) keeps only the flicker controller's scalar β
-// recurrence in frame order: raw operating points are searched
-// concurrently, the VideoBacklightController plans each frame's applied
-// β strictly in frame order, and the per-frame re-derivation for that β
-// runs concurrently again — producing exactly the decisions the serial
-// controller makes.  Gray and color video share that one stream core; a
+// recurrence in frame order.  The frames flow through one pipeline on
+// the worker slots, with no barrier between stages: raw operating points
+// are searched concurrently, the VideoBacklightController plans each
+// frame's applied β strictly in frame order as soon as every search
+// before it is done, and each planned frame's re-derivation for that β
+// runs concurrently again, ahead of any further search — producing
+// exactly the decisions the serial controller makes, whatever order the
+// tasks finish in.  Gray and color video share that one stream core; a
 // color frame decides on its luma and renders right after its
 // re-derivation, on the same worker.
 //
 // Both modes run on worker slots the engine keeps across calls (batch
-// slot k and stream slot k on worker slot k): each holds a buffer pool
-// and a FrameContext, so back-to-back calls recycle the previous call's
-// buffers instead of building fresh pools and contexts (DESIGN.md §9,
-// "Engine slots").
+// slot k on worker slot k, stream run r on worker slot r mod the
+// stream's slot count): each holds a buffer pool and a FrameContext, so
+// back-to-back calls recycle the previous call's buffers instead of
+// building fresh pools and contexts (DESIGN.md §9, "Engine slots").
 #pragma once
 
 #include <cstdint>
@@ -175,10 +178,11 @@ class PipelineEngine {
   /// concurrently, `controller` plans the applied β strictly in frame
   /// order (its state advances exactly as if it had processed the clip
   /// serially), and each frame's transform is re-derived for its applied
-  /// β concurrently again.  With opts.temporal_reuse, a frame
+  /// β concurrently again, one pipeline with at most 2 × threads
+  /// searched runs in flight.  With opts.temporal_reuse, a frame
   /// byte-identical to its predecessor is not searched: it inherits the
   /// predecessor's raw result and re-derives on the same context
-  /// (DESIGN.md §9, "Stream rounds") — the same frames at every thread
+  /// (DESIGN.md §9, "Stream pipeline") — the same frames at every thread
   /// count.
   ///
   /// Fault containment: a faulted frame emits the identity decision
@@ -214,7 +218,7 @@ class PipelineEngine {
       std::span<const hebs::image::RgbImage> images, double d_max_percent,
       core::ColorMode mode, std::vector<FrameFault>* faults = nullptr);
 
-  /// Color stream: the process_stream rounds on each frame's BT.601
+  /// Color stream: the process_stream pipeline on each frame's BT.601
   /// luma (decisions bit-identical to process_stream on the
   /// pre-converted luma clip, dedupe keyed on luma bytes), with the
   /// color stage rendering each applied operating point right after
@@ -232,8 +236,9 @@ class PipelineEngine {
 
  private:
   /// One worker's state, kept across calls (DESIGN.md §9, "Engine
-  /// slots"): batch slot k and stream slot k run on worker slot k, and
-  /// one-frame calls on the single-frame slot.  Members destroy in
+  /// slots"): batch slot k runs on worker slot k, stream run r on worker
+  /// slot r mod the stream's slot count, and one-frame calls on the
+  /// single-frame slot.  Members destroy in
   /// reverse order, so the context releases its pooled caches before
   /// the pool detaches.
   struct WorkerSlot {
@@ -258,7 +263,7 @@ class PipelineEngine {
                                           double d_max_percent, Post&& post,
                                           std::vector<FrameFault>* faults);
 
-  /// The stream rounds behind process_stream and process_stream_color,
+  /// The stream pipeline behind process_stream and process_stream_color,
   /// deciding on the luma clip `frames`; `post` is the same post-stage
   /// as run_batch's, run right after each frame's re-derivation
   /// (defined in engine.cpp).

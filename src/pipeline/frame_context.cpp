@@ -99,9 +99,8 @@ const hebs::histogram::Histogram& FrameContext::histogram() const {
 
 const hebs::quality::DistortionEvaluator& FrameContext::evaluator() const {
   if (!evaluator_.has_value()) {
-    // The evaluator normalizes the frame itself and stores the
-    // reference exactly once (exposed via reference()); built from the
-    // integer frame, its front end runs per level.
+    // The evaluator keeps the reference-side state once per frame;
+    // built from the integer frame, its front end runs per level.
     if (bound16()) {
       evaluator_.emplace(image16(), opts_.distortion);
     } else {

@@ -116,7 +116,9 @@ class FrameContext {
   /// or seeded with set_exact_histogram).
   const hebs::histogram::Histogram& histogram() const;
 
-  /// The same histogram under its older name.
+  /// The same histogram under its older name, kept for its one
+  /// remaining caller, the benchmark's layer probes
+  /// (hebsbench/src/layers.cpp); the library calls histogram().
   const hebs::histogram::Histogram& exact_histogram() const {
     return histogram();
   }

@@ -76,7 +76,7 @@ core::HebsResult TemporalReuse::process(FrameContext& ctx,
     --seed_cooldown_;
   }
   trace_ = out;
-  if (!have_hist) prev_hist_ = ctx.exact_histogram();
+  if (!have_hist) prev_hist_ = ctx.histogram();
   prev_frame_ = frame;
   has_prev_ = true;
   return result;

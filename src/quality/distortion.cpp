@@ -85,18 +85,39 @@ class LevelRows final : public RowSource {
   const double* table_;
 };
 
+/// The luminance raster an integer reference normalizes to, for the
+/// metrics that read it.  UIQI+HVS does not: its reference side streams
+/// the integer image through LevelRows, and its probes read the
+/// HVS-transformed reference — a float copy (8 bytes a pixel, 7.4 MB
+/// at 1280x720) would be dead weight in every frame context.
+template <typename Image>
+hebs::image::FloatImage float_reference(const Image& reference,
+                                        Metric metric) {
+  if (metric == Metric::kUiqiHvs) return {};
+  if constexpr (std::is_same_v<Image, hebs::image::GrayImage16>) {
+    return hebs::image::FloatImage::from_gray16(reference);
+  } else {
+    return hebs::image::FloatImage::from_gray(reference);
+  }
+}
+
 }  // namespace
 
 DistortionEvaluator::DistortionEvaluator(hebs::image::FloatImage reference,
                                          DistortionOptions opts)
-    : opts_(opts), reference_(std::move(reference)) {
+    : opts_(opts),
+      width_(reference.width()),
+      height_(reference.height()),
+      reference_(std::move(reference)) {
   build_reference(FrontEndRows(reference_, opts_.hvs));
 }
 
 DistortionEvaluator::DistortionEvaluator(
     const hebs::image::GrayImage& reference, DistortionOptions opts)
     : opts_(opts),
-      reference_(hebs::image::FloatImage::from_gray(reference)) {
+      width_(reference.width()),
+      height_(reference.height()),
+      reference_(float_reference(reference, opts.metric)) {
   const hebs::transform::FloatLut table =
       reference_table(hebs::image::kLevels);
   build_reference(LevelRows<hebs::image::GrayImage>(reference, table));
@@ -105,7 +126,9 @@ DistortionEvaluator::DistortionEvaluator(
 DistortionEvaluator::DistortionEvaluator(
     const hebs::image::GrayImage16& reference, DistortionOptions opts)
     : opts_(opts),
-      reference_(hebs::image::FloatImage::from_gray16(reference)) {
+      width_(reference.width()),
+      height_(reference.height()),
+      reference_(float_reference(reference, opts.metric)) {
   const hebs::transform::FloatLut table = reference_table(reference.levels());
   build_reference(LevelRows<hebs::image::GrayImage16>(reference, table));
 }
@@ -124,9 +147,9 @@ hebs::transform::FloatLut DistortionEvaluator::reference_table(
 }
 
 void DistortionEvaluator::build_reference(const RowSource& front_rows) {
-  HEBS_REQUIRE(!reference_.empty(), "distortion of an empty reference");
-  const int w = reference_.width();
-  const int h = reference_.height();
+  HEBS_REQUIRE(width_ > 0 && height_ > 0, "distortion of an empty reference");
+  const int w = width_;
+  const int h = height_;
   const int block = opts_.uiqi.block_size;
   switch (opts_.metric) {
     case Metric::kUiqi:
@@ -158,7 +181,7 @@ void DistortionEvaluator::build_reference(const RowSource& front_rows) {
 }
 
 double DistortionEvaluator::uiqi_percent(const RowSource& test) const {
-  require_uiqi_window(opts_.uiqi, reference_.width(), reference_.height());
+  require_uiqi_window(opts_.uiqi, width_, height_);
   const hebs::image::FloatImage& a =
       opts_.metric == Metric::kUiqiHvs ? hvs_reference_ : reference_;
   return index_to_percent(uiqi_streamed(*ref_moments_, a.values().data(),
@@ -176,8 +199,7 @@ hebs::transform::FloatLut DistortionEvaluator::front_end_table(
 
 double DistortionEvaluator::percent(
     const hebs::image::FloatImage& test) const {
-  HEBS_REQUIRE(test.width() == reference_.width() &&
-                   test.height() == reference_.height(),
+  HEBS_REQUIRE(test.width() == width_ && test.height() == height_,
                "distortion needs equal-size images");
   switch (opts_.metric) {
     case Metric::kUiqi:
@@ -208,8 +230,7 @@ double DistortionEvaluator::percent(
 double DistortionEvaluator::percent_mapped(
     const hebs::image::GrayImage& original,
     const hebs::transform::FloatLut& levels) const {
-  HEBS_REQUIRE(original.width() == reference_.width() &&
-                   original.height() == reference_.height(),
+  HEBS_REQUIRE(original.width() == width_ && original.height() == height_,
                "distortion needs equal-size images");
   if (!is_uiqi()) return percent(levels.apply(original));
   HEBS_REQUIRE(levels.size() == hebs::transform::FloatLut::kSize,
@@ -221,8 +242,7 @@ double DistortionEvaluator::percent_mapped(
 double DistortionEvaluator::percent_mapped(
     const hebs::image::GrayImage16& original,
     const hebs::transform::FloatLut& levels) const {
-  HEBS_REQUIRE(original.width() == reference_.width() &&
-                   original.height() == reference_.height(),
+  HEBS_REQUIRE(original.width() == width_ && original.height() == height_,
                "distortion needs equal-size images");
   if (!is_uiqi()) return percent(levels.apply16(original));
   HEBS_REQUIRE(original.levels() == levels.size(),

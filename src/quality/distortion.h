@@ -82,11 +82,12 @@ class DistortionEvaluator {
   explicit DistortionEvaluator(hebs::image::FloatImage reference,
                                DistortionOptions opts = {});
 
-  /// Reference given as an integer image: the evaluator holds
-  /// FloatImage::from_gray(reference) (from_gray16 for deep pixels) and
-  /// measures exactly what the FloatImage constructor would.  The
-  /// UIQI+HVS front end then runs once per level on the reference side
-  /// too, instead of once per pixel.
+  /// Reference given as an integer image: the evaluator measures
+  /// exactly what the FloatImage constructor would on
+  /// FloatImage::from_gray(reference) (from_gray16 for deep pixels).
+  /// The UIQI+HVS front end then runs once per level on the reference
+  /// side too, instead of once per pixel, and UIQI+HVS keeps no float
+  /// copy of the reference: nothing reads it after construction.
   explicit DistortionEvaluator(const hebs::image::GrayImage& reference,
                                DistortionOptions opts = {});
   explicit DistortionEvaluator(const hebs::image::GrayImage16& reference,
@@ -111,14 +112,11 @@ class DistortionEvaluator {
   double percent_mapped(const hebs::image::GrayImage16& original,
                         const hebs::transform::FloatLut& levels) const;
 
-  const hebs::image::FloatImage& reference() const noexcept {
-    return reference_;
-  }
   const DistortionOptions& options() const noexcept { return opts_; }
 
  private:
   /// Builds the reference-side caches; `front_rows` yields the rows of
-  /// reference() through the HVS front end.
+  /// the reference through the HVS front end.
   void build_reference(const RowSource& front_rows);
   /// Level i / (levels-1) through the front end: the per-level form of
   /// an integer reference (filled for UIQI+HVS only, the one reader).
@@ -134,6 +132,11 @@ class DistortionEvaluator {
   double uiqi_percent(const RowSource& test) const;
 
   DistortionOptions opts_;
+  /// The reference's size, which every measured raster must match.
+  int width_ = 0;
+  int height_ = 0;
+  /// The reference as luminance (empty for an integer reference under
+  /// UIQI+HVS, which reads only the caches below).
   hebs::image::FloatImage reference_;
   /// HVS-transformed reference (the *+HVS metrics).
   hebs::image::FloatImage hvs_reference_;

@@ -14,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <new>
+#include <numeric>
 #include <span>
 #include <string>
 #include <vector>
@@ -114,6 +116,21 @@ std::uint64_t clean_draws(Call&& call) {
   const std::uint64_t draws = fault::hit_count(fault::Point::kPoolAlloc);
   fault::clear_all();
   return draws;
+}
+
+/// The hit indices 1..n, each once, in a golden-ratio order.  Above one
+/// thread a stream's searches and re-derivations interleave, so which
+/// frame and stage a hit index lands in depends on scheduling; a sweep
+/// for a hit that lands in a given re-derivation stops at the first one
+/// that does, and this order spreads its tries over the whole call
+/// instead of walking the call's long search-only opening first.
+std::vector<std::uint64_t> spread_hits(std::uint64_t n) {
+  std::uint64_t step = static_cast<std::uint64_t>(0.6180339887 * n) | 1;
+  while (std::gcd(step, n) != 1) ++step;
+  std::vector<std::uint64_t> order;
+  order.reserve(n);
+  for (std::uint64_t k = 0; k < n; ++k) order.push_back(1 + k * step % n);
+  return order;
 }
 
 class FaultMatrixTest : public ::testing::Test {
@@ -557,13 +574,15 @@ TEST_F(FaultMatrixTest, StreamRecoveryBitIdenticalToColdRun) {
 TEST_F(FaultMatrixTest, StreamRederiveFaultReplaysTheRestOfItsRound) {
   // A pool-alloc fault inside the parallel applied-β re-derivation.  The
   // faulted frame degrades and resets the controller; the frames after
-  // it in the same round were planned on history that reset discards,
-  // so they must be re-planned to equal a cold run started after it.
+  // it that were already planned were planned on history that reset
+  // discards, so they must be re-planned to equal a cold run started
+  // after it.
   const auto clip = hebs::image::make_video_clip(48, 48);
   for (int threads : {1, 2, 8}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
-    // Stream rounds are 2 x threads frames (one frame at one thread);
-    // the clip spans three of them.
+    // A stream holds at most 2 x threads runs in flight (one at one
+    // thread); the clip spans three such windows, and the fault lands in
+    // the second.
     const std::size_t round = threads == 1 ? 1 : 2 * threads;
     const std::vector<GrayImage> frames(
         clip.begin(), clip.begin() + static_cast<std::ptrdiff_t>(3 * round));
@@ -601,10 +620,9 @@ TEST_F(FaultMatrixTest, StreamRederiveFaultReplaysTheRestOfItsRound) {
       return r;
     };
 
-    // A clean run counts the pool allocations.  The hits run round by
-    // round and, within a round, search before re-derivation, so the
-    // (round, stage) a hit index lands in grows with the index: bisect
-    // for the first hit of round 1's re-derivation.
+    // A clean run counts the pool allocations; sweep them for a fault
+    // in the re-derivation of a frame in the second window, with a
+    // frame of that window after it.
     fault::Spec never;
     never.point = fault::Point::kPoolAlloc;
     never.first = std::uint64_t{1} << 62;
@@ -613,20 +631,20 @@ TEST_F(FaultMatrixTest, StreamRederiveFaultReplaysTheRestOfItsRound) {
         PipelineEngine(opts, model()).process_stream(frames, vopts);
     const std::uint64_t total_hits = fault::hit_count(fault::Point::kPoolAlloc);
     fault::clear_all();
-    const auto stage_key = [&](const Run& r) {
-      return 2 * (r.fault_at / round) + (r.rederive ? 1 : 0);
-    };
-    std::uint64_t lo = 1;
-    std::uint64_t hi = total_hits;
-    while (lo < hi) {
-      const std::uint64_t mid = lo + (hi - lo) / 2;
-      if (stage_key(run_with_fault_at_hit(mid)) >= 3) {
-        hi = mid;
-      } else {
-        lo = mid + 1;
+    // The second window's re-derivations run mid-call, so the sweep
+    // tries the middle hits first.
+    std::vector<std::uint64_t> hits = spread_hits(total_hits);
+    std::stable_partition(hits.begin(), hits.end(), [&](std::uint64_t h) {
+      return 5 * h >= 2 * total_hits && 5 * h <= 4 * total_hits;
+    });
+    Run run;
+    for (const std::uint64_t hit : hits) {
+      run = run_with_fault_at_hit(hit);
+      if (run.rederive && run.fault_at / round == 1 &&
+          (threads == 1 || run.fault_at + 1 < 2 * round)) {
+        break;
       }
     }
-    const Run run = run_with_fault_at_hit(lo);
     ASSERT_LT(run.fault_at, frames.size());
     ASSERT_TRUE(run.rederive) << run.faults[run.fault_at].message;
     ASSERT_EQ(run.fault_at / round, 1u);
@@ -638,8 +656,8 @@ TEST_F(FaultMatrixTest, StreamRederiveFaultReplaysTheRestOfItsRound) {
     EXPECT_EQ(run.decisions[fault_at].evaluation.transformed,
               frames[fault_at]);
 
-    // The frames after it, the rest of its round included, equal a cold
-    // run started just after it.
+    // The frames after it, the rest of its window included, equal a
+    // cold run started just after it.
     EngineOptions ref_opts;
     ref_opts.num_threads = 1;
     ref_opts.temporal_reuse = false;
@@ -655,7 +673,7 @@ TEST_F(FaultMatrixTest, StreamRederiveFaultReplaysTheRestOfItsRound) {
       expect_same_decision(run.decisions[fault_at + 1 + j], ref[j]);
     }
     // The replay is what makes them equal: without the fault, a frame
-    // after it in its round decides differently from that cold run.
+    // after it in its window decides differently from that cold run.
     if (threads > 1) {
       bool history_matters = false;
       for (std::size_t i = fault_at + 1; i < 2 * round; ++i) {
@@ -781,12 +799,6 @@ TEST_F(FaultMatrixTest, StreamDedupeRederiveFaultReplaysTheRestOfItsRound) {
   const auto frames = runs_of(scenes, lengths);
   for (int threads : {1, 2, 8}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
-    // Rounds hold `slots` runs; this clip's is one round above 1 thread.
-    const std::size_t slots = threads == 1 ? 1 : 2 * threads;
-    std::vector<std::size_t> round_of;
-    for (std::size_t r = 0; r < lengths.size(); ++r) {
-      for (int k = 0; k < lengths[r]; ++k) round_of.push_back(r / slots);
-    }
     EngineOptions opts;
     opts.num_threads = threads;
     core::VideoOptions vopts;
@@ -818,18 +830,8 @@ TEST_F(FaultMatrixTest, StreamDedupeRederiveFaultReplaysTheRestOfItsRound) {
       }
       return r;
     };
-    // (round, stage, frame) of a hit grows with the hit index — the
-    // frame only at one thread, where the re-derivations run in frame
-    // order: bisect for the first re-derivation hit on the 4-frame
-    // run's first duplicate (frame 2), then walk on to a duplicate.
-    const auto key = [&](const Run& r) {
-      const std::size_t stage =
-          r.fault_at == frames.size()
-              ? 2 * round_of.back() + 2
-              : 2 * round_of[r.fault_at] + (r.rederive ? 1 : 0);
-      return stage * frames.size() + std::min(r.fault_at, frames.size() - 1);
-    };
-    const std::size_t target = (2 * round_of[1] + 1) * frames.size() + 2;
+    // A clean run counts the pool allocations; sweep them for a fault
+    // in a duplicate's re-derivation.
     fault::Spec never;
     never.point = fault::Point::kPoolAlloc;
     never.first = std::uint64_t{1} << 62;
@@ -838,22 +840,13 @@ TEST_F(FaultMatrixTest, StreamDedupeRederiveFaultReplaysTheRestOfItsRound) {
         PipelineEngine(opts, model()).process_stream(frames, vopts);
     const std::uint64_t total_hits = fault::hit_count(fault::Point::kPoolAlloc);
     fault::clear_all();
-    std::uint64_t lo = 1;
-    std::uint64_t hi = total_hits;
-    while (lo < hi) {
-      const std::uint64_t mid = lo + (hi - lo) / 2;
-      if (key(run_with_fault_at_hit(mid)) >= target) {
-        hi = mid;
-      } else {
-        lo = mid + 1;
-      }
-    }
     Run run;
     bool found = false;
-    for (std::uint64_t hit = lo; hit <= total_hits && !found; ++hit) {
+    for (const std::uint64_t hit : spread_hits(total_hits)) {
       run = run_with_fault_at_hit(hit);
       found = run.rederive && run.fault_at > 0 &&
               frames[run.fault_at] == frames[run.fault_at - 1];
+      if (found) break;
     }
     ASSERT_TRUE(found) << "no pool allocation of a duplicate's re-derivation";
     const std::size_t fault_at = run.fault_at;
@@ -864,8 +857,8 @@ TEST_F(FaultMatrixTest, StreamDedupeRederiveFaultReplaysTheRestOfItsRound) {
     EXPECT_EQ(run.decisions[fault_at].evaluation.transformed,
               frames[fault_at]);
 
-    // The frames after it, the rest of its run and round included,
-    // equal a cold run started just after it.
+    // The frames after it, the rest of its run included, equal a cold
+    // run started just after it.
     const auto ref = cold_suffix(frames, fault_at);
     ASSERT_EQ(ref.size(), frames.size() - fault_at - 1);
     for (std::size_t j = 0; j < ref.size(); ++j) {

@@ -1,13 +1,14 @@
-// Stream dedupe by clip position (DESIGN.md §9, "Stream rounds"): a
+// Stream dedupe by clip position (DESIGN.md §9, "Stream pipeline"): a
 // frame byte-identical to frame i−1 takes no search lane, inherits its
 // run's source result and re-derives on the source's context.  The
 // decisions must be exactly a one-thread cold run's at every thread
-// count, and the byte-identical reuse count must be the number of
-// frames equal to their predecessor — whatever the worker count.  A
-// color stream runs the same rounds on its frames' luma, rendering each
-// frame after its re-derivation: its decisions are the luma stream's,
-// and a frame shares its predecessor's rendering only when their RGB
-// bytes are equal too.
+// count and whatever order the pipeline's tasks finish in, and the
+// byte-identical reuse count must be the number of frames equal to
+// their predecessor — whatever the worker count.  A color stream runs
+// the same pipeline on its frames' luma, rendering each frame after its
+// re-derivation: its decisions are the luma stream's, and a frame
+// shares its predecessor's rendering only when their RGB bytes are
+// equal too.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,6 +20,7 @@
 #include "hebs/advanced/image.h"
 #include "hebs/advanced/obs.h"
 #include "hebs/advanced/pipeline.h"
+#include "hebs/advanced/util.h"
 
 namespace hebs::pipeline {
 namespace {
@@ -62,8 +64,8 @@ struct Clip {
 std::vector<Clip> clips() {
   std::vector<Clip> out;
   // Run lengths 1–11, a repeat run opening and closing the clip; with
-  // 1/2/4/8 threads a round holds 1/4/8/16 runs, so the long runs land
-  // across every fixed-stride round boundary the worker counts had.
+  // 1/2/4/8 threads at most 1/4/8/16 runs are in flight, so the long
+  // runs hold slots while many short runs pass through the others.
   out.push_back({"runs", runs_clip({3, 1, 11, 2, 5, 1, 7, 4, 1, 9, 6, 2, 10,
                                     1, 8})});
   // A,A,B,B alternation after a cut, then a single frame and a repeat
@@ -232,7 +234,7 @@ TEST(StreamDedupe, DuplicatesRecordTheirReuseInTheTrace) {
   }
 }
 
-// ---- color streams: the same rounds, the render as their post-stage --
+// ---- color streams: the same pipeline, the render as its post-stage --
 
 using hebs::image::RgbImage;
 
@@ -309,6 +311,86 @@ TEST(StreamDedupe, ColorStreamDecidesOnLumaAndRendersEveryFrame) {
             core::render_color(clip[i], lumas[i], got[i].decision.point, mode);
         EXPECT_EQ(got[i].color.displayed, r.displayed);
         EXPECT_TRUE(same_bits(got[i].color.hue_error, r.hue_error));
+      }
+    }
+  }
+}
+
+// ---- completion order: the pipeline's plan is in clip order ---------
+
+/// Stalls every third stage step of the range probes (searches and
+/// re-derivations alike) while in scope.  No thread count the tests use
+/// divides the period, so the stalls land on different frames at each
+/// one and the tasks finish out of clip order.
+class StalledStages {
+ public:
+  StalledStages() {
+    std::string error;
+    EXPECT_TRUE(util::fault::install_from_string(
+        "stage-latency:every=3,stall_us=300,count=0", &error))
+        << error;
+  }
+  ~StalledStages() { util::fault::clear_all(); }
+  StalledStages(const StalledStages&) = delete;
+  StalledStages& operator=(const StalledStages&) = delete;
+};
+
+TEST(StreamDedupe, CompletionOrderDoesNotMoveDecisions) {
+  // The plan is the stream's one ordered step: each frame's β is planned
+  // only once every search before it is done, so the order in which the
+  // searches and re-derivations finish moves no decision and no
+  // rendering.  The drift clip moves its applied β through every run,
+  // so a frame planned before its predecessor would plan on the wrong
+  // history.
+  std::vector<GrayImage> drift;
+  for (const Clip& clip : clips()) {
+    if (clip.name == "drift") drift = clip.frames;
+  }
+  ASSERT_FALSE(drift.empty());
+  const auto color = color_clip();
+  std::vector<GrayImage> lumas;
+  for (const RgbImage& f : color) lumas.push_back(f.to_luma());
+  const core::ColorMode mode = core::ColorMode::kSharedCurve;
+  const auto color_stream = [&](int threads, bool temporal) {
+    EngineOptions opts;
+    opts.num_threads = threads;
+    opts.temporal_reuse = temporal;
+    return PipelineEngine(opts, model())
+        .process_stream_color(color, video_options(threads, temporal), mode);
+  };
+  const auto expect_same_color = [](const ColorStreamResult& a,
+                                    const ColorStreamResult& b) {
+    expect_same_decision(a.decision, b.decision);
+    EXPECT_EQ(a.color.displayed, b.color.displayed);
+    EXPECT_TRUE(same_bits(a.color.hue_error, b.color.hue_error));
+  };
+  const auto cold_gray = stream(drift, 1, /*temporal=*/false);
+  const auto cold_color = color_stream(1, /*temporal=*/false);
+
+  for (const bool temporal : {false, true}) {
+    for (int threads : {2, 3, 4, 8}) {
+      SCOPED_TRACE(std::string(temporal ? "temporal, " : "cold, ") +
+                   std::to_string(threads) + " threads");
+      const auto calm_gray = stream(drift, threads, temporal);
+      const auto calm_color = color_stream(threads, temporal);
+      std::vector<core::FrameDecision> gray;
+      std::vector<ColorStreamResult> rgb;
+      {
+        const StalledStages stalled;
+        gray = stream(drift, threads, temporal);
+        rgb = color_stream(threads, temporal);
+      }
+      ASSERT_EQ(gray.size(), drift.size());
+      for (std::size_t i = 0; i < gray.size(); ++i) {
+        SCOPED_TRACE("gray frame " + std::to_string(i));
+        expect_same_decision(gray[i], calm_gray[i]);
+        expect_same_decision(gray[i], cold_gray[i]);
+      }
+      ASSERT_EQ(rgb.size(), color.size());
+      for (std::size_t i = 0; i < rgb.size(); ++i) {
+        SCOPED_TRACE("color frame " + std::to_string(i));
+        expect_same_color(rgb[i], calm_color[i]);
+        expect_same_color(rgb[i], cold_color[i]);
       }
     }
   }
