@@ -13,7 +13,9 @@
 // last rows drive Session::process, process_batch_color and
 // process_video end to end and gate on the session's pool-miss count
 // instead (their results must leave the pool): the engine keeps its
-// slots, and the session its staging rasters, across calls.
+// slots, and the session its staging rasters, across calls.  The `lanes`
+// rows also require speculative probes to run: a one-frame call's on
+// the pool's idle workers, a batch's on the workers its tail leaves idle.
 //
 // Exit code 1 when any steady-state configuration allocates — this is
 // deterministic (no timing), so CI gates on it.
@@ -295,10 +297,12 @@ int main(int argc, char** argv) {
   // (pools, contexts) and the session its staging rasters across calls,
   // so after two warm-up calls a repeated call takes no fresh pool
   // block.  Minor page faults per frame
-  // (getrusage) are printed, not gated.
+  // (getrusage) are printed, not gated.  A `lanes` row also requires the
+  // batch tail's speculative probes to run wherever two probes can run
+  // at once.
   constexpr int kCallThreads = 4;
   const auto call_row = [&](const char* name, std::size_t frames_per_call,
-                            const auto& call) {
+                            const auto& call, bool lanes = false) {
     auto session =
         hebs::Session::create(hebs::SessionConfig().threads(kCallThreads));
     if (!session) {
@@ -316,15 +320,21 @@ int main(int argc, char** argv) {
     getrusage(RUSAGE_SELF, &ru_after);
     const hebs::SessionStats after = session->stats();
     const std::uint64_t fresh = after.pool_fresh - before.pool_fresh;
+    const std::uint64_t spec = after.spec_probes - before.spec_probes;
     const auto n_frames = static_cast<std::uint64_t>(kCalls) * frames_per_call;
-    const bool pass = fresh == 0 && decided;
+    const bool lanes_ran =
+        !lanes || spec > 0 ||
+        hebs::pipeline::ThreadPool(kCallThreads).effective_concurrency() < 2;
+    const bool pass = fresh == 0 && decided && lanes_ran;
     std::printf("  %-24s: %6llu fresh pool blocks / %llu frames  %s\n", name,
                 static_cast<unsigned long long>(fresh),
                 static_cast<unsigned long long>(n_frames),
                 pass ? "OK" : "FAIL");
-    std::printf("    minor page faults: %.1f per frame (not gated)\n",
+    std::printf("    minor page faults: %.1f per frame (not gated); "
+                "speculative probes: %.2f per frame\n",
                 static_cast<double>(ru_after.ru_minflt - ru_before.ru_minflt) /
-                    static_cast<double>(n_frames));
+                    static_cast<double>(n_frames),
+                static_cast<double>(spec) / static_cast<double>(n_frames));
     return pass;
   };
 
@@ -352,6 +362,34 @@ int main(int argc, char** argv) {
                   }
                   return true;
                 }) &&
+       ok;
+
+  // One frame above the 128² speculation floor among three below it: the
+  // small frames' workers finish first and serve the large frame's probe
+  // rounds (the batch tail), each from its own slot's pool.
+  constexpr int kSmall = 64;
+  std::vector<hebs::image::RgbImage> small;
+  for (const auto id :
+       {hebs::image::UsidId::kSail, hebs::image::UsidId::kBaboon,
+        hebs::image::UsidId::kPeppers}) {
+    small.push_back(hebs::image::make_usid_color(id, kSmall));
+  }
+  std::vector<hebs::ImageView> tail_views{photo_views.front()};
+  for (const auto& p : small) {
+    tail_views.push_back(
+        hebs::ImageView::rgb8(p.data().data(), kSmall, kSmall));
+  }
+  ok = call_row("process_batch_color, lanes", tail_views.size(),
+                [&](hebs::Session& session) {
+                  const auto results =
+                      session.process_batch_color(tail_views, kBudget);
+                  if (!results) return false;
+                  for (const auto& r : *results) {
+                    if (r.degraded) return false;
+                  }
+                  return true;
+                },
+                /*lanes=*/true) &&
        ok;
 
   std::vector<hebs::ImageView> clip_views;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <utility>
 
 #include "kernels/kernels.h"
@@ -135,25 +137,55 @@ ColorRendering render_color(const hebs::image::RgbImage& image,
   return out;
 }
 
+namespace {
+
+/// Largest channel sum of an rgb8 pixel.
+constexpr int kMaxChannelSum = 3 * 255;
+
+/// Every channel ratio an rgb8 pixel can have: q[s * 256 + v] is
+/// double(v) / double(s), the very quotient the per-pixel division
+/// computes (both operands are exact small integers), so looking it up
+/// changes no bit of the error.  766 × 256 doubles, ~1.5 MiB of static
+/// storage, filled on first use.
+struct ChannelRatios {
+  std::array<double, static_cast<std::size_t>(kMaxChannelSum + 1) * 256> q{};
+  ChannelRatios() {
+    for (int s = 1; s <= kMaxChannelSum; ++s) {
+      for (int v = 0; v < 256; ++v) {
+        q[static_cast<std::size_t>(s) * 256 + static_cast<std::size_t>(v)] =
+            static_cast<double>(v) / static_cast<double>(s);
+      }
+    }
+  }
+};
+
+const ChannelRatios& channel_ratios() {
+  static const ChannelRatios table;
+  return table;
+}
+
+}  // namespace
+
 double chromaticity_error(const hebs::image::RgbImage& a,
                           const hebs::image::RgbImage& b) {
   HEBS_REQUIRE(!a.empty() && !b.empty(), "chromaticity of empty image");
   HEBS_REQUIRE(a.width() == b.width() && a.height() == b.height(),
                "chromaticity needs equal-size images");
+  const double* const ratio = channel_ratios().q.data();
+  const std::span<const std::uint8_t> pa = a.data();
+  const std::span<const std::uint8_t> pb = b.data();
   double acc = 0.0;
   std::size_t counted = 0;
-  for (int y = 0; y < a.height(); ++y) {
-    for (int x = 0; x < a.width(); ++x) {
-      const auto pa = a.get(x, y);
-      const auto pb = b.get(x, y);
-      const double sum_a = pa.r + pa.g + pa.b;
-      const double sum_b = pb.r + pb.g + pb.b;
-      if (sum_a < 1.0 || sum_b < 1.0) continue;  // black: no chroma
-      acc += std::abs(pa.r / sum_a - pb.r / sum_b) +
-             std::abs(pa.g / sum_a - pb.g / sum_b) +
-             std::abs(pa.b / sum_a - pb.b / sum_b);
-      ++counted;
-    }
+  for (std::size_t i = 0; i < pa.size(); i += 3) {
+    const unsigned sum_a = pa[i] + pa[i + 1] + pa[i + 2];
+    const unsigned sum_b = pb[i] + pb[i + 1] + pb[i + 2];
+    if (sum_a == 0 || sum_b == 0) continue;  // black: no chroma
+    const double* const qa = ratio + std::size_t{sum_a} * 256;
+    const double* const qb = ratio + std::size_t{sum_b} * 256;
+    acc += std::abs(qa[pa[i]] - qb[pb[i]]) +
+           std::abs(qa[pa[i + 1]] - qb[pb[i + 1]]) +
+           std::abs(qa[pa[i + 2]] - qb[pb[i + 2]]);
+    ++counted;
   }
   return counted > 0 ? acc / static_cast<double>(counted) : 0.0;
 }

@@ -1,6 +1,7 @@
 #include "pipeline/engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -400,18 +401,26 @@ PipelineEngine::PipelineEngine(EngineOptions opts,
                                hebs::power::LcdSubsystemPower power_model)
     : opts_(std::move(opts)),
       model_(std::move(power_model)),
-      pool_(opts_.num_threads) {
+      pool_(opts_.num_threads),
+      lanes_(pool_, member_pools()),
+      batch_lanes_(pool_, member_pools()) {
   slot_.pool = make_pool(opts_);
-  lanes_ = std::make_unique<ProbeLanes>(
-      pool_, opts_.use_buffer_pool,
-      util::PoolOptions{opts_.pool_max_retained_bytes, opts_.pool_max_bytes});
+}
+
+ProbeLanes::MemberPools PipelineEngine::member_pools() const {
+  ProbeLanes::MemberPools members;
+  // A one-thread pool lends no lanes: its boards need no member pools.
+  if (pool_.thread_count() > 1) {
+    for (auto& p : members) p = make_pool(opts_);
+  }
+  return members;
 }
 
 template <typename Body>
 void PipelineEngine::with_worker_slots(std::size_t count, Body&& body) {
-  const auto run = [&body](std::span<WorkerSlot> slots) {
+  const auto run = [&body](std::span<WorkerSlot> slots, ProbeLanes& lanes) {
     try {
-      body(slots);
+      body(slots, lanes);
     } catch (...) {
       // Only a precondition violation leaves a call by exception, and it
       // may leave any context mid-update: none serves a later call.
@@ -425,7 +434,7 @@ void PipelineEngine::with_worker_slots(std::size_t count, Body&& body) {
       workers_.emplace_back();
       workers_.back().pool = make_pool(opts_);
     }
-    run(std::span<WorkerSlot>(workers_).first(count));
+    run(std::span<WorkerSlot>(workers_).first(count), batch_lanes_);
     return;
   }
   // Another batch or stream call holds the slots: run on call-local ones
@@ -433,7 +442,8 @@ void PipelineEngine::with_worker_slots(std::size_t count, Body&& body) {
   // parallel.
   std::vector<WorkerSlot> local(count);
   for (WorkerSlot& s : local) s.pool = make_pool(opts_);
-  run(local);
+  ProbeLanes local_lanes(pool_, member_pools());
+  run(local, local_lanes);
 }
 
 /// Decides every image on the pool, each worker rebinding the
@@ -442,6 +452,12 @@ void PipelineEngine::with_worker_slots(std::size_t count, Body&& body) {
 /// single-frame slot instead.  A frame's body is `policy.decide` followed
 /// by `post.render`; results land at their frame's index, so output
 /// order never depends on scheduling.
+///
+/// Speculative probes (DESIGN.md §11): a frame's search posts its rounds
+/// on a lane board.  A single image's board is served by the pool's
+/// idle workers, lent for the frame; a batch's by its own workers once
+/// their frames are decided (the batch tail).  Decisions are the serial
+/// ones either way.
 ///
 /// Containment (contain_frame): a frame whose body throws or blows the
 /// frame deadline lands the identity fallback at its index, and
@@ -460,6 +476,7 @@ std::vector<core::HebsResult> PipelineEngine::run_batch(
     faults->resize(images.size());
   }
   std::vector<core::HebsResult> results(images.size());
+  // `lanes` (nullable) carries the frame's speculative probe rounds.
   const auto run_frame = [&](WorkerSlot& slot, std::size_t i,
                              ProbeLanes* lanes) {
     util::PoolScope scope(slot.pool.get());
@@ -470,6 +487,8 @@ std::vector<core::HebsResult> PipelineEngine::run_batch(
           ctx.set_probe_lanes(lanes);
           ctx.rebind(images[i]);
           results[i] = policy.decide(ctx, d_max_percent);
+          // Stream calls reuse the slot's context and never speculate.
+          ctx.set_probe_lanes(nullptr);
           post.render(i, results[i].point);
         },
         [&] { slot.ctx.reset(); },
@@ -478,13 +497,40 @@ std::vector<core::HebsResult> PipelineEngine::run_batch(
           post.degrade(i);
         });
   };
+  // Lanes only where a search may speculate: at least two effective
+  // workers, no fault point armed, frames above the speculation floor.
+  const bool speculate =
+      ProbeLanes::available(pool_) &&
+      std::any_of(images.begin(), images.end(), [](const Image& img) {
+        return img.size() >= ProbeLanes::kMinPixels;
+      });
   if (images.size() == 1) {
     // Single frame: frame-level fan-out cannot help, so run inline on
-    // the calling thread; the slot's search may borrow idle workers for
-    // speculative probes (never blocking on a busy pool).
+    // the calling thread; while it decides, the pool's idle workers (if
+    // any: a busy pool lends none, and a queued batch takes them back)
+    // serve its search's probe rounds.
     if (slot_mu_.try_lock()) {
       util::MutexLock lock(slot_mu_, std::adopt_lock);
-      run_frame(slot_, 0, lanes_.get());
+      if (speculate) {
+        lanes_.open(1);
+        const bool lent = pool_.try_parallel_for(
+            ProbeLanes::kMaxRound, [&](std::size_t k, int) {
+              if (k != 0) {
+                lanes_.serve(/*lent=*/true);
+                return;
+              }
+              try {
+                run_frame(slot_, 0, &lanes_);
+              } catch (...) {
+                lanes_.close();
+                throw;
+              }
+              lanes_.finish();
+            });
+        if (lent) return results;
+        lanes_.close();
+      }
+      run_frame(slot_, 0, nullptr);
     } else {
       // Another caller holds the slot: run on a one-off slot rather
       // than queue, so concurrent callers of one engine still run in
@@ -497,13 +543,34 @@ std::vector<core::HebsResult> PipelineEngine::run_batch(
   }
   // Slot k decides frames k, k + W, k + 2W, … in order, so which
   // frames a slot's pool serves never depends on scheduling: a repeated
-  // call recycles every block its predecessor used.
+  // call recycles every block its predecessor used.  A worker whose slot
+  // is done serves the frames still deciding.  Every slot has a claimant
+  // of its own when W is within the effective concurrency; otherwise a
+  // worker serves only once every slot has started, so no slot waits on
+  // a serving worker.
   const std::size_t width = std::min<std::size_t>(
       static_cast<std::size_t>(pool_.thread_count()), images.size());
-  with_worker_slots(width, [&](std::span<WorkerSlot> slots) {
+  const bool own_claimants =
+      width <= static_cast<std::size_t>(pool_.effective_concurrency());
+  std::atomic<std::size_t> started{0};
+  with_worker_slots(width, [&](std::span<WorkerSlot> slots,
+                               ProbeLanes& lanes) {
+    ProbeLanes* const tail = speculate ? &lanes : nullptr;
+    lanes.open(images.size());
     pool_.parallel_for(width, [&](std::size_t k, int) {
-      for (std::size_t i = k; i < images.size(); i += width) {
-        run_frame(slots[k], i, nullptr);
+      started.fetch_add(1, std::memory_order_relaxed);
+      try {
+        for (std::size_t i = k; i < images.size(); i += width) {
+          run_frame(slots[k], i, tail);
+          lanes.finish();
+        }
+      } catch (...) {
+        lanes.close();
+        throw;
+      }
+      if (speculate && (own_claimants ||
+                        started.load(std::memory_order_relaxed) == width)) {
+        lanes.serve(/*lent=*/false);
       }
     });
   });
@@ -618,7 +685,7 @@ std::vector<core::FrameDecision> PipelineEngine::run_stream(
     return controller.apply_degraded(identity_fallback(frames[i]));
   };
 
-  with_worker_slots(slots, [&](std::span<WorkerSlot> workers) {
+  with_worker_slots(slots, [&](std::span<WorkerSlot> workers, ProbeLanes&) {
     std::vector<Run> runs;
     runs.reserve(slots);
     for (std::size_t k = 0; k < slots; ++k) {

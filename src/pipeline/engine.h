@@ -14,7 +14,9 @@
 // A one-frame batch (what Session::process runs)
 // instead runs inline on the calling thread, on a persistent slot — one
 // FrameContext and one buffer pool the engine keeps across calls — and
-// its search borrows the pool's idle workers for speculative probes.
+// its search borrows the pool's idle workers for speculative probes.  A
+// batch's workers, once their own frames are decided, serve the probes
+// of the frames still deciding the same way (DESIGN.md §11).
 //
 // Stream mode (video) keeps only the flicker controller's scalar β
 // recurrence in frame order.  The frames flow through one pipeline on
@@ -246,9 +248,13 @@ class PipelineEngine {
     std::unique_ptr<FrameContext> ctx;       ///< null = cold/quarantined
   };
 
-  /// Runs `body(slots)` on `count` worker slots: the engine's own when
-  /// no other call holds them, else call-local ones (a concurrent caller
-  /// never queues).  A call that throws out quarantines every context.
+  /// Member pools for a lane board (none on a one-thread engine).
+  ProbeLanes::MemberPools member_pools() const;
+
+  /// Runs `body(slots, lanes)` on `count` worker slots and the lane
+  /// board their frames speculate on: the engine's own when no other
+  /// call holds them, else call-local ones (a concurrent caller never
+  /// queues).  A call that throws out quarantines every context.
   template <typename Body>
   void with_worker_slots(std::size_t count, Body&& body);
 
@@ -278,15 +284,18 @@ class PipelineEngine {
   ThreadPool pool_;
   /// Held by the one single-frame call running on the slot; a call that
   /// finds it taken runs on a one-off slot instead of waiting.  The
-  /// slot's search may borrow `lanes_` — the pool's idle workers — for
-  /// speculative probes (DESIGN.md §11).
+  /// slot's search posts speculative probe rounds on `lanes_`, served
+  /// by the pool's idle workers (DESIGN.md §11).
   util::Mutex slot_mu_;
   WorkerSlot slot_ HEBS_GUARDED_BY(slot_mu_);
-  std::unique_ptr<ProbeLanes> lanes_ HEBS_GUARDED_BY(slot_mu_);
+  ProbeLanes lanes_;
   /// Held by the one batch or stream call running on the worker slots;
   /// grown on demand to the largest slot count a call has asked for.
   util::Mutex workers_mu_;
   std::vector<WorkerSlot> workers_ HEBS_GUARDED_BY(workers_mu_);
+  /// The board a batch on `workers_` speculates on: its tail's workers
+  /// serve the frames still deciding (DESIGN.md §11).
+  ProbeLanes batch_lanes_ HEBS_GUARDED_BY(workers_mu_);
 };
 
 }  // namespace hebs::pipeline

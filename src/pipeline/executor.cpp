@@ -73,25 +73,13 @@ ThreadPool::~ThreadPool() {
     util::MutexLock lock(mu_);
     stop_ = true;
   }
-  published_.fetch_add(1, std::memory_order_release);  // ends any spin
   cv_work_.notify_all();
   for (auto& t : threads_) t.join();
 }
 
 void ThreadPool::worker_loop(int worker) {
   std::uint64_t seen_generation = 0;
-  bool spin = false;
   for (;;) {
-    if (spin) {
-      // After an opportunistic round, stay awake for the next one: the
-      // rounds of one speculative search come a probe apart, and waking
-      // a sleeping worker can cost a large share of a probe.
-      const auto until = std::chrono::steady_clock::now() + kRoundSpin;
-      while (published_.load(std::memory_order_acquire) == seen_generation &&
-             std::chrono::steady_clock::now() < until) {
-        std::this_thread::yield();
-      }
-    }
     const std::function<void(std::size_t, int)>* task = nullptr;
     std::size_t n = 0;
     int limit = 0;
@@ -103,8 +91,6 @@ void ThreadPool::worker_loop(int worker) {
       task = task_;
       n = task_n_;
       limit = task_limit_;
-      // Only workers that may claim an index poll for the next round.
-      spin = task_opportunistic_ && worker < limit;
     }
     std::exception_ptr error;
     RunningPoolScope running(this);
@@ -127,7 +113,15 @@ void ThreadPool::worker_loop(int worker) {
     {
       util::MutexLock lock(mu_);
       if (error && !first_error_) first_error_ = error;
-      if (--active_ == 0) cv_done_.notify_all();
+      if (--active_ == 0) {
+        // A lent task ends with its last worker: its caller may still
+        // be running fn(0), and a queued caller need not wait for that.
+        if (task_opportunistic_) {
+          std::exception_ptr* const lent_error = lent_error_;
+          *lent_error = teardown_locked();
+        }
+        cv_done_.notify_all();
+      }
     }
   }
 }
@@ -156,11 +150,14 @@ void ThreadPool::parallel_for(
     if (busy_) {
       obs::add(obs::Counter::kParallelForQueued);
       ++queued_;
+      queued_hint_.store(true, std::memory_order_relaxed);
       while (busy_) cv_done_.wait(mu_);
       --queued_;
+      queued_hint_.store(queued_ != 0, std::memory_order_relaxed);
     }
     publish_locked(n, fn, /*opportunistic=*/false);
-    error = join_locked();
+    while (active_ != 0) cv_done_.wait(mu_);
+    error = teardown_locked();
   }
   // Rethrow outside the lock: a throwing unwind must not hold mu_.
   if (error) std::rethrow_exception(error);
@@ -170,17 +167,19 @@ bool ThreadPool::try_parallel_for(
     std::size_t n, const std::function<void(std::size_t, int)>& fn) {
   if (n == 0) return true;
   if (threads_.empty() || t_running_pool == this) return false;
+  std::exception_ptr lent_error;
+  std::uint64_t generation = 0;
   {
     util::MutexLock lock(mu_);
     if (busy_ || queued_ != 0) return false;
     obs::add(obs::Counter::kParallelForCalls);
     obs::add(obs::Counter::kParallelForItems, n);
     publish_locked(n, fn, /*opportunistic=*/true);
+    lent_error_ = &lent_error;
+    generation = generation_;
   }
   // Index 0 is the caller's, run outside the lock like every worker's
-  // share; busy_ keeps other callers out meanwhile.  Indices no worker
-  // has claimed once it is done are skipped: opportunistic work never
-  // adds to the caller's own.
+  // share; busy_ keeps other callers out until the workers have left.
   std::exception_ptr error;
   {
     RunningPoolScope running(this);
@@ -190,12 +189,13 @@ bool ThreadPool::try_parallel_for(
       error = std::current_exception();
     }
   }
-  cursor_.fetch_add(n, std::memory_order_relaxed);
   {
+    // The last worker out tore the task down (or will): wait for that,
+    // or for a queued caller's task that already replaced it.
     util::MutexLock lock(mu_);
-    std::exception_ptr worker_error = join_locked();
-    if (!error) error = worker_error;
+    while (busy_ && generation_ == generation) cv_done_.wait(mu_);
   }
+  if (!error) error = lent_error;
   if (error) std::rethrow_exception(error);
   return true;
 }
@@ -208,19 +208,19 @@ void ThreadPool::publish_locked(
   task_n_ = n;
   task_limit_ = effective_concurrency();
   task_opportunistic_ = opportunistic;
-  // An opportunistic round reserves index 0 for its caller.
+  // An opportunistic task reserves index 0 for its caller.
   cursor_.store(opportunistic ? 1 : 0, std::memory_order_relaxed);
   failed_.store(false, std::memory_order_relaxed);
   active_ = static_cast<int>(threads_.size());
   first_error_ = nullptr;
   ++generation_;
-  published_.store(generation_, std::memory_order_release);
   cv_work_.notify_all();
 }
 
-std::exception_ptr ThreadPool::join_locked() {
-  while (active_ != 0) cv_done_.wait(mu_);
+std::exception_ptr ThreadPool::teardown_locked() {
   task_ = nullptr;
+  task_opportunistic_ = false;
+  lent_error_ = nullptr;
   std::exception_ptr error = first_error_;
   first_error_ = nullptr;
   busy_ = false;
@@ -230,21 +230,8 @@ std::exception_ptr ThreadPool::join_locked() {
   return error;
 }
 
-ProbeLanes::ProbeLanes(ThreadPool& pool, bool pools,
-                       util::PoolOptions pool_opts)
-    : pool_(pool),
-      pools_(static_cast<std::size_t>(pool.thread_count())),
-      body_([this](std::size_t k, int) {
-        // Member 0 runs on the caller, which has its scope already.
-        util::PoolScope scope(k == 0 ? nullptr : pools_[k - 1].get());
-        (*round_)(k);
-      }) {
-  if (!pools || pool.thread_count() == 1) return;
-  for (auto& p : pools_) p = std::make_unique<util::BufferPool>(pool_opts);
-}
-
-bool ProbeLanes::available() const noexcept {
-  return pool_.effective_concurrency() >= 2 && !util::fault::any_armed();
+bool ProbeLanes::available(const ThreadPool& pool) noexcept {
+  return pool.effective_concurrency() >= 2 && !util::fault::any_armed();
 }
 
 int ProbeLanes::width() const noexcept {
@@ -253,13 +240,135 @@ int ProbeLanes::width() const noexcept {
   return hw == 0 ? claimants : std::min(claimants, static_cast<int>(hw));
 }
 
+void ProbeLanes::warm(std::uint64_t shape,
+                      const std::function<void()>& probe) {
+  if (members_.front() == nullptr) return;  // heap: nothing to warm
+  {
+    // Claimed under the lock, run outside it: a frame of the same shape
+    // deciding meanwhile skips the warm rather than waits for it.
+    util::MutexLock lock(mu_);
+    for (const std::uint64_t w : warm_) {
+      if (w == shape) return;
+    }
+    warm_[next_warm_] = shape;
+    next_warm_ = (next_warm_ + 1) % warm_.size();
+  }
+  for (const auto& pool : members_) {
+    util::PoolScope scope(pool.get());
+    probe();
+  }
+}
+
 bool ProbeLanes::run(std::size_t n,
                      const std::function<void(std::size_t)>& fn) {
-  HEBS_REQUIRE(n <= pools_.size() + 1, "round wider than the lane pools");
-  round_ = &fn;
-  const bool ran = pool_.try_parallel_for(n, body_);
-  round_ = nullptr;
-  return ran;
+  HEBS_REQUIRE(n <= members_.size() + 1, "round wider than the member pools");
+  // "Only when a server is waiting": a board nobody serves (a batch
+  // whose workers are all deciding) answers without the lock.
+  if (n < 2 || !idle_hint_.load(std::memory_order_relaxed)) return false;
+  Round round;
+  round.fn = &fn;
+  round.n = n;
+  {
+    util::MutexLock lock(mu_);
+    if (idle_ == 0 || round_ != nullptr) return false;
+    round_ = &round;
+  }
+  events_.fetch_add(1, std::memory_order_release);
+  cv_.notify_all();
+  std::exception_ptr error;
+  try {
+    fn(0);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  {
+    util::MutexLock lock(mu_);
+    // Members no server has claimed by now are skipped.  The round stays
+    // posted until its claimed members return: the next round's members
+    // draw from the same member pools, one probe at a time.
+    round.next = round.n;
+    while (round.running != 0) cv_.wait(mu_);
+    round_ = nullptr;
+    if (!error) error = round.error;
+  }
+  if (error) std::rethrow_exception(error);
+  return true;
+}
+
+void ProbeLanes::open(std::size_t frames) {
+  util::MutexLock lock(mu_);
+  open_ = frames;
+}
+
+void ProbeLanes::finish() {
+  {
+    util::MutexLock lock(mu_);
+    if (open_ == 0 || --open_ != 0) return;
+  }
+  events_.fetch_add(1, std::memory_order_release);
+  cv_.notify_all();
+}
+
+void ProbeLanes::close() {
+  {
+    util::MutexLock lock(mu_);
+    open_ = 0;
+  }
+  events_.fetch_add(1, std::memory_order_release);
+  cv_.notify_all();
+}
+
+void ProbeLanes::serve(bool lent) {
+  const auto leaving = [&] { return lent && pool_.yield_requested(); };
+  mu_.lock();
+  ++idle_;
+  idle_hint_.store(true, std::memory_order_relaxed);
+  auto idle_since = std::chrono::steady_clock::now();
+  while (open_ != 0 && !leaving()) {
+    if (Round* r = round_; r != nullptr && r->next < r->n) {
+      const std::size_t k = r->next++;
+      ++r->running;
+      if (--idle_ == 0) idle_hint_.store(false, std::memory_order_relaxed);
+      mu_.unlock();
+      std::exception_ptr error;
+      try {
+        util::PoolScope member_scope(members_[k - 1].get());
+        (*r->fn)(k);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      mu_.lock();
+      if (error && !r->error) r->error = error;
+      if (--r->running == 0) cv_.notify_all();
+      ++idle_;
+      idle_hint_.store(true, std::memory_order_relaxed);
+      idle_since = std::chrono::steady_clock::now();
+      continue;
+    }
+    // Nothing to claim: poll the event count without the lock for a
+    // while, then sleep until the next event (a lent server also wakes
+    // now and then to see whether a parallel_for caller queued).  Any
+    // event restarts the poll: the rounds of one search come a probe
+    // apart, so a server woken by the first one stays hot for the rest.
+    const std::uint64_t seen = events_.load(std::memory_order_acquire);
+    if (std::chrono::steady_clock::now() - idle_since < kServeSpin) {
+      mu_.unlock();
+      while (events_.load(std::memory_order_acquire) == seen && !leaving() &&
+             std::chrono::steady_clock::now() - idle_since < kServeSpin) {
+        std::this_thread::yield();
+      }
+      mu_.lock();
+    } else if (lent) {
+      cv_.wait_for(mu_, kLentNap);
+    } else {
+      cv_.wait(mu_);
+    }
+    if (events_.load(std::memory_order_relaxed) != seen) {
+      idle_since = std::chrono::steady_clock::now();
+    }
+  }
+  if (--idle_ == 0) idle_hint_.store(false, std::memory_order_relaxed);
+  mu_.unlock();
 }
 
 }  // namespace hebs::pipeline

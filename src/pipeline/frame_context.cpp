@@ -225,6 +225,21 @@ void FrameContext::warm_probe_caches() const {
   (void)histogram();
   (void)evaluator();
   (void)reference_power();
+  // Φ and the GHE curve have a point per level at most, Λ (and ψ = Λ)
+  // segments + 1.  Reserved here, on the deciding thread, every slot's
+  // storage comes from this frame's pool the first time the context
+  // speculates; a lane's copy into a slot then never allocates, so which
+  // server ran which probe cannot move a block between pools.
+  const auto levels = static_cast<std::size_t>(levels_);
+  const auto plc_points =
+      std::min(levels, static_cast<std::size_t>(opts_.segments) + 1);
+  for (RangeProbe& slot : spec_slots_) {
+    slot.ghe.reserve(levels);
+    slot.result.phi.reserve(levels);
+    slot.result.lambda.reserve(plc_points);
+    slot.result.point.luminance_transform.reserve(plc_points);
+    slot.result.evaluation.point.luminance_transform.reserve(plc_points);
+  }
 }
 
 void FrameContext::probe_range(int range, RangeProbe& out) const {

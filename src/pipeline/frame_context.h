@@ -17,9 +17,9 @@
 //
 // A context is not thread-safe; the engine gives each worker its own and
 // rebind()s it between frames (per-worker context reuse).  The one
-// exception is the speculative probe lanes of the engine's single-frame
-// slot, which run the memo-free probe entry points below concurrently
-// with each other (never with a memo write).
+// exception is the speculative probe lanes, which run the memo-free
+// probe entry points below concurrently with each other (never with a
+// memo write).
 #pragma once
 
 #include <array>
@@ -172,19 +172,20 @@ class FrameContext {
 
   // --- Speculative probes (DESIGN.md §11) ------------------------------
   //
-  // The engine's persistent single-frame slot lends the context idle
-  // workers; the search then evaluates the probes its serial walk may
-  // ask for next concurrently, through the memo-free entry points below
-  // (probe_range here, evaluate_lean for β).  Only the calling thread
-  // writes memos, and only when the walk asks for a result.
+  // The engine lends the context idle workers; the search then
+  // evaluates the probes its serial walk may ask for next concurrently,
+  // through the memo-free entry points below (probe_range here,
+  // evaluate_lean for β).  Only the calling thread writes memos, and
+  // only when the walk asks for a result.
 
   /// The lanes lent to this context (null: the search runs serially).
   ProbeLanes* probe_lanes() const noexcept { return lanes_; }
   void set_probe_lanes(ProbeLanes* lanes) noexcept { lanes_ = lanes; }
 
   /// Builds every frame cache a memo-free probe reads (histogram,
-  /// evaluator, reference power) — call before the first concurrent
-  /// probe, so no lane ever runs a lazy build.
+  /// evaluator, reference power) and sizes the speculation slots for
+  /// this frame's curves — call before the first concurrent probe, so no
+  /// lane ever runs a lazy build or grows a slot from its own pool.
   void warm_probe_caches() const;
 
   /// The lean pipeline result at `range` computed without reading or

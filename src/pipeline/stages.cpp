@@ -177,26 +177,13 @@ constexpr int kBetaRefineIters = 12;
 
 // ---- speculative probes (DESIGN.md §11) ---------------------------------
 //
-// On the engine's single-frame slot the serial walk below borrows idle
-// workers: each probe it blocks on goes out in one fork-join round with
-// the probes the same walk would make next under either outcome, all
-// evaluated memo-free.  The walk itself is unchanged: it still asks for
-// one probe at a time, and a speculated result enters the memos (and
-// the probe/memo counters) only when the walk asks for it — so memo
-// contents, counters and decisions are exactly the serial ones.
-
-/// Frames below this many pixels search serially even with lanes lent.
-/// Below ~64² a probe costs tens of µs, the order of a round's
-/// fork-join, and speculation measured no gain there (4 vCPUs; about
-/// 5% at 96²).  The floor sits above 96² so the small-frame tests and
-/// the 96² latency rows keep exercising the serial search.
-constexpr std::size_t kSpeculationMinPixels = 128 * 128;
-
-/// Probes per round: the blocking one plus two speculative ones.  A
-/// fourth concurrent probe measured slower on 4 vCPUs (memory
-/// contention slows the caller's own probe more than the extra one
-/// saves).
-constexpr std::size_t kRoundWidth = 3;
+// When the engine lends the search a lane board (ProbeLanes) the serial
+// walk below borrows its servers: each probe it blocks on goes out in
+// one round with the probes the same walk would make next under either
+// outcome, all evaluated memo-free.  The walk itself is unchanged: it
+// still asks for one probe at a time, and a speculated result enters the
+// memos (and the probe/memo counters) only when the walk asks for it —
+// so memo contents, counters and decisions are exactly the serial ones.
 
 /// The lanes this decision may speculate on, with the frame caches the
 /// lanes read already built; null = serial search.
@@ -205,8 +192,25 @@ ProbeLanes* speculation_lanes(const FrameContext& ctx) {
   if (lanes == nullptr || !lanes->available()) return nullptr;
   const std::size_t pixels =
       ctx.bound16() ? ctx.image16().size() : ctx.image().size();
-  if (pixels < kSpeculationMinPixels) return nullptr;
+  if (pixels < ProbeLanes::kMinPixels) return nullptr;
   ctx.warm_probe_caches();
+  // What a probe allocates depends only on the frame's dimensions, its
+  // level count and the PLC segment count, so a full-range probe into a
+  // speculation slot (its storage reserved just now, none pending yet)
+  // warms the member pools for any probe of this frame.
+  const int width = ctx.bound16() ? ctx.image16().width() : ctx.image().width();
+  const int height =
+      ctx.bound16() ? ctx.image16().height() : ctx.image().height();
+  const std::uint64_t shape =
+      (static_cast<std::uint64_t>(width) << 40) ^
+      (static_cast<std::uint64_t>(height) << 20) ^
+      (static_cast<std::uint64_t>(ctx.levels()) << 4) ^
+      static_cast<std::uint64_t>(ctx.options().segments);
+  lanes->warm(shape, [&ctx] {
+    RangeProbe& scratch = ctx.speculation_slots().front();
+    ctx.probe_range(ctx.max_pixel() - ctx.options().g_min, scratch);
+    scratch.pending = false;
+  });
   return lanes;
 }
 
@@ -247,8 +251,8 @@ class RangeSpeculation {
   void round(int range, std::initializer_list<int> next) {
     if (lanes_ == nullptr) return;
     round_n_ = 0;
-    const std::size_t width =
-        std::min(kRoundWidth, static_cast<std::size_t>(lanes_->width()));
+    const std::size_t width = std::min(
+        ProbeLanes::kMaxRound, static_cast<std::size_t>(lanes_->width()));
     add(range, width);
     if (round_n_ == 0) return;  // answered without a probe
     for (const int r : next) add(r, width);
@@ -298,7 +302,7 @@ class RangeSpeculation {
   int hi_;
   std::span<RangeProbe> slots_;
   std::size_t next_slot_ = 0;
-  std::array<Member, kRoundWidth> round_{};
+  std::array<Member, ProbeLanes::kMaxRound> round_{};
   std::size_t round_n_ = 0;
   /// Built once per decision; captures only `this` (no allocation).
   const std::function<void(std::size_t)> probe_;
@@ -371,10 +375,10 @@ class BetaSpeculation {
   /// Evaluates `betas` — the probe the walk blocks on first, then its
   /// possible successors — in one round.  NaN entries (no successor, or
   /// already measured: the caller filters) are skipped.
-  void round(const std::array<double, kRoundWidth>& betas) {
+  void round(const std::array<double, ProbeLanes::kMaxRound>& betas) {
     round_n_ = 0;
-    const std::size_t width =
-        std::min(kRoundWidth, static_cast<std::size_t>(lanes_->width()));
+    const std::size_t width = std::min(
+        ProbeLanes::kMaxRound, static_cast<std::size_t>(lanes_->width()));
     for (const double b : betas) {
       if (std::isnan(b) || round_n_ == width) continue;
       bool dup = false;
@@ -414,7 +418,7 @@ class BetaSpeculation {
   double min_beta_;
   std::array<Slot, 8> slots_{};
   std::size_t next_slot_ = 0;
-  std::array<std::size_t, kRoundWidth> round_{};
+  std::array<std::size_t, ProbeLanes::kMaxRound> round_{};
   std::size_t round_n_ = 0;
   const std::function<void(std::size_t)> probe_;
 };

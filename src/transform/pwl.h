@@ -48,6 +48,10 @@ class PwlCurve {
 
   const PointList& points() const noexcept { return points_; }
 
+  /// Capacity for `n` points, so copying a curve of up to `n` points in
+  /// allocates nothing.
+  void reserve(std::size_t n) { points_.reserve(n); }
+
   /// Number of linear segments (points - 1; 0 for degenerate curves).
   int segment_count() const noexcept {
     return points_.size() < 2 ? 0 : static_cast<int>(points_.size()) - 1;

@@ -1,6 +1,10 @@
 // Tests for color backlight scaling (§2's color LCD path).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+
 #include "hebs/advanced/core.h"
 #include "hebs/advanced/image.h"
 #include "hebs/advanced/util.h"
@@ -202,6 +206,80 @@ TEST(ColorHebs, ChromaticityErrorDetectsChannelSwap) {
     }
   }
   EXPECT_GT(chromaticity_error(rgb, swapped), 0.01);
+}
+
+/// The per-pixel division chromaticity_error used before its quotient
+/// table, kept here as the reference the table must match bit for bit.
+double reference_chromaticity_error(const RgbImage& a, const RgbImage& b) {
+  double acc = 0.0;
+  std::size_t counted = 0;
+  for (int y = 0; y < a.height(); ++y) {
+    for (int x = 0; x < a.width(); ++x) {
+      const auto pa = a.get(x, y);
+      const auto pb = b.get(x, y);
+      const double sum_a = pa.r + pa.g + pa.b;
+      const double sum_b = pb.r + pb.g + pb.b;
+      if (sum_a < 1.0 || sum_b < 1.0) continue;
+      acc += std::abs(pa.r / sum_a - pb.r / sum_b) +
+             std::abs(pa.g / sum_a - pb.g / sum_b) +
+             std::abs(pa.b / sum_a - pb.b / sum_b);
+      ++counted;
+    }
+  }
+  return counted > 0 ? acc / static_cast<double>(counted) : 0.0;
+}
+
+/// Random rgb8 pixels salted with black and fully saturated ones.
+RgbImage random_rgb(int width, int height, hebs::util::Rng& rng) {
+  RgbImage img(width, height);
+  for (auto& byte : img.data()) {
+    byte = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  }
+  for (int y = 0; y < height; ++y) {
+    for (int x = 0; x < width; ++x) {
+      const auto pick = rng.uniform_int(0, 9);
+      if (pick == 0) img.set(x, y, {0, 0, 0});
+      if (pick == 1) img.set(x, y, {255, 255, 255});
+      if (pick == 2) img.set(x, y, {255, 0, 0});
+      if (pick == 3) img.set(x, y, {0, 0, 1});
+    }
+  }
+  return img;
+}
+
+// The quotient table gives exactly the per-pixel division's doubles, in
+// the same accumulation order, so the error is memcmp-equal to it — on
+// random pairs and on real renders in both color modes, on whichever
+// kernel backend the process runs (hebs_tests_depth_scalar forces the
+// scalar one).
+TEST(ColorHueError, TableMatchesPerPixelDivision) {
+  const auto same = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  hebs::util::Rng rng(1501);
+  for (const int width : {1, 7, 33, 64}) {
+    const int height = 1 + width / 3;
+    const RgbImage a = random_rgb(width, height, rng);
+    const RgbImage b = random_rgb(width, height, rng);
+    EXPECT_TRUE(same(chromaticity_error(a, b),
+                     reference_chromaticity_error(a, b)))
+        << "random pair " << width << "x" << height;
+    EXPECT_TRUE(same(chromaticity_error(a, a),
+                     reference_chromaticity_error(a, a)));
+  }
+  for (const ColorMode mode :
+       {ColorMode::kSharedCurve, ColorMode::kLumaRatio}) {
+    for (const int width : {31, 65}) {
+      const RgbImage rgb = random_rgb(width, width + 2, rng);
+      const auto luma = rgb.to_luma();
+      const HebsResult decided = hebs_exact(luma, 20.0, {}, model());
+      const ColorRendering r = render_color(rgb, luma, decided.point, mode);
+      EXPECT_GT(r.hue_error, 0.0);
+      EXPECT_TRUE(
+          same(r.hue_error, reference_chromaticity_error(rgb, r.displayed)))
+          << "mode " << static_cast<int>(mode) << " width " << width;
+    }
+  }
 }
 
 TEST(ColorHebs, ValidatesArguments) {

@@ -1,13 +1,15 @@
 // Speculative probes on idle workers (DESIGN.md §11): a single-frame
 // engine call speculates the search's next probes on the pool's idle
-// workers, and the decision must be exactly the serial one — same
-// result bits, same probe and memo counters — at every thread count,
-// on every frame class, including the non-monotone impulse/blocky
-// frames where the probe path itself decides the answer.
+// workers, and a batch on the workers its tail leaves idle; the
+// decision must be exactly the serial one — same result bits, same
+// probe and memo counters — at every thread count, on every frame
+// class, including the non-monotone impulse/blocky frames where the
+// probe path itself decides the answer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <span>
 #include <string>
@@ -294,6 +296,180 @@ TEST(SpeculativeProbes, SingleFrameDoesNotQueueBehindABatch) {
   EXPECT_EQ(delta[Counter::kSpecProbes], 0u);
   EXPECT_FALSE(faults.at(0).degraded);
   expect_identical(result.at(0), reference.result, "beside a batch");
+}
+
+/// One 384² frame above the speculation floor and three 64² frames below
+/// it: the small frames' workers finish first and serve the large
+/// frame's rounds.
+struct TailBatch {
+  std::vector<GrayImage> gray;
+  std::vector<hebs::image::RgbImage> rgb;
+};
+
+TailBatch tail_batch() {
+  TailBatch b;
+  const auto add = [&b](hebs::image::UsidId id, int size) {
+    b.rgb.push_back(hebs::image::make_usid_color(id, size));
+    b.gray.push_back(b.rgb.back().to_luma());
+  };
+  add(hebs::image::UsidId::kPeppers, 384);
+  add(hebs::image::UsidId::kLena, 64);
+  add(hebs::image::UsidId::kSail, 64);
+  add(hebs::image::UsidId::kBaboon, 64);
+  return b;
+}
+
+struct TailRun {
+  std::vector<core::HebsResult> gray;
+  std::vector<ColorBatchResult> color;
+  obs::CounterSnapshot gray_delta;
+  obs::CounterSnapshot color_delta;
+};
+
+TailRun run_tail(int threads, const TailBatch& b) {
+  PipelineEngine engine = make_engine(threads);
+  TailRun r;
+  std::vector<FrameFault> faults;
+  auto before = obs::snapshot_counters();
+  r.gray = engine.process_batch(std::span<const GrayImage>(b.gray),
+                                ExactPolicy(), kBudget, &faults);
+  r.gray_delta = obs::snapshot_counters().delta_since(before);
+  for (const FrameFault& f : faults) EXPECT_FALSE(f.degraded) << f.message;
+  before = obs::snapshot_counters();
+  r.color = engine.process_batch_color(
+      std::span<const hebs::image::RgbImage>(b.rgb), ExactPolicy(), kBudget,
+      core::ColorMode::kSharedCurve, &faults);
+  r.color_delta = obs::snapshot_counters().delta_since(before);
+  for (const FrameFault& f : faults) EXPECT_FALSE(f.degraded) << f.message;
+  return r;
+}
+
+TEST(SpeculativeProbes, BatchTailMatchesSerialDecisions) {
+  const TailBatch batch = tail_batch();
+  const TailRun serial = run_tail(1, batch);
+  EXPECT_EQ(serial.gray_delta[Counter::kSpecProbes], 0u);
+  EXPECT_EQ(serial.color_delta[Counter::kSpecProbes], 0u);
+  for (const int threads : {2, 4, 8}) {
+    const TailRun wide = run_tail(threads, batch);
+    for (std::size_t i = 0; i < batch.gray.size(); ++i) {
+      const std::string what =
+          "frame " + std::to_string(i) + " threads=" + std::to_string(threads);
+      expect_identical(wide.gray[i], serial.gray[i], what + " gray");
+      expect_identical(wide.color[i].luma, serial.color[i].luma,
+                       what + " color");
+      EXPECT_TRUE(same_bits(wide.color[i].color.hue_error,
+                            serial.color[i].color.hue_error))
+          << what;
+      EXPECT_TRUE(same_bytes(wide.color[i].color.displayed.data(),
+                             serial.color[i].color.displayed.data()))
+          << what;
+    }
+    for (const Counter c : kSerialCounters) {
+      EXPECT_EQ(wide.gray_delta[c], serial.gray_delta[c])
+          << "threads=" << threads << " " << obs::counter_name(c);
+      EXPECT_EQ(wide.color_delta[c], serial.color_delta[c])
+          << "threads=" << threads << " " << obs::counter_name(c);
+    }
+    if (ThreadPool(threads).effective_concurrency() >= 2) {
+      EXPECT_GT(wide.gray_delta[Counter::kSpecProbes], 0u)
+          << "threads=" << threads;
+      EXPECT_GT(wide.color_delta[Counter::kSpecProbes], 0u)
+          << "threads=" << threads;
+    }
+  }
+}
+
+TEST(SpeculativeProbes, ArmedFaultSpecTakesTheSerialPathInBatches) {
+  const TailBatch batch = tail_batch();
+  util::fault::Spec spec;
+  spec.point = util::fault::Point::kStageLatency;
+  spec.first = 1u << 30;
+  util::fault::install(spec);
+  const TailRun serial = run_tail(1, batch);
+  const std::uint64_t serial_hits =
+      util::fault::hit_count(util::fault::Point::kStageLatency);
+  util::fault::install(spec);
+  const TailRun wide = run_tail(4, batch);
+  const std::uint64_t wide_hits =
+      util::fault::hit_count(util::fault::Point::kStageLatency);
+  util::fault::clear_all();
+  for (const auto* delta : {&wide.gray_delta, &wide.color_delta}) {
+    EXPECT_EQ((*delta)[Counter::kSpecProbes], 0u);
+    EXPECT_EQ((*delta)[Counter::kSpecProbesWasted], 0u);
+  }
+  EXPECT_EQ(wide_hits, serial_hits);
+  EXPECT_GT(serial_hits, 0u);
+  for (std::size_t i = 0; i < batch.gray.size(); ++i) {
+    expect_identical(wide.gray[i], serial.gray[i], "fault-armed gray");
+    expect_identical(wide.color[i].luma, serial.color[i].luma,
+                     "fault-armed color");
+  }
+}
+
+TEST(SpeculativeProbes, BatchDoesNotQueueBehindSpeculatingFrames) {
+  // Single frames large enough that one outlasts a small batch many
+  // times over keep the pool's idle workers lent as probe servers.
+  const GrayImage big = hebs::image::make_usid(hebs::image::UsidId::kLena, 768);
+  std::vector<GrayImage> batch;
+  for (const Frame& f : mix()) {
+    if (batch.size() == 4) break;
+    GrayImage small(64, 64);
+    for (int y = 0; y < 64; ++y) {
+      for (int x = 0; x < 64; ++x) small(x, y) = f.image(x, y);
+    }
+    batch.push_back(std::move(small));
+  }
+  PipelineEngine serial = make_engine(1);
+  const auto reference = serial.process_batch(batch, kBudget);
+
+  PipelineEngine engine = make_engine(4);
+  if (engine.thread_count() < 2 ||
+      ThreadPool(4).effective_concurrency() < 2) {
+    GTEST_SKIP() << "no idle worker to lend on this machine";
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<int> singles_done{0};
+  std::thread single([&] {
+    while (!stop.load()) {
+      (void)engine.process_batch(std::span<const GrayImage>(&big, 1),
+                                 ExactPolicy(), kBudget);
+      singles_done.fetch_add(1);
+    }
+  });
+  // Issue the batch once a frame's search is speculating: its probe
+  // rounds are under way, so the rest of that frame is many probes long.
+  constexpr int kTries = 3;
+  int tried = 0;
+  int queued_behind = 0;
+  for (int attempt = 0; attempt < 20 && tried < kTries; ++attempt) {
+    // Start with a fresh frame (the looping caller finishes one soon).
+    const int before = singles_done.load();
+    while (singles_done.load() == before) std::this_thread::yield();
+    const int in_flight = singles_done.load();
+    const auto base = obs::snapshot_counters();
+    while (obs::snapshot_counters().delta_since(base)[Counter::kSpecProbes] ==
+               0 &&
+           singles_done.load() == in_flight) {
+      std::this_thread::yield();
+    }
+    if (singles_done.load() != in_flight) continue;  // finished unseen
+    std::vector<FrameFault> faults;
+    const auto results =
+        engine.process_batch(batch, ExactPolicy(), kBudget, &faults);
+    ++tried;
+    // The batch waited for the frame only if that frame finished first.
+    if (singles_done.load() != in_flight) ++queued_behind;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_FALSE(faults[i].degraded) << faults[i].message;
+      expect_identical(results[i], reference[i], "batch beside singles");
+    }
+  }
+  stop.store(true);
+  single.join();
+  ASSERT_GT(tried, 0) << "no single frame was seen speculating";
+  // A frame may finish during the batch by chance; it cannot every time.
+  EXPECT_LT(queued_behind, tried)
+      << "the batch waited for the speculating frame to finish";
 }
 
 }  // namespace
