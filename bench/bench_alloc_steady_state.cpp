@@ -366,7 +366,8 @@ int main(int argc, char** argv) {
 
   // One frame above the 128² speculation floor among three below it: the
   // small frames' workers finish first and serve the large frame's probe
-  // rounds (the batch tail), each from its own slot's pool.
+  // rounds (the batch tail).  Round members draw from the board's two
+  // member pools, warmed once per frame shape.
   constexpr int kSmall = 64;
   std::vector<hebs::image::RgbImage> small;
   for (const auto id :

@@ -31,6 +31,34 @@ std::unique_ptr<util::BufferPool> make_pool(const EngineOptions& opts) {
       util::PoolOptions{opts.pool_max_retained_bytes, opts.pool_max_bytes});
 }
 
+/// Member pools for a lane board (none on a one-thread engine: its pool
+/// lends no lanes).
+ProbeLanes::MemberPools member_pools(const EngineOptions& opts,
+                                     const ThreadPool& pool) {
+  ProbeLanes::MemberPools members;
+  if (pool.thread_count() > 1) {
+    for (auto& p : members) p = make_pool(opts);
+  }
+  return members;
+}
+
+/// Marks a frame final on its lane board (nullable) exactly once: at
+/// now(), or when the frame's body leaves by fault or exception.
+class FinalOnBoard {
+ public:
+  explicit FinalOnBoard(ProbeLanes* board) noexcept : board_(board) {}
+  ~FinalOnBoard() { now(); }
+  FinalOnBoard(const FinalOnBoard&) = delete;
+  FinalOnBoard& operator=(const FinalOnBoard&) = delete;
+
+  void now() {
+    if (board_ != nullptr) std::exchange(board_, nullptr)->finish();
+  }
+
+ private:
+  ProbeLanes* board_;
+};
+
 // ---- fault containment helpers (DESIGN.md §14) ------------------------
 
 /// The provably-safe result a degraded frame emits: β = 1 and the
@@ -402,23 +430,14 @@ PipelineEngine::PipelineEngine(EngineOptions opts,
     : opts_(std::move(opts)),
       model_(std::move(power_model)),
       pool_(opts_.num_threads),
-      lanes_(pool_, member_pools()),
-      batch_lanes_(pool_, member_pools()) {
+      lanes_(pool_, member_pools(opts_, pool_)),
+      batch_lanes_(pool_, member_pools(opts_, pool_)) {
   slot_.pool = make_pool(opts_);
-}
-
-ProbeLanes::MemberPools PipelineEngine::member_pools() const {
-  ProbeLanes::MemberPools members;
-  // A one-thread pool lends no lanes: its boards need no member pools.
-  if (pool_.thread_count() > 1) {
-    for (auto& p : members) p = make_pool(opts_);
-  }
-  return members;
 }
 
 template <typename Body>
 void PipelineEngine::with_worker_slots(std::size_t count, Body&& body) {
-  const auto run = [&body](std::span<WorkerSlot> slots, ProbeLanes& lanes) {
+  const auto run = [&body](std::span<WorkerSlot> slots, ProbeLanes* lanes) {
     try {
       body(slots, lanes);
     } catch (...) {
@@ -434,16 +453,15 @@ void PipelineEngine::with_worker_slots(std::size_t count, Body&& body) {
       workers_.emplace_back();
       workers_.back().pool = make_pool(opts_);
     }
-    run(std::span<WorkerSlot>(workers_).first(count), batch_lanes_);
+    run(std::span<WorkerSlot>(workers_).first(count), &batch_lanes_);
     return;
   }
   // Another batch or stream call holds the slots: run on call-local ones
   // rather than queue, so concurrent callers of one engine still run in
-  // parallel.
+  // parallel.  They get no board: their frames search serially.
   std::vector<WorkerSlot> local(count);
   for (WorkerSlot& s : local) s.pool = make_pool(opts_);
-  ProbeLanes local_lanes(pool_, member_pools());
-  run(local, local_lanes);
+  run(local, nullptr);
 }
 
 /// Decides every image on the pool, each worker rebinding the
@@ -476,9 +494,12 @@ std::vector<core::HebsResult> PipelineEngine::run_batch(
     faults->resize(images.size());
   }
   std::vector<core::HebsResult> results(images.size());
-  // `lanes` (nullable) carries the frame's speculative probe rounds.
+  // `lanes` (nullable) is the board the frame's speculative probe rounds
+  // go to; the frame is final there once decided — its render posts no
+  // round, so servers leave then — or once it leaves by fault.
   const auto run_frame = [&](WorkerSlot& slot, std::size_t i,
                              ProbeLanes* lanes) {
+    FinalOnBoard final_on_board(lanes);
     util::PoolScope scope(slot.pool.get());
     contain_frame(
         opts_.frame_deadline_us, faults, i, "search",
@@ -489,6 +510,7 @@ std::vector<core::HebsResult> PipelineEngine::run_batch(
           results[i] = policy.decide(ctx, d_max_percent);
           // Stream calls reuse the slot's context and never speculate.
           ctx.set_probe_lanes(nullptr);
+          final_on_board.now();
           post.render(i, results[i].point);
         },
         [&] { slot.ctx.reset(); },
@@ -519,13 +541,7 @@ std::vector<core::HebsResult> PipelineEngine::run_batch(
                 lanes_.serve(/*lent=*/true);
                 return;
               }
-              try {
-                run_frame(slot_, 0, &lanes_);
-              } catch (...) {
-                lanes_.close();
-                throw;
-              }
-              lanes_.finish();
+              run_frame(slot_, 0, &lanes_);
             });
         if (lent) return results;
         lanes_.close();
@@ -545,32 +561,32 @@ std::vector<core::HebsResult> PipelineEngine::run_batch(
   // frames a slot's pool serves never depends on scheduling: a repeated
   // call recycles every block its predecessor used.  A worker whose slot
   // is done serves the frames still deciding.  Every slot has a claimant
-  // of its own when W is within the effective concurrency; otherwise a
-  // worker serves only once every slot has started, so no slot waits on
-  // a serving worker.
+  // of its own when W is within the effective concurrency (the claimant
+  // count every task of the pool is published with); otherwise a worker
+  // serves only once every slot has started, so no slot waits on a
+  // serving worker.
   const std::size_t width = std::min<std::size_t>(
       static_cast<std::size_t>(pool_.thread_count()), images.size());
   const bool own_claimants =
       width <= static_cast<std::size_t>(pool_.effective_concurrency());
   std::atomic<std::size_t> started{0};
   with_worker_slots(width, [&](std::span<WorkerSlot> slots,
-                               ProbeLanes& lanes) {
-    ProbeLanes* const tail = speculate ? &lanes : nullptr;
-    lanes.open(images.size());
+                               ProbeLanes* board) {
+    ProbeLanes* const tail = speculate ? board : nullptr;
+    if (tail != nullptr) tail->open(images.size());
     pool_.parallel_for(width, [&](std::size_t k, int) {
       started.fetch_add(1, std::memory_order_relaxed);
       try {
         for (std::size_t i = k; i < images.size(); i += width) {
           run_frame(slots[k], i, tail);
-          lanes.finish();
         }
       } catch (...) {
-        lanes.close();
+        if (tail != nullptr) tail->close();
         throw;
       }
-      if (speculate && (own_claimants ||
-                        started.load(std::memory_order_relaxed) == width)) {
-        lanes.serve(/*lent=*/false);
+      if (tail != nullptr &&
+          (own_claimants || started.load(std::memory_order_relaxed) == width)) {
+        tail->serve(/*lent=*/false);
       }
     });
   });
@@ -685,7 +701,7 @@ std::vector<core::FrameDecision> PipelineEngine::run_stream(
     return controller.apply_degraded(identity_fallback(frames[i]));
   };
 
-  with_worker_slots(slots, [&](std::span<WorkerSlot> workers, ProbeLanes&) {
+  with_worker_slots(slots, [&](std::span<WorkerSlot> workers, ProbeLanes*) {
     std::vector<Run> runs;
     runs.reserve(slots);
     for (std::size_t k = 0; k < slots; ++k) {

@@ -248,13 +248,11 @@ class PipelineEngine {
     std::unique_ptr<FrameContext> ctx;       ///< null = cold/quarantined
   };
 
-  /// Member pools for a lane board (none on a one-thread engine).
-  ProbeLanes::MemberPools member_pools() const;
-
-  /// Runs `body(slots, lanes)` on `count` worker slots and the lane
-  /// board their frames speculate on: the engine's own when no other
-  /// call holds them, else call-local ones (a concurrent caller never
-  /// queues).  A call that throws out quarantines every context.
+  /// Runs `body(slots, board)` on `count` worker slots and the lane
+  /// board their frames may speculate on: the engine's own when no other
+  /// call holds them, else call-local slots and no board (null; a
+  /// concurrent caller never queues).  A call that throws out
+  /// quarantines every context.
   template <typename Body>
   void with_worker_slots(std::size_t count, Body&& body);
 

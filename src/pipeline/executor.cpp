@@ -36,17 +36,18 @@ struct RunningPoolScope {
   const ThreadPool* prev_;
 };
 
-}  // namespace
-
-int ThreadPool::effective_concurrency() const noexcept {
+/// The pool size capped at the hardware concurrency (0 = unknown
+/// hardware: trust the pool size).
+int cap_at_hardware(int threads) {
   const unsigned hw = std::thread::hardware_concurrency();
-  // 0 = unknown hardware: trust the requested pool size.
-  if (hw == 0) return thread_count_;
-  return std::min(thread_count_, static_cast<int>(hw));
+  return hw == 0 ? threads : std::min(threads, static_cast<int>(hw));
 }
 
+}  // namespace
+
 ThreadPool::ThreadPool(int threads)
-    : thread_count_(resolve_thread_count(threads)) {
+    : thread_count_(resolve_thread_count(threads)),
+      effective_concurrency_(cap_at_hardware(thread_count_)) {
   // With a single thread parallel_for runs inline; no workers needed.
   if (thread_count_ == 1) return;
   threads_.reserve(static_cast<std::size_t>(thread_count_));
@@ -206,7 +207,7 @@ void ThreadPool::publish_locked(
   busy_ = true;
   task_ = &fn;
   task_n_ = n;
-  task_limit_ = effective_concurrency();
+  task_limit_ = effective_concurrency_;
   task_opportunistic_ = opportunistic;
   // An opportunistic task reserves index 0 for its caller.
   cursor_.store(opportunistic ? 1 : 0, std::memory_order_relaxed);
@@ -240,18 +241,15 @@ int ProbeLanes::width() const noexcept {
   return hw == 0 ? claimants : std::min(claimants, static_cast<int>(hw));
 }
 
-void ProbeLanes::warm(std::uint64_t shape,
+void ProbeLanes::warm(const Shape& shape,
                       const std::function<void()>& probe) {
   if (members_.front() == nullptr) return;  // heap: nothing to warm
   {
     // Claimed under the lock, run outside it: a frame of the same shape
     // deciding meanwhile skips the warm rather than waits for it.
     util::MutexLock lock(mu_);
-    for (const std::uint64_t w : warm_) {
-      if (w == shape) return;
-    }
-    warm_[next_warm_] = shape;
-    next_warm_ = (next_warm_ + 1) % warm_.size();
+    if (std::find(warm_.begin(), warm_.end(), shape) != warm_.end()) return;
+    warm_.push_back(shape);
   }
   for (const auto& pool : members_) {
     util::PoolScope scope(pool.get());

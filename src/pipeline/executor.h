@@ -57,8 +57,10 @@ class ThreadPool {
   /// more claimants than cores only adds context switching and cache
   /// thrashing per index (the measured engine-8t per-frame regression
   /// on small machines).  Worker ids stay stable; which indices a
-  /// worker claims never affects results (written by index).
-  int effective_concurrency() const noexcept;
+  /// worker claims never affects results (written by index).  Read once,
+  /// with the pool size, so a caller that plans around it (a batch's
+  /// serving workers) sees the same count every task is published with.
+  int effective_concurrency() const noexcept { return effective_concurrency_; }
 
   /// Runs fn(index, worker) for every index in [0, n); blocks until the
   /// call completes.  `worker` is in [0, thread_count()).  With one
@@ -113,6 +115,7 @@ class ThreadPool {
   std::exception_ptr teardown_locked() HEBS_REQUIRES(mu_);
 
   int thread_count_;
+  int effective_concurrency_;
   std::vector<std::thread> threads_;
 
   util::Mutex mu_;
@@ -212,11 +215,20 @@ class ProbeLanes {
   bool run(std::size_t n, const std::function<void(std::size_t)>& fn)
       HEBS_EXCLUDES(mu_);
 
-  /// Unless the member pools are warm for frames of `shape`, runs
-  /// `probe` — one probe of the deciding frame, as heavy as any a round
-  /// can hold — once under each member pool, so every block a member
-  /// can need is on its pool's free lists before a round runs.
-  void warm(std::uint64_t shape, const std::function<void()>& probe)
+  /// What one probe of a frame allocates depends only on these.
+  struct Shape {
+    int width = 0;
+    int height = 0;
+    int levels = 0;
+    int segments = 0;
+    bool operator==(const Shape&) const = default;
+  };
+
+  /// Unless the member pools were warmed for frames of `shape` before,
+  /// runs `probe` — one probe of the deciding frame, as heavy as any a
+  /// round can hold — once under each member pool, so every block a
+  /// member can need is on its pool's free lists before a round runs.
+  void warm(const Shape& shape, const std::function<void()>& probe)
       HEBS_EXCLUDES(mu_);
 
   // ---- the engine's side ----------------------------------------------
@@ -257,10 +269,12 @@ class ProbeLanes {
   Round* round_ HEBS_GUARDED_BY(mu_) = nullptr;
   std::size_t open_ HEBS_GUARDED_BY(mu_) = 0;  ///< frames not yet final
   int idle_ HEBS_GUARDED_BY(mu_) = 0;          ///< servers waiting
-  /// Frame shapes the member pools are warm for (0 = none); the four
-  /// most recent are kept.
-  std::array<std::uint64_t, 4> warm_ HEBS_GUARDED_BY(mu_){};
-  std::size_t next_warm_ HEBS_GUARDED_BY(mu_) = 0;
+  /// Every shape the member pools were warmed for.  A pool keeps each
+  /// block returned to it (unless EngineOptions::pool_max_retained_bytes
+  /// caps it), so a shape warmed once stays warm: the list grows by one
+  /// entry per distinct shape, as the pools' free lists do, and each
+  /// shape costs its two warm-up probes once per board.
+  std::vector<Shape> warm_ HEBS_GUARDED_BY(mu_);
   /// idle_ != 0, read lock-free by run(): a board nobody serves costs a
   /// deciding frame one relaxed load per probe.
   std::atomic<bool> idle_hint_{false};

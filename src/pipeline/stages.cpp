@@ -194,18 +194,13 @@ ProbeLanes* speculation_lanes(const FrameContext& ctx) {
       ctx.bound16() ? ctx.image16().size() : ctx.image().size();
   if (pixels < ProbeLanes::kMinPixels) return nullptr;
   ctx.warm_probe_caches();
-  // What a probe allocates depends only on the frame's dimensions, its
-  // level count and the PLC segment count, so a full-range probe into a
-  // speculation slot (its storage reserved just now, none pending yet)
-  // warms the member pools for any probe of this frame.
-  const int width = ctx.bound16() ? ctx.image16().width() : ctx.image().width();
-  const int height =
-      ctx.bound16() ? ctx.image16().height() : ctx.image().height();
-  const std::uint64_t shape =
-      (static_cast<std::uint64_t>(width) << 40) ^
-      (static_cast<std::uint64_t>(height) << 20) ^
-      (static_cast<std::uint64_t>(ctx.levels()) << 4) ^
-      static_cast<std::uint64_t>(ctx.options().segments);
+  // A full-range probe into a speculation slot (its storage reserved
+  // just now, none pending yet) warms the member pools for any probe of
+  // this frame.
+  const ProbeLanes::Shape shape{
+      ctx.bound16() ? ctx.image16().width() : ctx.image().width(),
+      ctx.bound16() ? ctx.image16().height() : ctx.image().height(),
+      ctx.levels(), ctx.options().segments};
   lanes->warm(shape, [&ctx] {
     RangeProbe& scratch = ctx.speculation_slots().front();
     ctx.probe_range(ctx.max_pixel() - ctx.options().g_min, scratch);

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <thread>
@@ -404,6 +405,27 @@ TEST(SpeculativeProbes, ArmedFaultSpecTakesTheSerialPathInBatches) {
     expect_identical(wide.color[i].luma, serial.color[i].luma,
                      "fault-armed color");
   }
+}
+
+TEST(SpeculativeProbes, MemberPoolsWarmOncePerShape) {
+  // Traffic whose shapes cycle through more than a handful of sizes: a
+  // shape is warmed (one probe under each member pool) the first time
+  // only, however many other shapes came between.
+  ThreadPool pool(2);
+  ProbeLanes::MemberPools members;
+  for (auto& m : members) m = std::make_unique<util::BufferPool>();
+  ProbeLanes lanes(pool, std::move(members));
+  int probes = 0;
+  for (int pass = 0; pass < 3; ++pass) {
+    for (int s = 0; s < 9; ++s) {
+      lanes.warm({128 + 16 * s, 128, 256, 8}, [&probes] { ++probes; });
+    }
+  }
+  EXPECT_EQ(probes, 9 * static_cast<int>(ProbeLanes::kMaxRound - 1));
+  // Every field of the shape counts.
+  lanes.warm({128, 128, 1024, 8}, [&probes] { ++probes; });
+  lanes.warm({128, 128, 256, 6}, [&probes] { ++probes; });
+  EXPECT_EQ(probes, 11 * static_cast<int>(ProbeLanes::kMaxRound - 1));
 }
 
 TEST(SpeculativeProbes, BatchDoesNotQueueBehindSpeculatingFrames) {
