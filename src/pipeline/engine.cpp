@@ -674,9 +674,7 @@ std::vector<core::FrameDecision> PipelineEngine::run_stream(
     TemporalReuse reuse;
     core::HebsResult raw;
     std::size_t source = 0;
-    // The delta threshold keeps its one default.
-    explicit Run(bool temporal_on)
-        : reuse(TemporalOptions{.enabled = temporal_on}) {}
+    explicit Run(bool temporal_on) : reuse(temporal_on) {}
   };
 
   // Per-frame state, written by the task that owns the frame (its

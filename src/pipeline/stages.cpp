@@ -174,6 +174,8 @@ core::HebsResult run_with_curve(const FrameContext& ctx, double d_max_percent,
 namespace {
 
 constexpr int kBetaRefineIters = 12;
+/// Regula falsi steps of the coarse β search before its replay.
+constexpr int kFalsiProbes = 4;
 
 // ---- speculative probes (DESIGN.md §11) ---------------------------------
 //
@@ -304,7 +306,7 @@ class RangeSpeculation {
 };
 
 /// The scalar outcome of one β evaluation — all refine_beta keeps of a
-/// probe (see the memo below).
+/// probe (see its table).
 struct BetaProbe {
   double beta;
   double distortion_percent;
@@ -312,124 +314,20 @@ struct BetaProbe {
   hebs::power::PowerBreakdown power;
 };
 
-BetaProbe to_beta_probe(double beta, const core::EvaluatedPoint& ev) {
-  return {beta, ev.distortion_percent, ev.saving_percent, ev.power};
-}
-
-/// Speculated β probes of one refinement (same scheme as
-/// RangeSpeculation; the β memo lives in refine_beta, so the walk takes
-/// results out explicitly).
-class BetaSpeculation {
- public:
-  BetaSpeculation(const FrameContext& ctx, ProbeLanes* lanes,
-                  const hebs::transform::PwlCurve& lambda, double min_beta)
-      : ctx_(ctx),
-        lanes_(lanes),
-        lambda_(lambda),
-        min_beta_(min_beta),
-        probe_([this](std::size_t k) {
-          Slot& slot = slots_[round_[k]];
-          try {
-            const core::OperatingPoint p{lambda_,
-                                         std::max(min_beta_, slot.beta)};
-            slot.probe = to_beta_probe(slot.beta, ctx_.evaluate_lean(p));
-            slot.pending = true;
-          } catch (...) {
-            // Not pending: the walk re-runs it if needed (see above).
-          }
-        }) {}
-  BetaSpeculation(const BetaSpeculation&) = delete;
-  BetaSpeculation& operator=(const BetaSpeculation&) = delete;
-  ~BetaSpeculation() {
-    std::uint64_t wasted = 0;
-    for (const Slot& s : slots_) wasted += s.pending ? 1 : 0;
-    if (wasted != 0) obs::add(obs::Counter::kSpecProbesWasted, wasted);
-  }
-
-  bool active() const noexcept { return lanes_ != nullptr; }
-
-  /// The pending result at exactly `beta`, if any.
-  const BetaProbe* peek(double beta) const {
-    for (const Slot& s : slots_) {
-      if (s.pending && s.beta == beta) return &s.probe;
-    }
-    return nullptr;
-  }
-
-  /// Takes the pending result at exactly `beta` (it stops pending).
-  std::optional<BetaProbe> take(double beta) {
-    for (Slot& s : slots_) {
-      if (s.pending && s.beta == beta) {
-        s.pending = false;
-        return s.probe;
-      }
-    }
-    return std::nullopt;
-  }
-
-  /// Evaluates `betas` — the probe the walk blocks on first, then its
-  /// possible successors — in one round.  NaN entries (no successor, or
-  /// already measured: the caller filters) are skipped.
-  void round(const std::array<double, ProbeLanes::kMaxRound>& betas) {
-    round_n_ = 0;
-    const std::size_t width = std::min(
-        ProbeLanes::kMaxRound, static_cast<std::size_t>(lanes_->width()));
-    for (const double b : betas) {
-      if (std::isnan(b) || round_n_ == width) continue;
-      bool dup = false;
-      for (std::size_t k = 0; k < round_n_; ++k) {
-        dup = dup || slots_[round_[k]].beta == b;
-      }
-      if (dup) continue;
-      Slot& slot = slots_[next_slot_];
-      if (slot.pending) obs::add(obs::Counter::kSpecProbesWasted);
-      slot.pending = false;
-      slot.beta = b;
-      round_[round_n_++] = next_slot_;
-      next_slot_ = (next_slot_ + 1) % slots_.size();
-    }
-    if (round_n_ < 2) {
-      if (round_n_ == 1) slots_[round_[0]].beta = kNoBeta;
-      return;
-    }
-    if (!lanes_->run(round_n_, probe_)) return;
-    std::uint64_t ran = 0;
-    for (std::size_t k = 1; k < round_n_; ++k) {
-      ran += slots_[round_[k]].pending ? 1 : 0;
-    }
-    obs::add(obs::Counter::kSpecProbes, ran);
-  }
-
- private:
-  static constexpr double kNoBeta = -1.0;
-  struct Slot {
-    bool pending = false;
-    double beta = kNoBeta;
-    BetaProbe probe{};
-  };
-  const FrameContext& ctx_;
-  ProbeLanes* lanes_;
-  const hebs::transform::PwlCurve& lambda_;
-  double min_beta_;
-  std::array<Slot, 8> slots_{};
-  std::size_t next_slot_ = 0;
-  std::array<std::size_t, ProbeLanes::kMaxRound> round_{};
-  std::size_t round_n_ = 0;
-  const std::function<void(std::size_t)> probe_;
-};
-
 /// Concurrent brightness-scaling refinement: with Λ fixed, bisect β
 /// below its luminance-exact value while the measured distortion stays
 /// within budget, and keep the result when it saves more power.
 ///
-/// `seed`/`trace` (both nullable) carry the temporal warm start: the
-/// seeded path replays the previous frame's feasibility decisions
-/// arithmetically and verifies only the final bracket endpoints — under
-/// monotone feasibility in β (dimmer can only distort more), a verified
-/// final bracket forces every intermediate decision, so the replay is
-/// exactly the trajectory the cold bisection would take.  Any
-/// verification miss runs the cold loop.  `lanes` (nullable) lends idle
-/// workers for speculative probes.
+/// The bisection is one dyadic walk of kBetaRefineIters mids (`walk`),
+/// run four ways: the cold loop measures every mid, the temporal seed
+/// (`seed`/`trace`, both nullable) and the coarse search's phase 2
+/// replay it, and the speculation predictor runs it ahead on known
+/// outcomes.  A replayed path is adopted only once its final bracket
+/// endpoints verify: under monotone feasibility in β (dimmer can only
+/// distort more) they force every intermediate decision, so the replay
+/// is exactly the cold trajectory.  A miss runs the cold loop.  All β
+/// outcomes, measured or speculated, live in one table.  `lanes`
+/// (nullable) lends idle workers for speculative probes.
 void refine_beta(const FrameContext& ctx, double d_max_percent,
                  core::HebsResult& result, const SearchTrace* seed,
                  SearchTrace* trace, ProbeLanes* lanes) {
@@ -438,13 +336,18 @@ void refine_beta(const FrameContext& ctx, double d_max_percent,
   const double min_beta = ctx.options().min_beta;
   // Lean evaluations: only the winning candidate's transformed raster
   // is materialized (below), not one per bisection probe.
+  auto lean_at = [&](double beta) {
+    const core::EvaluatedPoint ev = ctx.evaluate_lean(
+        core::OperatingPoint{base.luminance_transform,
+                             std::max(min_beta, beta)});
+    return BetaProbe{beta, ev.distortion_percent, ev.saving_percent,
+                     ev.power};
+  };
   auto eval_at = [&](double beta) {
     obs::add(obs::Counter::kBetaProbes);
     obs::ScopedSpan probe_span(obs::Span::kBetaProbe,
                                static_cast<std::int32_t>(beta * 1e6));
-    const core::OperatingPoint p{base.luminance_transform,
-                                 std::max(min_beta, beta)};
-    return ctx.evaluate_lean(p);
+    return lean_at(beta);
   };
 
   const double floor_beta = std::max(min_beta, 0.25 * base.beta);
@@ -463,145 +366,186 @@ void refine_beta(const FrameContext& ctx, double d_max_percent,
   // scalar kept here, Λ, or the frame's reference power.
   BetaProbe best{base.beta, result.evaluation.distortion_percent,
                  result.evaluation.saving_percent, result.evaluation.power};
-  const BetaProbe at_floor = to_beta_probe(floor_beta, eval_at(floor_beta));
+  const BetaProbe at_floor = eval_at(floor_beta);
   if (at_floor.distortion_percent <= d_max_percent) {
     best = at_floor;
     if (trace != nullptr) trace->floor_feasible = true;
   } else {
-    // Exact β-evaluations land on a small set of fp points shared by
-    // the falsi probes, the coarse prediction walk, the endpoint
-    // verification and the cold fallback; memoizing their scalar
-    // outcomes (exact double compare) makes every re-visit free without
-    // changing any produced value.
-    std::array<BetaProbe, 36> evals;
-    std::size_t evals_n = 0;
-    BetaSpeculation spec(ctx, lanes, base.luminance_transform, min_beta);
-    auto memo_find = [&](double beta) -> const BetaProbe* {
-      for (std::size_t k = 0; k < evals_n; ++k) {
-        if (evals[k].beta == beta) return &evals[k];
+    // The refinement's β outcomes, one entry per β (exact double
+    // compare): measured ones, which the walk asked for, and pending
+    // ones, which a lane computed ahead.  The walk's probes land on a
+    // small set of shared fp points, so a measured entry makes every
+    // re-visit free without changing any produced value.  No
+    // allocation: the walk measures at most kWalkMax distinct β (two
+    // seed endpoints, the falsi probes, the phase-2 mids, two predicted
+    // endpoints, the cold mids), and a round adds speculative members
+    // only while at most kSpecRoom entries stay pending.
+    struct Entry {
+      BetaProbe probe;
+      bool pending;  ///< computed by a lane, not yet asked for
+    };
+    constexpr std::size_t kWalkMax =
+        2 + kFalsiProbes + 2 * kBetaRefineIters + 2;
+    constexpr std::size_t kSpecRoom = 32;
+    std::array<Entry, kWalkMax + kSpecRoom> table;
+    std::size_t table_n = 0;
+    std::size_t pending_n = 0;
+    auto find = [&](double beta) -> Entry* {
+      for (std::size_t k = 0; k < table_n; ++k) {
+        if (table[k].probe.beta == beta) return &table[k];
       }
       return nullptr;
     };
+    // The walk's probe at `beta`.  A measured entry is a memo hit; a
+    // pending one is adopted and counted as the probe the serial walk
+    // makes here.
     auto eval_memo = [&](double beta) -> const BetaProbe& {
-      if (const BetaProbe* hit = memo_find(beta)) {
+      Entry* e = find(beta);
+      if (e != nullptr && !e->pending) {
         obs::add(obs::Counter::kEvalMemoHit);
-        return *hit;
+        return e->probe;
       }
       obs::add(obs::Counter::kEvalMemoMiss);
-      BetaProbe probe{};
-      if (const auto speculated = spec.take(beta)) {
-        // The speculated evaluation of this very β: counted as the
-        // probe the serial walk makes here.
-        obs::add(obs::Counter::kBetaProbes);
-        obs::ScopedSpan probe_span(obs::Span::kBetaProbe,
-                                   static_cast<std::int32_t>(beta * 1e6));
-        probe = *speculated;
-      } else {
-        probe = to_beta_probe(beta, eval_at(beta));
+      if (e == nullptr) {
+        table[table_n] = {eval_at(beta), false};
+        return table[table_n++].probe;
       }
-      if (evals_n == evals.size()) {
-        // Unreachable (≤ 32 distinct points per refinement); kept safe.
-        evals.back() = probe;
-        return evals.back();
+      obs::add(obs::Counter::kBetaProbes);
+      obs::ScopedSpan probe_span(obs::Span::kBetaProbe,
+                                 static_cast<std::int32_t>(beta * 1e6));
+      e->pending = false;
+      --pending_n;
+      return e->probe;
+    };
+
+    // One speculation round (DESIGN.md §11): `blocking`, the β the walk
+    // asks for next, goes out with `a` and `b`, its possible successors
+    // (NaN and tabled ones drop out).  Each member is appended to the
+    // table and evaluated memo-free, member 0 by this thread.  Members
+    // no lane computed — unclaimed, or thrown: the walk then runs that
+    // probe itself and fails exactly as the serial search would — are
+    // dropped after the round.
+    std::size_t round_at = 0;  // the round's first entry
+    const auto run_member = [&](std::size_t k) {
+      Entry& e = table[round_at + k];
+      try {
+        e.probe = lean_at(e.probe.beta);
+        e.pending = true;
+      } catch (...) {
       }
-      evals[evals_n] = probe;
-      return evals[evals_n++];
     };
-    // Speculation along the dyadic walks below: the walk's outcome at a
-    // β already measured (memo) or speculated, without counting it.
-    auto known = [&](double beta) -> const BetaProbe* {
-      if (const BetaProbe* p = memo_find(beta)) return p;
-      return spec.peek(beta);
+    // Wrapping a reference: building the std::function allocates nothing.
+    const std::function<void(std::size_t)> member(std::cref(run_member));
+    auto speculate = [&](double blocking, double a, double b) {
+      if (lanes == nullptr || find(blocking) != nullptr) return;
+      const std::size_t width = std::min(
+          ProbeLanes::kMaxRound, static_cast<std::size_t>(lanes->width()));
+      round_at = table_n;
+      table[table_n++] = {{blocking, 0.0, 0.0, {}}, false};
+      for (const double x : {a, b}) {
+        const std::size_t n = table_n - round_at;
+        // A full table posts only the blocking probe.
+        if (std::isnan(x) || n >= width || pending_n + n > kSpecRoom ||
+            find(x) != nullptr) {
+          continue;
+        }
+        table[table_n++] = {{x, 0.0, 0.0, {}}, false};
+      }
+      if (table_n - round_at >= 2) lanes->run(table_n - round_at, member);
+      std::size_t kept = round_at;
+      std::uint64_t ran = 0;
+      for (std::size_t k = round_at; k < table_n; ++k) {
+        if (!table[k].pending) continue;
+        ran += k > round_at ? 1 : 0;
+        table[kept++] = table[k];
+      }
+      pending_n += kept - round_at;
+      table_n = kept;
+      if (ran != 0) obs::add(obs::Counter::kSpecProbes, ran);
     };
-    // A point of the dyadic walk (the cold loop's mids, which phase 2
-    // replays): the bisection bracket, the measured bracket (phase 2
-    // only) and the iteration.
+
+    // A point of the dyadic walk: the bisection bracket, the measured
+    // bracket (phase 2 classifies by it), the iteration and the
+    // decisions taken (bit i = mid i feasible).
     struct Walk {
       double feasible;
       double infeasible;
-      double b_feas;
-      double b_inf;
-      int i;
+      bool bracket = false;
+      double b_feas = 0.0;
+      double b_inf = 0.0;
+      int i = 0;
+      std::uint16_t path = 0;
     };
     constexpr double kNone = std::numeric_limits<double>::quiet_NaN();
-    // Advances `w` past every mid the measured bracket (`bracket`: phase
-    // 2) or a known value classifies, as the walk itself would, and
-    // returns the first mid it would have to measure (`w` then stands
-    // at it), or NaN when the walk ends first.
-    auto advance = [&](Walk& w, bool bracket) {
+    // Steps `w` through the cold loop's mids.  A mid the measured
+    // bracket classifies (phase 2) is followed; any other is classified
+    // by `decide(w, mid)` — its feasibility, or nullopt to stop there.
+    // Returns the mid the walk stopped at (`w` then stands at it), or
+    // NaN once it has taken every step.
+    const auto walk = [&](Walk& w, const auto& decide) {
       for (; w.i < kBetaRefineIters; ++w.i) {
         const double mid = (w.feasible + w.infeasible) / 2.0;
-        bool mid_feasible;
-        if (bracket && mid >= w.b_feas) {
-          mid_feasible = true;
-        } else if (bracket && mid <= w.b_inf) {
-          mid_feasible = false;
-        } else if (const BetaProbe* p = known(mid)) {
-          mid_feasible = p->distortion_percent <= d_max_percent;
-          (mid_feasible ? w.b_feas : w.b_inf) = mid;
+        bool feasible;
+        if (w.bracket && mid >= w.b_feas) {
+          feasible = true;
+        } else if (w.bracket && mid <= w.b_inf) {
+          feasible = false;
+        } else if (const std::optional<bool> d = decide(w, mid)) {
+          feasible = *d;
+          (feasible ? w.b_feas : w.b_inf) = mid;
         } else {
           return mid;
         }
-        (mid_feasible ? w.feasible : w.infeasible) = mid;
+        (feasible ? w.feasible : w.infeasible) = mid;
+        if (feasible) w.path |= static_cast<std::uint16_t>(1u << w.i);
       }
       return kNone;
     };
-    // The next mid the walk standing at `w` measures after measuring
-    // `mid` there with the given outcome.
-    auto after = [&](Walk w, double mid, bool feasible, bool bracket) {
-      if (std::isnan(mid)) return kNone;
-      (feasible ? w.feasible : w.infeasible) = mid;
-      (feasible ? w.b_feas : w.b_inf) = mid;
-      ++w.i;
-      return advance(w, bracket);
+    // The predictor's classifier: the table's outcome at `mid`
+    // (measured or pending), uncounted.
+    const auto known = [&](const Walk&, double mid) -> std::optional<bool> {
+      const Entry* e = find(mid);
+      if (e == nullptr) return std::nullopt;
+      return e->probe.distortion_percent <= d_max_percent;
     };
-    // One round: `blocking` (the β the walk asks for next) with its
-    // successors; already-known entries drop out.
-    auto speculate = [&](double blocking, double a, double b) {
-      if (!spec.active() || known(blocking) != nullptr) return;
-      const auto unknown = [&](double x) {
-        return std::isnan(x) || known(x) != nullptr ? kNone : x;
-      };
-      spec.round({blocking, unknown(a), unknown(b)});
+    // The mid the walk standing at `w` measures next once the mid there
+    // measured `feasible`.
+    const auto after = [&](Walk w, bool feasible) {
+      const int at = w.i;
+      return walk(w, [&](const Walk& v, double mid) {
+        return v.i == at ? std::optional<bool>(feasible) : known(v, mid);
+      });
     };
-    // Attempts to adopt a predicted 12-bit decision path: replays the
-    // same fp mid arithmetic the cold loop performs with decisions taken
-    // from `path`, then verifies only the final bracket endpoints.
-    // feasible == base.beta needs no probe (the range search already
-    // measured it within budget); infeasible == floor_beta was just
-    // measured over budget.  Under monotone feasibility in β (dimmer can
-    // only distort more), a verified final bracket forces every
-    // intermediate decision, so an adopted path is exactly the
-    // trajectory the cold bisection would take.
+    // Phase 2's and the cold loop's classifier: measures the mid, in one
+    // round with the next undetermined mid on each outcome.
+    const auto measure = [&](const Walk& w,
+                             double mid) -> std::optional<bool> {
+      speculate(mid, after(w, true), after(w, false));
+      return eval_memo(mid).distortion_percent <= d_max_percent;
+    };
+
+    // Attempts to adopt a predicted decision path: replays it, then
+    // verifies only the final bracket endpoints.  feasible == base.beta
+    // needs no probe (the range search already measured it within
+    // budget); infeasible == floor_beta was just measured over budget.
     auto try_path = [&](std::uint16_t path) -> bool {
-      double feasible = base.beta;
-      double infeasible = floor_beta;
-      bool any_feasible = false;
-      for (int i = 0; i < kBetaRefineIters; ++i) {
-        const double mid = (feasible + infeasible) / 2.0;
-        if ((path >> i) & 1u) {
-          feasible = mid;
-          any_feasible = true;
-        } else {
-          infeasible = mid;
-        }
-      }
-      const bool check_infeasible = infeasible != floor_beta;
+      Walk w{base.beta, floor_beta};
+      walk(w, [path](const Walk& v, double) {
+        return std::optional<bool>(((path >> v.i) & 1u) != 0);
+      });
+      const bool any_feasible = w.path != 0;
+      const bool check_infeasible = w.infeasible != floor_beta;
       // Both endpoints in one round.
       if (any_feasible && check_infeasible) {
-        speculate(feasible, infeasible, kNone);
+        speculate(w.feasible, w.infeasible, kNone);
       }
-      bool ok = true;
-      const BetaProbe* ev_f = nullptr;
-      if (any_feasible) {
-        ev_f = &eval_memo(feasible);
-        ok = ev_f->distortion_percent <= d_max_percent;
+      if ((any_feasible &&
+           eval_memo(w.feasible).distortion_percent > d_max_percent) ||
+          (check_infeasible &&
+           eval_memo(w.infeasible).distortion_percent <= d_max_percent)) {
+        return false;
       }
-      if (ok && check_infeasible) {
-        ok = eval_memo(infeasible).distortion_percent > d_max_percent;
-      }
-      if (!ok) return false;
-      if (any_feasible) best = *ev_f;
+      if (any_feasible) best = find(w.feasible)->probe;
       if (trace != nullptr) trace->beta_path = path;
       return true;
     };
@@ -639,14 +583,11 @@ void refine_beta(const FrameContext& ctx, double d_max_percent,
       // steer the interpolation (distortion dips non-monotonically just
       // below base β on many frames, which is harmless: the cold loop,
       // and hence the replay contract, only cares about the budget
-      // crossing).  Each step depends on the value just measured, so
-      // no falsi guess is speculated — but while the caller measures
-      // one, two lanes measure the first mid phase 2 would measure
-      // under the current bracket and its successor if that mid is
-      // feasible: phase 2 asks for them whenever they stay inside the
-      // final bracket.
+      // crossing).  A guess depends on the value just measured, so none
+      // is speculated; its round carries the first mid phase 2 would
+      // measure under the current bracket and that mid's feasible
+      // successor, which phase 2 asks for while they stay in bracket.
       const double resolution = (base.beta - floor_beta) / 4096.0;
-      constexpr int kFalsiProbes = 4;
       double w_inf = 1.0;
       double w_feas = 1.0;
       int last_side = 0;
@@ -658,10 +599,10 @@ void refine_beta(const FrameContext& ctx, double d_max_percent,
         const double guess = std::clamp(
             b_inf + di / (di - df) * (b_feas - b_inf), b_inf + margin,
             b_feas - margin);
-        if (spec.active()) {
-          Walk w{base.beta, floor_beta, b_feas, b_inf, 0};
-          const double replay_mid = advance(w, true);
-          speculate(guess, replay_mid, after(w, replay_mid, true, true));
+        if (lanes != nullptr) {
+          Walk w{base.beta, floor_beta, true, b_feas, b_inf};
+          const double replay_mid = walk(w, known);
+          speculate(guess, replay_mid, after(w, true));
         }
         const double d = eval_memo(guess).distortion_percent;
         if (d <= d_max_percent) {
@@ -679,59 +620,18 @@ void refine_beta(const FrameContext& ctx, double d_max_percent,
         }
       }
       // Phase 2: replay the cold mids against the measured bracket,
-      // evaluating only the mids the bracket cannot classify.
-      {
-        std::uint16_t predicted = 0;
-        double feasible = base.beta;
-        double infeasible = floor_beta;
-        for (int i = 0; i < kBetaRefineIters; ++i) {
-          const double mid = (feasible + infeasible) / 2.0;
-          bool mid_feasible;
-          if (mid >= b_feas) {
-            mid_feasible = true;
-          } else if (mid <= b_inf) {
-            mid_feasible = false;
-          } else {
-            const Walk at{feasible, infeasible, b_feas, b_inf, i};
-            speculate(mid, after(at, mid, true, true),
-                      after(at, mid, false, true));
-            mid_feasible =
-                eval_memo(mid).distortion_percent <= d_max_percent;
-            if (mid_feasible) {
-              b_feas = mid;
-            } else {
-              b_inf = mid;
-            }
-          }
-          if (mid_feasible) {
-            feasible = mid;
-            predicted |= static_cast<std::uint16_t>(1u << i);
-          } else {
-            infeasible = mid;
-          }
-        }
-        replayed = try_path(predicted);
-      }
+      // measuring only the mids the bracket cannot classify.
+      Walk w{base.beta, floor_beta, true, b_feas, b_inf};
+      walk(w, measure);
+      replayed = try_path(w.path);
     }
     if (!replayed) {
-      double feasible = base.beta;
-      double infeasible = floor_beta;
-      std::uint16_t path = 0;
-      for (int i = 0; i < kBetaRefineIters; ++i) {
-        const double mid = (feasible + infeasible) / 2.0;
-        const Walk at{feasible, infeasible, 0.0, 0.0, i};
-        speculate(mid, after(at, mid, true, false), after(at, mid, false, false));
-        const BetaProbe& eval = eval_memo(mid);
-        if (eval.distortion_percent <= d_max_percent) {
-          feasible = mid;
-          best = eval;
-          path |= static_cast<std::uint16_t>(1u << i);
-        } else {
-          infeasible = mid;
-        }
-      }
-      if (trace != nullptr) trace->beta_path = path;
+      Walk w{base.beta, floor_beta};
+      walk(w, measure);
+      if (w.path != 0) best = find(w.feasible)->probe;
+      if (trace != nullptr) trace->beta_path = w.path;
     }
+    if (pending_n != 0) obs::add(obs::Counter::kSpecProbesWasted, pending_n);
   }
   if (best.saving_percent > result.evaluation.saving_percent) {
     // Rebuild the winner's evaluation from its kept scalars — the very

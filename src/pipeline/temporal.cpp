@@ -16,6 +16,10 @@ namespace {
 /// occasionally.  Warm hits reset the cooldown immediately.
 constexpr int kSeedCooldown = 4;
 
+/// Largest fraction of differing pixels the incremental histogram
+/// update may touch before bailing to the full SIMD recount.
+constexpr double kMaxDeltaFraction = 0.25;
+
 }  // namespace
 
 void TemporalReuse::reset() {
@@ -27,12 +31,11 @@ void TemporalReuse::reset() {
 core::HebsResult TemporalReuse::process(FrameContext& ctx,
                                         const hebs::image::GrayImage& frame,
                                         double d_max_percent, bool seeded) {
-  ++stats_.frames;
   obs::add(obs::Counter::kTemporalFrames);
   // Span arg = reuse level taken: 0 cold, 1 delta-refresh (the
   // stream's byte-identical frames record level 2 themselves).
   obs::ScopedSpan reuse_span(obs::Span::kTemporalReuse, 0);
-  if (!opts_.enabled) {
+  if (!enabled_) {
     obs::add(obs::Counter::kTemporalCold);
     ctx.rebind(frame);
     return run_exact(ctx, d_max_percent);
@@ -46,7 +49,7 @@ core::HebsResult TemporalReuse::process(FrameContext& ctx,
   if (has_prev_ && prev_frame_.width() == frame.width() &&
       prev_frame_.height() == frame.height()) {
     const auto max_changed = static_cast<std::size_t>(
-        opts_.max_delta_fraction * static_cast<double>(frame.size()));
+        kMaxDeltaFraction * static_cast<double>(frame.size()));
     refreshed = prev_hist_;
     have_hist = refreshed.refresh_from_delta(prev_frame_, frame, max_changed);
   }
@@ -55,7 +58,6 @@ core::HebsResult TemporalReuse::process(FrameContext& ctx,
   if (have_hist) {
     ctx.set_exact_histogram(refreshed);
     prev_hist_ = std::move(refreshed);
-    ++stats_.incremental;
     obs::add(obs::Counter::kTemporalDeltaRefresh);
     reuse_span.set_arg(1);
   } else {
@@ -67,7 +69,6 @@ core::HebsResult TemporalReuse::process(FrameContext& ctx,
                                                                    : nullptr;
   core::HebsResult result = run_exact_traced(ctx, d_max_percent, seed, &out);
   if (out.warmed) {
-    ++stats_.warmed;
     obs::add(obs::Counter::kTemporalWarmVerified);
     seed_cooldown_ = 0;
   } else if (seed != nullptr) {

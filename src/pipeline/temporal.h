@@ -32,8 +32,6 @@
 // The invariants this rests on are documented in DESIGN.md §9.
 #pragma once
 
-#include <cstddef>
-
 #include "core/hebs.h"
 #include "histogram/histogram.h"
 #include "image/image.h"
@@ -42,22 +40,16 @@
 
 namespace hebs::pipeline {
 
-/// Tunables of the temporal fast path.
-struct TemporalOptions {
-  /// Master switch; disabled, process() degrades to rebind + run_exact.
-  bool enabled = true;
-  /// Largest fraction of differing pixels the incremental histogram
-  /// update may touch before bailing to the full SIMD recount.
-  double max_delta_fraction = 0.25;
-};
-
 /// Per-slot stream state: the previous frame this slot searched, its
 /// histogram, raw result and search trace.  Not thread-safe; the engine
 /// gives each stream slot its own instance, and a slot is touched by at
-/// most one worker per round.
+/// most one worker per round.  Its coherence counts are the process
+/// counters kTemporalFrames, kTemporalDeltaRefresh and
+/// kTemporalWarmVerified.
 class TemporalReuse {
  public:
-  explicit TemporalReuse(TemporalOptions opts = {}) : opts_(opts) {}
+  /// Disabled, process() degrades to rebind + run_exact.
+  explicit TemporalReuse(bool enabled = true) : enabled_(enabled) {}
 
   /// Binds `ctx` to `frame` and runs the exact search through whichever
   /// coherence level applies.  The returned result equals
@@ -75,23 +67,14 @@ class TemporalReuse {
   /// Forgets the previous frame (e.g. between clips).
   void reset();
 
-  /// Coherence counters for benches and tests.
-  struct Stats {
-    std::size_t frames = 0;       ///< frames processed
-    std::size_t incremental = 0;  ///< incremental histogram refreshes
-    std::size_t warmed = 0;       ///< searches whose seed verified
-  };
-  const Stats& stats() const noexcept { return stats_; }
-
  private:
-  TemporalOptions opts_;
+  bool enabled_;
   bool has_prev_ = false;
   int seed_cooldown_ = 0;
   hebs::image::GrayImage prev_frame_;
   hebs::histogram::Histogram prev_hist_;
   core::HebsResult prev_raw_;
   SearchTrace trace_;
-  Stats stats_;
 };
 
 }  // namespace hebs::pipeline

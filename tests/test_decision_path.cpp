@@ -77,6 +77,43 @@ TEST(DecisionPath, AlbumBudgetMinRangeMatrix) {
   }
 }
 
+TEST(DecisionPath, BetaWalksRecordOnePath) {
+  // The β refinement runs one dyadic walk three ways: the cold loop
+  // (coarse_search off), the coarse search's bracket replay, and the
+  // replay of a temporal seed.  On the album matrix all three record
+  // the same decision path.
+  const auto album = hebs::image::usid_album(64);
+  std::size_t walks = 0;
+  for (const double budget : {0.5, 2.0, 5.0, 10.0, 30.0}) {
+    for (const int min_range : {2, 16, 64}) {
+      for (const auto& [name, img] : album) {
+        const std::string what = name + " budget=" + std::to_string(budget) +
+                                 " min_range=" + std::to_string(min_range);
+        const auto traced = [&](bool coarse, const SearchTrace* seed) {
+          core::HebsOptions opts;
+          opts.min_range = min_range;
+          opts.coarse_search = coarse;
+          FrameContext ctx(img, opts, model());
+          SearchTrace trace;
+          run_exact_traced(ctx, budget, seed, &trace);
+          return trace;
+        };
+        const SearchTrace cold = traced(false, nullptr);
+        const SearchTrace coarse = traced(true, nullptr);
+        const SearchTrace seeded = traced(true, &cold);
+        for (const SearchTrace* t : {&coarse, &seeded}) {
+          EXPECT_EQ(t->beta_path, cold.beta_path) << what;
+          EXPECT_EQ(t->refine_ran, cold.refine_ran) << what;
+          EXPECT_EQ(t->floor_feasible, cold.floor_feasible) << what;
+          EXPECT_EQ(t->range, cold.range) << what;
+        }
+        walks += cold.refine_ran && !cold.floor_feasible ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(walks, 0u);
+}
+
 TEST(DecisionPath, SeedFuzzedFramesHonorTheBudgetContract) {
   // Random frames with deliberately ugly histograms: noise fields,
   // noisy gradients, sparse impulse spikes, blocky rectangles.  On

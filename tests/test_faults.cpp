@@ -631,20 +631,51 @@ TEST_F(FaultMatrixTest, StreamRederiveFaultReplaysTheRestOfItsRound) {
         PipelineEngine(opts, model()).process_stream(frames, vopts);
     const std::uint64_t total_hits = fault::hit_count(fault::Point::kPoolAlloc);
     fault::clear_all();
+    // The frames after a fault run cold (one thread, no reuse).
+    EngineOptions ref_opts;
+    ref_opts.num_threads = 1;
+    ref_opts.temporal_reuse = false;
+    core::VideoOptions ref_vopts = vopts;
+    ref_vopts.num_threads = 1;
+    const auto cold_after = [&](std::size_t fault_at) {
+      const std::span<const GrayImage> suffix(frames.data() + fault_at + 1,
+                                              frames.size() - fault_at - 1);
+      return PipelineEngine(ref_opts, model()).process_stream(suffix,
+                                                              ref_vopts);
+    };
+    // Without the fault, a frame after it in its window decides
+    // differently from that cold run: the replay is what makes them
+    // equal.  Where the fault lands decides whether such a frame exists.
+    const auto history_matters =
+        [&](std::size_t fault_at, const std::vector<core::FrameDecision>& ref) {
+          bool matters = false;
+          for (std::size_t i = fault_at + 1; i < 2 * round; ++i) {
+            matters |= clean[i].beta != ref[i - fault_at - 1].beta;
+          }
+          return matters;
+        };
     // The second window's re-derivations run mid-call, so the sweep
-    // tries the middle hits first.
+    // tries the middle hits first, and it goes on until a landing
+    // leaves a later frame of the window whose history matters.
     std::vector<std::uint64_t> hits = spread_hits(total_hits);
     std::stable_partition(hits.begin(), hits.end(), [&](std::uint64_t h) {
       return 5 * h >= 2 * total_hits && 5 * h <= 4 * total_hits;
     });
     Run run;
+    std::vector<core::FrameDecision> ref;
+    bool found = false;
     for (const std::uint64_t hit : hits) {
       run = run_with_fault_at_hit(hit);
-      if (run.rederive && run.fault_at / round == 1 &&
-          (threads == 1 || run.fault_at + 1 < 2 * round)) {
-        break;
+      if (!run.rederive || run.fault_at / round != 1 ||
+          (threads > 1 && run.fault_at + 1 >= 2 * round)) {
+        continue;
       }
+      ref = cold_after(run.fault_at);
+      found = threads == 1 || history_matters(run.fault_at, ref);
+      if (found) break;
     }
+    ASSERT_TRUE(found) << "no re-derivation fault in the second window "
+                          "before a frame whose history matters";
     ASSERT_LT(run.fault_at, frames.size());
     ASSERT_TRUE(run.rederive) << run.faults[run.fault_at].message;
     ASSERT_EQ(run.fault_at / round, 1u);
@@ -658,28 +689,14 @@ TEST_F(FaultMatrixTest, StreamRederiveFaultReplaysTheRestOfItsRound) {
 
     // The frames after it, the rest of its window included, equal a
     // cold run started just after it.
-    EngineOptions ref_opts;
-    ref_opts.num_threads = 1;
-    ref_opts.temporal_reuse = false;
-    core::VideoOptions ref_vopts = vopts;
-    ref_vopts.num_threads = 1;
-    const std::span<const GrayImage> suffix(frames.data() + fault_at + 1,
-                                            frames.size() - fault_at - 1);
-    const auto ref =
-        PipelineEngine(ref_opts, model()).process_stream(suffix, ref_vopts);
-    ASSERT_EQ(ref.size(), suffix.size());
+    ASSERT_EQ(ref.size(), frames.size() - fault_at - 1);
     for (std::size_t j = 0; j < ref.size(); ++j) {
       SCOPED_TRACE("suffix frame " + std::to_string(j));
       expect_same_decision(run.decisions[fault_at + 1 + j], ref[j]);
     }
-    // The replay is what makes them equal: without the fault, a frame
-    // after it in its window decides differently from that cold run.
+    // The replay is what makes them equal.
     if (threads > 1) {
-      bool history_matters = false;
-      for (std::size_t i = fault_at + 1; i < 2 * round; ++i) {
-        history_matters |= clean[i].beta != ref[i - fault_at - 1].beta;
-      }
-      EXPECT_TRUE(history_matters);
+      EXPECT_TRUE(history_matters(fault_at, ref));
     }
     // The prefix is unchanged.
     const std::span<const GrayImage> prefix(frames.data(), fault_at);
@@ -840,15 +857,26 @@ TEST_F(FaultMatrixTest, StreamDedupeRederiveFaultReplaysTheRestOfItsRound) {
         PipelineEngine(opts, model()).process_stream(frames, vopts);
     const std::uint64_t total_hits = fault::hit_count(fault::Point::kPoolAlloc);
     fault::clear_all();
+    // The sweep goes on until the frame after the fault decides, without
+    // the fault, differently from the cold run started after it: where
+    // the fault lands decides whether the replay is what makes them
+    // equal.
     Run run;
+    std::vector<core::FrameDecision> ref;
     bool found = false;
     for (const std::uint64_t hit : spread_hits(total_hits)) {
       run = run_with_fault_at_hit(hit);
-      found = run.rederive && run.fault_at > 0 &&
-              frames[run.fault_at] == frames[run.fault_at - 1];
+      if (!run.rederive || run.fault_at == 0 ||
+          run.fault_at + 1 >= frames.size() ||
+          frames[run.fault_at] != frames[run.fault_at - 1]) {
+        continue;
+      }
+      ref = cold_suffix(frames, run.fault_at);
+      found = clean[run.fault_at + 1].beta != ref[0].beta;
       if (found) break;
     }
-    ASSERT_TRUE(found) << "no pool allocation of a duplicate's re-derivation";
+    ASSERT_TRUE(found) << "no pool allocation of a duplicate's re-derivation "
+                          "before a frame whose history matters";
     const std::size_t fault_at = run.fault_at;
     // Its own applied β: a real re-derivation, not a copy.
     EXPECT_NE(clean[fault_at].beta, clean[fault_at - 1].beta);
@@ -859,7 +887,6 @@ TEST_F(FaultMatrixTest, StreamDedupeRederiveFaultReplaysTheRestOfItsRound) {
 
     // The frames after it, the rest of its run included, equal a cold
     // run started just after it.
-    const auto ref = cold_suffix(frames, fault_at);
     ASSERT_EQ(ref.size(), frames.size() - fault_at - 1);
     for (std::size_t j = 0; j < ref.size(); ++j) {
       SCOPED_TRACE("suffix frame " + std::to_string(j));

@@ -244,13 +244,16 @@ TEST(Temporal, ReuseMatchesColdOnPerturbedFrames) {
   hebs::util::PoolScope scope(&pool);
   FrameContext ctx({}, model());
   TemporalReuse reuse;
+  const auto before = hebs::obs::snapshot_counters();
   for (std::size_t i = 0; i < chain.size(); ++i) {
     const core::HebsResult warm = reuse.process(ctx, chain[i], 10.0);
     FrameContext cold_ctx(chain[i], {}, model());
     const core::HebsResult cold = run_exact(cold_ctx, 10.0);
     EXPECT_TRUE(same_result(warm, cold)) << "frame " << i;
   }
-  EXPECT_GE(reuse.stats().incremental, 2u);
+  EXPECT_GE(hebs::obs::snapshot_counters().delta_since(
+                before)[hebs::obs::Counter::kTemporalDeltaRefresh],
+            2u);
 }
 
 TEST(Temporal, RebindAfterPoolRecycleLeaksNoStaleCaches) {
