@@ -295,9 +295,8 @@ struct Session::Impl {
     // One MiB knob bounds both pool budgets: retention (free lists) and
     // outstanding checkout (exhaustion degrades to counted heap blocks
     // rather than failing a frame — see EngineOptions::pool_max_bytes).
-    opts.pool_max_retained_bytes =
+    opts.pool_max_bytes =
         static_cast<std::size_t>(cfg.pool_max_mb()) * 1024 * 1024;
-    opts.pool_max_bytes = opts.pool_max_retained_bytes;
     opts.temporal_reuse = cfg.temporal_reuse();
     opts.frame_deadline_us = cfg.frame_deadline_us();
     return opts;

@@ -1,7 +1,6 @@
 #include "pipeline/engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -28,11 +27,11 @@ namespace {
 std::unique_ptr<util::BufferPool> make_pool(const EngineOptions& opts) {
   if (!opts.use_buffer_pool) return nullptr;  // null scope = plain heap
   return std::make_unique<util::BufferPool>(
-      util::PoolOptions{opts.pool_max_retained_bytes, opts.pool_max_bytes});
+      util::PoolOptions{opts.pool_max_bytes, opts.pool_max_bytes});
 }
 
-/// Member pools for a lane board (none on a one-thread engine: its pool
-/// lends no lanes).
+/// The engine's member pools (none on a one-thread engine: its pool
+/// runs no rounds).
 ProbeLanes::MemberPools member_pools(const EngineOptions& opts,
                                      const ThreadPool& pool) {
   ProbeLanes::MemberPools members;
@@ -41,23 +40,6 @@ ProbeLanes::MemberPools member_pools(const EngineOptions& opts,
   }
   return members;
 }
-
-/// Marks a frame final on its lane board (nullable) exactly once: at
-/// now(), or when the frame's body leaves by fault or exception.
-class FinalOnBoard {
- public:
-  explicit FinalOnBoard(ProbeLanes* board) noexcept : board_(board) {}
-  ~FinalOnBoard() { now(); }
-  FinalOnBoard(const FinalOnBoard&) = delete;
-  FinalOnBoard& operator=(const FinalOnBoard&) = delete;
-
-  void now() {
-    if (board_ != nullptr) std::exchange(board_, nullptr)->finish();
-  }
-
- private:
-  ProbeLanes* board_;
-};
 
 // ---- fault containment helpers (DESIGN.md §14) ------------------------
 
@@ -430,16 +412,15 @@ PipelineEngine::PipelineEngine(EngineOptions opts,
     : opts_(std::move(opts)),
       model_(std::move(power_model)),
       pool_(opts_.num_threads),
-      lanes_(pool_, member_pools(opts_, pool_)),
-      batch_lanes_(pool_, member_pools(opts_, pool_)) {
+      lanes_(pool_, member_pools(opts_, pool_)) {
   slot_.pool = make_pool(opts_);
 }
 
 template <typename Body>
 void PipelineEngine::with_worker_slots(std::size_t count, Body&& body) {
-  const auto run = [&body](std::span<WorkerSlot> slots, ProbeLanes* lanes) {
+  const auto run = [&body](std::span<WorkerSlot> slots) {
     try {
-      body(slots, lanes);
+      body(slots);
     } catch (...) {
       // Only a precondition violation leaves a call by exception, and it
       // may leave any context mid-update: none serves a later call.
@@ -453,15 +434,15 @@ void PipelineEngine::with_worker_slots(std::size_t count, Body&& body) {
       workers_.emplace_back();
       workers_.back().pool = make_pool(opts_);
     }
-    run(std::span<WorkerSlot>(workers_).first(count), &batch_lanes_);
+    run(std::span<WorkerSlot>(workers_).first(count));
     return;
   }
   // Another batch or stream call holds the slots: run on call-local ones
   // rather than queue, so concurrent callers of one engine still run in
-  // parallel.  They get no board: their frames search serially.
+  // parallel.
   std::vector<WorkerSlot> local(count);
   for (WorkerSlot& s : local) s.pool = make_pool(opts_);
-  run(local, nullptr);
+  run(local);
 }
 
 /// Decides every image on the pool, each worker rebinding the
@@ -472,10 +453,9 @@ void PipelineEngine::with_worker_slots(std::size_t count, Body&& body) {
 /// order never depends on scheduling.
 ///
 /// Speculative probes (DESIGN.md §11): a frame's search posts its rounds
-/// on a lane board.  A single image's board is served by the pool's
-/// idle workers, lent for the frame; a batch's by its own workers once
-/// their frames are decided (the batch tail).  Decisions are the serial
-/// ones either way.
+/// on the engine's probe lanes, served by whichever pool workers idle —
+/// the whole pool beside a single image, a batch's workers once their
+/// own frames are decided.  Decisions are the serial ones either way.
 ///
 /// Containment (contain_frame): a frame whose body throws or blows the
 /// frame deadline lands the identity fallback at its index, and
@@ -494,12 +474,15 @@ std::vector<core::HebsResult> PipelineEngine::run_batch(
     faults->resize(images.size());
   }
   std::vector<core::HebsResult> results(images.size());
-  // `lanes` (nullable) is the board the frame's speculative probe rounds
-  // go to; the frame is final there once decided — its render posts no
-  // round, so servers leave then — or once it leaves by fault.
-  const auto run_frame = [&](WorkerSlot& slot, std::size_t i,
-                             ProbeLanes* lanes) {
-    FinalOnBoard final_on_board(lanes);
+  // Lanes only where a search may speculate: at least two effective
+  // workers, no fault point armed, frames above the speculation floor.
+  const bool speculate =
+      ProbeLanes::available(pool_) &&
+      std::any_of(images.begin(), images.end(), [](const Image& img) {
+        return img.size() >= ProbeLanes::kMinPixels;
+      });
+  ProbeLanes* const lanes = speculate ? &lanes_ : nullptr;
+  const auto run_frame = [&](WorkerSlot& slot, std::size_t i) {
     util::PoolScope scope(slot.pool.get());
     contain_frame(
         opts_.frame_deadline_us, faults, i, "search",
@@ -510,7 +493,6 @@ std::vector<core::HebsResult> PipelineEngine::run_batch(
           results[i] = policy.decide(ctx, d_max_percent);
           // Stream calls reuse the slot's context and never speculate.
           ctx.set_probe_lanes(nullptr);
-          final_on_board.now();
           post.render(i, results[i].point);
         },
         [&] { slot.ctx.reset(); },
@@ -519,74 +501,33 @@ std::vector<core::HebsResult> PipelineEngine::run_batch(
           post.degrade(i);
         });
   };
-  // Lanes only where a search may speculate: at least two effective
-  // workers, no fault point armed, frames above the speculation floor.
-  const bool speculate =
-      ProbeLanes::available(pool_) &&
-      std::any_of(images.begin(), images.end(), [](const Image& img) {
-        return img.size() >= ProbeLanes::kMinPixels;
-      });
   if (images.size() == 1) {
     // Single frame: frame-level fan-out cannot help, so run inline on
-    // the calling thread; while it decides, the pool's idle workers (if
-    // any: a busy pool lends none, and a queued batch takes them back)
-    // serve its search's probe rounds.
+    // the calling thread.
     if (slot_mu_.try_lock()) {
       util::MutexLock lock(slot_mu_, std::adopt_lock);
-      if (speculate) {
-        lanes_.open(1);
-        const bool lent = pool_.try_parallel_for(
-            ProbeLanes::kMaxRound, [&](std::size_t k, int) {
-              if (k != 0) {
-                lanes_.serve(/*lent=*/true);
-                return;
-              }
-              run_frame(slot_, 0, &lanes_);
-            });
-        if (lent) return results;
-        lanes_.close();
-      }
-      run_frame(slot_, 0, nullptr);
+      run_frame(slot_, 0);
     } else {
       // Another caller holds the slot: run on a one-off slot rather
       // than queue, so concurrent callers of one engine still run in
       // parallel.
       WorkerSlot one_off;
       one_off.pool = make_pool(opts_);
-      run_frame(one_off, 0, nullptr);
+      run_frame(one_off, 0);
     }
     return results;
   }
   // Slot k decides frames k, k + W, k + 2W, … in order, so which
   // frames a slot's pool serves never depends on scheduling: a repeated
-  // call recycles every block its predecessor used.  A worker whose slot
-  // is done serves the frames still deciding.  Every slot has a claimant
-  // of its own when W is within the effective concurrency (the claimant
-  // count every task of the pool is published with); otherwise a worker
-  // serves only once every slot has started, so no slot waits on a
+  // call recycles every block its predecessor used.  A worker serves
+  // rounds only once no slot is left to claim, so no slot waits on a
   // serving worker.
   const std::size_t width = std::min<std::size_t>(
       static_cast<std::size_t>(pool_.thread_count()), images.size());
-  const bool own_claimants =
-      width <= static_cast<std::size_t>(pool_.effective_concurrency());
-  std::atomic<std::size_t> started{0};
-  with_worker_slots(width, [&](std::span<WorkerSlot> slots,
-                               ProbeLanes* board) {
-    ProbeLanes* const tail = speculate ? board : nullptr;
-    if (tail != nullptr) tail->open(images.size());
+  with_worker_slots(width, [&](std::span<WorkerSlot> slots) {
     pool_.parallel_for(width, [&](std::size_t k, int) {
-      started.fetch_add(1, std::memory_order_relaxed);
-      try {
-        for (std::size_t i = k; i < images.size(); i += width) {
-          run_frame(slots[k], i, tail);
-        }
-      } catch (...) {
-        if (tail != nullptr) tail->close();
-        throw;
-      }
-      if (tail != nullptr &&
-          (own_claimants || started.load(std::memory_order_relaxed) == width)) {
-        tail->serve(/*lent=*/false);
+      for (std::size_t i = k; i < images.size(); i += width) {
+        run_frame(slots[k], i);
       }
     });
   });
@@ -699,7 +640,7 @@ std::vector<core::FrameDecision> PipelineEngine::run_stream(
     return controller.apply_degraded(identity_fallback(frames[i]));
   };
 
-  with_worker_slots(slots, [&](std::span<WorkerSlot> workers, ProbeLanes*) {
+  with_worker_slots(slots, [&](std::span<WorkerSlot> workers) {
     std::vector<Run> runs;
     runs.reserve(slots);
     for (std::size_t k = 0; k < slots; ++k) {

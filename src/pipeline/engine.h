@@ -13,10 +13,10 @@
 // and renders each frame right after its decision, on the same worker.
 // A one-frame batch (what Session::process runs)
 // instead runs inline on the calling thread, on a persistent slot — one
-// FrameContext and one buffer pool the engine keeps across calls — and
-// its search borrows the pool's idle workers for speculative probes.  A
-// batch's workers, once their own frames are decided, serve the probes
-// of the frames still deciding the same way (DESIGN.md §11).
+// FrameContext and one buffer pool the engine keeps across calls.
+// Every search may post speculative probe rounds, which the pool's idle
+// workers serve: beside a single frame the whole pool, in a batch the
+// workers whose own frames are decided (DESIGN.md §11).
 //
 // Stream mode (video) keeps only the flicker controller's scalar β
 // recurrence in frame order.  The frames flow through one pipeline on
@@ -68,10 +68,6 @@ struct EngineOptions {
   /// the heap — the engine's steady state allocates nothing per frame.
   /// Purely a performance knob; outputs are identical either way.
   bool use_buffer_pool = true;
-  /// Free-list retention cap per pool, in bytes (0 = unlimited; an
-  /// eviction inside the per-frame working set would reintroduce
-  /// steady-state allocations).
-  std::size_t pool_max_retained_bytes = 0;
   /// Stream mode: temporal-coherence fast path (duplicate-frame reuse,
   /// incremental histograms, warm-started searches; a color repeat
   /// reuses its predecessor's rendering).  Outputs are
@@ -81,9 +77,11 @@ struct EngineOptions {
   /// budget either way — see DESIGN.md §9 and pipeline/temporal.h).
   /// Disable for unconditional cold-path equality.
   bool temporal_reuse = true;
-  /// Cap on bytes checked out of each per-worker pool at once; 0 =
-  /// unlimited.  Exhaustion degrades to counted plain-heap blocks
-  /// (obs kPoolHeapFallback) — it never fails a frame.
+  /// Cap per buffer pool, in bytes, on both its checkout and its free
+  /// lists; 0 = unlimited.  Exhaustion degrades to counted plain-heap
+  /// blocks (obs kPoolHeapFallback) — it never fails a frame; an
+  /// eviction inside the per-frame working set reintroduces steady-state
+  /// allocations.
   std::size_t pool_max_bytes = 0;
   /// Soft per-frame deadline, microseconds; 0 = none.  A frame whose
   /// decision (rebind + search; color batches include the color render)
@@ -248,11 +246,9 @@ class PipelineEngine {
     std::unique_ptr<FrameContext> ctx;       ///< null = cold/quarantined
   };
 
-  /// Runs `body(slots, board)` on `count` worker slots and the lane
-  /// board their frames may speculate on: the engine's own when no other
-  /// call holds them, else call-local slots and no board (null; a
-  /// concurrent caller never queues).  A call that throws out
-  /// quarantines every context.
+  /// Runs `body(slots)` on `count` worker slots: the engine's own when
+  /// no other call holds them, else call-local ones (a concurrent caller
+  /// never queues).  A call that throws out quarantines every context.
   template <typename Body>
   void with_worker_slots(std::size_t count, Body&& body);
 
@@ -280,20 +276,18 @@ class PipelineEngine {
   EngineOptions opts_;
   hebs::power::LcdSubsystemPower model_;
   ThreadPool pool_;
+  /// The member pools and warmed shapes every batch frame's search
+  /// posts its speculative probe rounds through; the pool's idle workers
+  /// serve them (DESIGN.md §11).
+  ProbeLanes lanes_;
   /// Held by the one single-frame call running on the slot; a call that
-  /// finds it taken runs on a one-off slot instead of waiting.  The
-  /// slot's search posts speculative probe rounds on `lanes_`, served
-  /// by the pool's idle workers (DESIGN.md §11).
+  /// finds it taken runs on a one-off slot instead of waiting.
   util::Mutex slot_mu_;
   WorkerSlot slot_ HEBS_GUARDED_BY(slot_mu_);
-  ProbeLanes lanes_;
   /// Held by the one batch or stream call running on the worker slots;
   /// grown on demand to the largest slot count a call has asked for.
   util::Mutex workers_mu_;
   std::vector<WorkerSlot> workers_ HEBS_GUARDED_BY(workers_mu_);
-  /// The board a batch on `workers_` speculates on: its tail's workers
-  /// serve the frames still deciding (DESIGN.md §11).
-  ProbeLanes batch_lanes_ HEBS_GUARDED_BY(workers_mu_);
 };
 
 }  // namespace hebs::pipeline

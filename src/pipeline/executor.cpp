@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
+#include <utility>
 
 #include "obs/counters.h"
 #include "util/error.h"
@@ -62,8 +64,8 @@ ThreadPool::ThreadPool(int threads)
     {
       util::MutexLock lock(mu_);
       stop_ = true;
+      wake_workers_locked();
     }
-    cv_work_.notify_all();
     for (auto& t : threads_) t.join();
     throw;
   }
@@ -73,32 +75,42 @@ ThreadPool::~ThreadPool() {
   {
     util::MutexLock lock(mu_);
     stop_ = true;
+    wake_workers_locked();
   }
-  cv_work_.notify_all();
   for (auto& t : threads_) t.join();
 }
 
+void ThreadPool::wake_workers_locked() {
+  generation_.fetch_add(1, std::memory_order_release);
+  // Taking round_mu_ orders the bump against a worker that read the
+  // generation under it and is about to sleep: that one is asleep by
+  // now, and the notify reaches it.
+  { util::MutexLock lock(round_mu_); }
+  idle_cv_.notify_all();
+}
+
 void ThreadPool::worker_loop(int worker) {
-  std::uint64_t seen_generation = 0;
+  // Every task and every round member this thread runs is this pool's.
+  RunningPoolScope running(this);
+  const bool serves = worker < effective_concurrency_;
+  std::uint64_t seen = 0;
   for (;;) {
+    idle(serves, seen);
     const std::function<void(std::size_t, int)>* task = nullptr;
     std::size_t n = 0;
-    int limit = 0;
     {
       util::MutexLock lock(mu_);
-      while (!stop_ && generation_ == seen_generation) cv_work_.wait(mu_);
       if (stop_) return;
-      seen_generation = generation_;
+      // The task cannot change before this worker joins its barrier.
+      seen = generation_.load(std::memory_order_relaxed);
       task = task_;
       n = task_n_;
-      limit = task_limit_;
     }
     std::exception_ptr error;
-    RunningPoolScope running(this);
     // Workers beyond the effective-concurrency cap sit this call out
     // without touching the cursor (a fetch_add here would consume an
     // index nobody processes); they still join the barrier below.
-    while (worker < limit) {
+    while (serves) {
       // Once any worker failed the call will rethrow, so stop claiming
       // indices instead of burning through the rest of the batch.
       if (failed_.load(std::memory_order_relaxed)) break;
@@ -111,20 +123,73 @@ void ThreadPool::worker_loop(int worker) {
         failed_.store(true, std::memory_order_relaxed);
       }
     }
-    {
-      util::MutexLock lock(mu_);
-      if (error && !first_error_) first_error_ = error;
-      if (--active_ == 0) {
-        // A lent task ends with its last worker: its caller may still
-        // be running fn(0), and a queued caller need not wait for that.
-        if (task_opportunistic_) {
-          std::exception_ptr* const lent_error = lent_error_;
-          *lent_error = teardown_locked();
-        }
-        cv_done_.notify_all();
+    util::MutexLock lock(mu_);
+    if (error && !first_error_) first_error_ = error;
+    if (--active_ == 0) cv_done_.notify_all();
+  }
+}
+
+void ThreadPool::set_idle_locked(bool now_idle) {
+  idle_ += now_idle ? 1 : -1;
+  idle_hint_.store(idle_ != 0, std::memory_order_relaxed);
+}
+
+void ThreadPool::idle(bool serves, std::uint64_t seen) {
+  const auto published = [&] {
+    return generation_.load(std::memory_order_acquire) != seen;
+  };
+  round_mu_.lock();
+  if (serves) set_idle_locked(true);
+  // No round event seen yet: the worker sleeps until one comes.
+  std::chrono::steady_clock::time_point last_event{};
+  while (!published()) {
+    if (Round* r = round_; serves && r != nullptr && r->next < r->n) {
+      const std::size_t k = r->next++;
+      ++r->running;
+      set_idle_locked(false);
+      round_mu_.unlock();
+      std::exception_ptr error;
+      try {
+        (*r->fn)(k);
+      } catch (...) {
+        error = std::current_exception();
       }
+      round_mu_.lock();
+      if (error && !r->error) r->error = error;
+      if (--r->running == 0) round_done_.notify_all();
+      set_idle_locked(true);
+      last_event = std::chrono::steady_clock::now();
+      continue;
+    }
+    // Nothing to claim.  As many workers as a round has members for
+    // poll the event count without the lock until kServeSpin has passed
+    // since the last round event; the rest sleep until a post finds too
+    // few polling, a publication or the stop.  The rounds of one search
+    // come a probe apart, so a worker woken by the first one stays hot
+    // for the rest.
+    const std::uint64_t seen_events = events_.load(std::memory_order_acquire);
+    const auto polling = [&] {
+      return std::chrono::steady_clock::now() - last_event < kServeSpin;
+    };
+    constexpr int kMaxPolling = static_cast<int>(ProbeLanes::kMaxRound) - 1;
+    if (serves && polling_ < kMaxPolling && polling()) {
+      ++polling_;
+      round_mu_.unlock();
+      while (events_.load(std::memory_order_acquire) == seen_events &&
+             !published() && polling()) {
+        std::this_thread::yield();
+      }
+      round_mu_.lock();
+      --polling_;
+    } else {
+      idle_cv_.wait(round_mu_);
+    }
+    if (events_.load(std::memory_order_relaxed) != seen_events) {
+      last_event = std::chrono::steady_clock::now();
     }
   }
+  if (serves) set_idle_locked(false);
+  round_mu_.unlock();
 }
 
 void ThreadPool::parallel_for(
@@ -150,85 +215,63 @@ void ThreadPool::parallel_for(
     // depth the observability layer reports.
     if (busy_) {
       obs::add(obs::Counter::kParallelForQueued);
-      ++queued_;
-      queued_hint_.store(true, std::memory_order_relaxed);
       while (busy_) cv_done_.wait(mu_);
-      --queued_;
-      queued_hint_.store(queued_ != 0, std::memory_order_relaxed);
     }
-    publish_locked(n, fn, /*opportunistic=*/false);
+    busy_ = true;
+    task_ = &fn;
+    task_n_ = n;
+    cursor_.store(0, std::memory_order_relaxed);
+    failed_.store(false, std::memory_order_relaxed);
+    active_ = static_cast<int>(threads_.size());
+    first_error_ = nullptr;
+    wake_workers_locked();
     while (active_ != 0) cv_done_.wait(mu_);
-    error = teardown_locked();
+    task_ = nullptr;
+    error = std::exchange(first_error_, nullptr);
+    busy_ = false;
+    // Wake the next queued caller (cv_done_ doubles as the busy_
+    // handoff; predicates disambiguate).
+    cv_done_.notify_all();
   }
   // Rethrow outside the lock: a throwing unwind must not hold mu_.
   if (error) std::rethrow_exception(error);
 }
 
-bool ThreadPool::try_parallel_for(
-    std::size_t n, const std::function<void(std::size_t, int)>& fn) {
-  if (n == 0) return true;
-  if (threads_.empty() || t_running_pool == this) return false;
-  std::exception_ptr lent_error;
-  std::uint64_t generation = 0;
+bool ThreadPool::run_round(std::size_t n,
+                           const std::function<void(std::size_t)>& fn) {
+  // "Only when a worker idles": a pool whose workers are all busy
+  // answers without the lock.
+  if (n < 2 || !idle_hint_.load(std::memory_order_relaxed)) return false;
+  Round round;
+  round.fn = &fn;
+  round.n = n;
+  bool wake = false;
   {
-    util::MutexLock lock(mu_);
-    if (busy_ || queued_ != 0) return false;
-    obs::add(obs::Counter::kParallelForCalls);
-    obs::add(obs::Counter::kParallelForItems, n);
-    publish_locked(n, fn, /*opportunistic=*/true);
-    lent_error_ = &lent_error;
-    generation = generation_;
+    util::MutexLock lock(round_mu_);
+    if (idle_ == 0 || round_ != nullptr) return false;
+    round_ = &round;
+    wake = polling_ < static_cast<int>(n) - 1;
   }
-  // Index 0 is the caller's, run outside the lock like every worker's
-  // share; busy_ keeps other callers out until the workers have left.
+  events_.fetch_add(1, std::memory_order_release);
+  if (wake) idle_cv_.notify_all();
   std::exception_ptr error;
-  {
-    RunningPoolScope running(this);
-    try {
-      fn(0, thread_count_);
-    } catch (...) {
-      error = std::current_exception();
-    }
+  try {
+    fn(0);
+  } catch (...) {
+    error = std::current_exception();
   }
   {
-    // The last worker out tore the task down (or will): wait for that,
-    // or for a queued caller's task that already replaced it.
-    util::MutexLock lock(mu_);
-    while (busy_ && generation_ == generation) cv_done_.wait(mu_);
+    util::MutexLock lock(round_mu_);
+    // Members no worker has claimed by now are skipped.  The round stays
+    // posted until its claimed members return: the next round's members
+    // draw from the same member pools, one probe at a time.
+    round.next = round.n;
+    while (round.running != 0) round_done_.wait(round_mu_);
+    round_ = nullptr;
+    if (!error) error = round.error;
   }
-  if (!error) error = lent_error;
   if (error) std::rethrow_exception(error);
   return true;
-}
-
-void ThreadPool::publish_locked(
-    std::size_t n, const std::function<void(std::size_t, int)>& fn,
-    bool opportunistic) {
-  busy_ = true;
-  task_ = &fn;
-  task_n_ = n;
-  task_limit_ = effective_concurrency_;
-  task_opportunistic_ = opportunistic;
-  // An opportunistic task reserves index 0 for its caller.
-  cursor_.store(opportunistic ? 1 : 0, std::memory_order_relaxed);
-  failed_.store(false, std::memory_order_relaxed);
-  active_ = static_cast<int>(threads_.size());
-  first_error_ = nullptr;
-  ++generation_;
-  cv_work_.notify_all();
-}
-
-std::exception_ptr ThreadPool::teardown_locked() {
-  task_ = nullptr;
-  task_opportunistic_ = false;
-  lent_error_ = nullptr;
-  std::exception_ptr error = first_error_;
-  first_error_ = nullptr;
-  busy_ = false;
-  // Wake the next queued caller (cv_done_ doubles as the busy_
-  // handoff; predicates disambiguate).
-  cv_done_.notify_all();
-  return error;
 }
 
 bool ProbeLanes::available(const ThreadPool& pool) noexcept {
@@ -241,8 +284,19 @@ int ProbeLanes::width() const noexcept {
   return hw == 0 ? claimants : std::min(claimants, static_cast<int>(hw));
 }
 
+bool ProbeLanes::run(std::size_t n,
+                     const std::function<void(std::size_t)>& fn) {
+  HEBS_REQUIRE(n <= members_.size() + 1, "round wider than the member pools");
+  const auto member = [&](std::size_t k) {
+    util::PoolScope scope(k == 0 ? nullptr : members_[k - 1].get());
+    fn(k);
+  };
+  // Wrapping a reference: building the std::function allocates nothing.
+  return pool_.run_round(n, std::cref(member));
+}
+
 void ProbeLanes::warm(const Shape& shape,
-                      const std::function<void()>& probe) {
+                      const std::function<void(std::size_t)>& probe) {
   if (members_.front() == nullptr) return;  // heap: nothing to warm
   {
     // Claimed under the lock, run outside it: a frame of the same shape
@@ -251,122 +305,16 @@ void ProbeLanes::warm(const Shape& shape,
     if (std::find(warm_.begin(), warm_.end(), shape) != warm_.end()) return;
     warm_.push_back(shape);
   }
-  for (const auto& pool : members_) {
-    util::PoolScope scope(pool.get());
-    probe();
+  std::array<bool, kMaxRound - 1> warmed{};
+  const auto member = [&](std::size_t k) {
+    util::PoolScope scope(members_[k].get());
+    probe(k);
+    warmed[k] = true;
+  };
+  (void)pool_.run_round(members_.size(), std::cref(member));
+  for (std::size_t k = 0; k < members_.size(); ++k) {
+    if (!warmed[k]) member(k);
   }
-}
-
-bool ProbeLanes::run(std::size_t n,
-                     const std::function<void(std::size_t)>& fn) {
-  HEBS_REQUIRE(n <= members_.size() + 1, "round wider than the member pools");
-  // "Only when a server is waiting": a board nobody serves (a batch
-  // whose workers are all deciding) answers without the lock.
-  if (n < 2 || !idle_hint_.load(std::memory_order_relaxed)) return false;
-  Round round;
-  round.fn = &fn;
-  round.n = n;
-  {
-    util::MutexLock lock(mu_);
-    if (idle_ == 0 || round_ != nullptr) return false;
-    round_ = &round;
-  }
-  events_.fetch_add(1, std::memory_order_release);
-  cv_.notify_all();
-  std::exception_ptr error;
-  try {
-    fn(0);
-  } catch (...) {
-    error = std::current_exception();
-  }
-  {
-    util::MutexLock lock(mu_);
-    // Members no server has claimed by now are skipped.  The round stays
-    // posted until its claimed members return: the next round's members
-    // draw from the same member pools, one probe at a time.
-    round.next = round.n;
-    while (round.running != 0) cv_.wait(mu_);
-    round_ = nullptr;
-    if (!error) error = round.error;
-  }
-  if (error) std::rethrow_exception(error);
-  return true;
-}
-
-void ProbeLanes::open(std::size_t frames) {
-  util::MutexLock lock(mu_);
-  open_ = frames;
-}
-
-void ProbeLanes::finish() {
-  {
-    util::MutexLock lock(mu_);
-    if (open_ == 0 || --open_ != 0) return;
-  }
-  events_.fetch_add(1, std::memory_order_release);
-  cv_.notify_all();
-}
-
-void ProbeLanes::close() {
-  {
-    util::MutexLock lock(mu_);
-    open_ = 0;
-  }
-  events_.fetch_add(1, std::memory_order_release);
-  cv_.notify_all();
-}
-
-void ProbeLanes::serve(bool lent) {
-  const auto leaving = [&] { return lent && pool_.yield_requested(); };
-  mu_.lock();
-  ++idle_;
-  idle_hint_.store(true, std::memory_order_relaxed);
-  auto idle_since = std::chrono::steady_clock::now();
-  while (open_ != 0 && !leaving()) {
-    if (Round* r = round_; r != nullptr && r->next < r->n) {
-      const std::size_t k = r->next++;
-      ++r->running;
-      if (--idle_ == 0) idle_hint_.store(false, std::memory_order_relaxed);
-      mu_.unlock();
-      std::exception_ptr error;
-      try {
-        util::PoolScope member_scope(members_[k - 1].get());
-        (*r->fn)(k);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      mu_.lock();
-      if (error && !r->error) r->error = error;
-      if (--r->running == 0) cv_.notify_all();
-      ++idle_;
-      idle_hint_.store(true, std::memory_order_relaxed);
-      idle_since = std::chrono::steady_clock::now();
-      continue;
-    }
-    // Nothing to claim: poll the event count without the lock for a
-    // while, then sleep until the next event (a lent server also wakes
-    // now and then to see whether a parallel_for caller queued).  Any
-    // event restarts the poll: the rounds of one search come a probe
-    // apart, so a server woken by the first one stays hot for the rest.
-    const std::uint64_t seen = events_.load(std::memory_order_acquire);
-    if (std::chrono::steady_clock::now() - idle_since < kServeSpin) {
-      mu_.unlock();
-      while (events_.load(std::memory_order_acquire) == seen && !leaving() &&
-             std::chrono::steady_clock::now() - idle_since < kServeSpin) {
-        std::this_thread::yield();
-      }
-      mu_.lock();
-    } else if (lent) {
-      cv_.wait_for(mu_, kLentNap);
-    } else {
-      cv_.wait(mu_);
-    }
-    if (events_.load(std::memory_order_relaxed) != seen) {
-      idle_since = std::chrono::steady_clock::now();
-    }
-  }
-  if (--idle_ == 0) idle_hint_.store(false, std::memory_order_relaxed);
-  mu_.unlock();
 }
 
 }  // namespace hebs::pipeline

@@ -179,13 +179,14 @@ constexpr int kFalsiProbes = 4;
 
 // ---- speculative probes (DESIGN.md §11) ---------------------------------
 //
-// When the engine lends the search a lane board (ProbeLanes) the serial
-// walk below borrows its servers: each probe it blocks on goes out in
-// one round with the probes the same walk would make next under either
-// outcome, all evaluated memo-free.  The walk itself is unchanged: it
-// still asks for one probe at a time, and a speculated result enters the
-// memos (and the probe/memo counters) only when the walk asks for it —
-// so memo contents, counters and decisions are exactly the serial ones.
+// When the engine hands the search its probe lanes (ProbeLanes) the
+// serial walk below borrows the pool's idle workers: each probe it
+// blocks on goes out in one round with the probes the same walk would
+// make next under either outcome, all evaluated memo-free.  The walk
+// itself is unchanged: it still asks for one probe at a time, and a
+// speculated result enters the memos (and the probe/memo counters) only
+// when the walk asks for it — so memo contents, counters and decisions
+// are exactly the serial ones.
 
 /// The lanes this decision may speculate on, with the frame caches the
 /// lanes read already built; null = serial search.
@@ -198,13 +199,13 @@ ProbeLanes* speculation_lanes(const FrameContext& ctx) {
   ctx.warm_probe_caches();
   // A full-range probe into a speculation slot (its storage reserved
   // just now, none pending yet) warms the member pools for any probe of
-  // this frame.
+  // this frame; member pool k's probe writes slot k.
   const ProbeLanes::Shape shape{
       ctx.bound16() ? ctx.image16().width() : ctx.image().width(),
       ctx.bound16() ? ctx.image16().height() : ctx.image().height(),
       ctx.levels(), ctx.options().segments};
-  lanes->warm(shape, [&ctx] {
-    RangeProbe& scratch = ctx.speculation_slots().front();
+  lanes->warm(shape, [&ctx](std::size_t k) {
+    RangeProbe& scratch = ctx.speculation_slots()[k];
     ctx.probe_range(ctx.max_pixel() - ctx.options().g_min, scratch);
     scratch.pending = false;
   });

@@ -28,7 +28,6 @@
 // annotations, not behavior, and compile to identical code.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -83,14 +82,6 @@ class CondVar {
     std::unique_lock<std::mutex> adopted(mu.mu_, std::adopt_lock);
     cv_.wait(adopted);
     adopted.release();  // caller keeps ownership; do not unlock here
-  }
-
-  /// wait() that also returns once `timeout` has passed.
-  void wait_for(Mutex& mu, std::chrono::microseconds timeout)
-      HEBS_REQUIRES(mu) {
-    std::unique_lock<std::mutex> adopted(mu.mu_, std::adopt_lock);
-    (void)cv_.wait_for(adopted, timeout);
-    adopted.release();
   }
 
   void notify_one() noexcept { cv_.notify_one(); }

@@ -350,7 +350,7 @@ TEST_F(FaultMatrixTest, SingleFrameInlinePathContains) {
   std::string error;
   ASSERT_TRUE(fault::install_from_string("worker-task", &error));
   EngineOptions opts;
-  opts.num_threads = 4;  // exercises the intra-frame row-executor setup
+  opts.num_threads = 4;  // a multi-thread pool still decides one frame inline
   PipelineEngine engine(opts, model());
   std::vector<FrameFault> faults;
   std::vector<core::HebsResult> results;

@@ -1,13 +1,15 @@
 // Tests for the ThreadPool fork-join (pipeline/executor.h): index
 // coverage, concurrent external callers, the effective-concurrency cap,
 // exception propagation and the deterministic ordered reduction
-// (results must be bit-identical for every thread count).
+// (results must be bit-identical for every thread count); and for the
+// probe rounds idle workers serve (run_round).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -249,6 +251,148 @@ TEST(ThreadPool, EveryWorkerThrowingStillUnwindsOnce) {
     runs.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(runs.load(), 8);
+}
+
+// ---- run_round ----------------------------------------------------------
+
+/// Spins until `flag` is set; false after a generous timeout (so a
+/// broken pool fails the test instead of hanging it).
+bool await(const std::atomic<bool>& flag) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!flag.load(std::memory_order_acquire)) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+/// Posts `fn` as an n-member round once a worker idles (a fresh pool's
+/// workers take a moment to get there; a refused round runs nothing).
+void post_round(ThreadPool& pool, std::size_t n,
+                const std::function<void(std::size_t)>& fn) {
+  while (!pool.run_round(n, fn)) std::this_thread::yield();
+}
+
+TEST(ThreadPool, RoundRunsMemberZeroOnTheCallerAndSkipsUnclaimedMembers) {
+  ThreadPool pool(2);
+  constexpr std::size_t kN = 64;
+  std::vector<std::atomic<int>> runs(kN);
+  std::vector<std::thread::id> ran_on(kN);
+  std::atomic<bool> member_started{false};
+  bool waited = false;
+  post_round(pool, kN, [&](std::size_t k) {
+    runs[k].fetch_add(1);
+    ran_on[k] = std::this_thread::get_id();
+    if (k == 0) {
+      // Close the round once a worker holds a member: the members no
+      // worker has claimed by then never run.
+      waited = await(member_started);
+      return;
+    }
+    member_started.store(true, std::memory_order_release);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  });
+  ASSERT_TRUE(waited) << "no idle worker claimed a member";
+  EXPECT_EQ(runs[0].load(), 1);
+  EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+  std::size_t ran = 0;
+  for (std::size_t k = 1; k < kN; ++k) {
+    EXPECT_LE(runs[k].load(), 1) << "member " << k;
+    if (runs[k].load() == 0) continue;
+    ++ran;
+    EXPECT_NE(ran_on[k], std::this_thread::get_id()) << "member " << k;
+  }
+  EXPECT_GE(ran, 1u);
+  EXPECT_LT(ran, kN - 1) << "members unclaimed at fn(0)'s return ran";
+}
+
+TEST(ThreadPool, RoundMemberExceptionRethrowsToThePoster) {
+  ThreadPool pool(2);
+  std::atomic<bool> member_ran{false};
+  const auto member_throws = [&](std::size_t k) {
+    if (k == 0) {
+      ASSERT_TRUE(await(member_ran));
+      return;
+    }
+    member_ran.store(true, std::memory_order_release);
+    throw std::runtime_error("member");
+  };
+  EXPECT_THROW(post_round(pool, 2, member_throws), std::runtime_error);
+  // The caller's own exception wins over a member's.
+  member_ran.store(false);
+  const auto both_throw = [&](std::size_t k) {
+    if (k == 0) {
+      if (!await(member_ran)) return;
+      throw std::logic_error("caller");
+    }
+    member_ran.store(true, std::memory_order_release);
+    throw std::runtime_error("member");
+  };
+  EXPECT_THROW(post_round(pool, 2, both_throw), std::logic_error);
+  // The pool stays usable for fan-outs and for rounds.
+  std::atomic<int> runs{0};
+  pool.parallel_for(16, [&](std::size_t, int) { runs.fetch_add(1); });
+  EXPECT_EQ(runs.load(), 16);
+  std::atomic<int> members{0};
+  post_round(pool, 2, [&](std::size_t) { members.fetch_add(1); });
+  EXPECT_GE(members.load(), 1);
+}
+
+TEST(ThreadPool, ParallelForPublishedDuringALongMemberCompletes) {
+  ThreadPool pool(2);
+  std::atomic<bool> member_started{false};
+  std::atomic<bool> member_done{false};
+  std::thread poster([&] {
+    post_round(pool, 2, [&](std::size_t k) {
+      if (k == 0) {
+        (void)await(member_started);
+        return;
+      }
+      member_started.store(true, std::memory_order_release);
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      member_done.store(true, std::memory_order_release);
+    });
+  });
+  ASSERT_TRUE(await(member_started));
+  constexpr std::size_t kN = 1000;
+  std::vector<std::atomic<int>> counts(kN);
+  pool.parallel_for(kN, [&](std::size_t i, int) { counts[i].fetch_add(1); });
+  // The worker serving the member joins the fan-out once it returns.
+  EXPECT_TRUE(member_done.load());
+  poster.join();
+  for (std::size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(counts[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ThreadPool, RoundIsRefusedOnAOneThreadPoolAndWhileOneIsPosted) {
+  std::atomic<int> ran{0};
+  const std::function<void(std::size_t)> count = [&](std::size_t) {
+    ran.fetch_add(1);
+  };
+  ThreadPool single(1);
+  EXPECT_FALSE(single.run_round(2, count));
+  EXPECT_EQ(ran.load(), 0);
+
+  ThreadPool pool(3);
+  std::atomic<bool> member_started{false};
+  std::atomic<bool> checked{false};
+  std::thread poster([&] {
+    post_round(pool, 2, [&](std::size_t k) {
+      if (k == 0) {
+        (void)await(checked);
+        return;
+      }
+      member_started.store(true, std::memory_order_release);
+      (void)await(checked);
+    });
+  });
+  ASSERT_TRUE(await(member_started));
+  EXPECT_FALSE(pool.run_round(2, count));
+  checked.store(true, std::memory_order_release);
+  poster.join();
+  EXPECT_EQ(ran.load(), 0);
 }
 
 }  // namespace

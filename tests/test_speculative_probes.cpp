@@ -1,7 +1,7 @@
-// Speculative probes on idle workers (DESIGN.md §11): a single-frame
-// engine call speculates the search's next probes on the pool's idle
-// workers, and a batch on the workers its tail leaves idle; the
-// decision must be exactly the serial one — same result bits, same
+// Speculative probes on idle workers (DESIGN.md §11): a search posts
+// its next probes as rounds that the pool's idle workers serve — beside
+// a single-frame engine call the whole pool, in a batch the workers its
+// tail leaves idle; the decision must be exactly the serial one — same result bits, same
 // probe and memo counters — at every thread count, on every frame
 // class, including the non-monotone impulse/blocky frames where the
 // probe path itself decides the answer.
@@ -284,17 +284,13 @@ TEST(SpeculativeProbes, SingleFrameDoesNotQueueBehindABatch) {
          !batch_done.load()) {
     std::this_thread::yield();
   }
-  const auto before = obs::snapshot_counters();
   std::vector<FrameFault> faults;
   const auto result = engine.process_batch(
       std::span<const GrayImage>(&img, 1), ExactPolicy(), kBudget, &faults);
-  const auto delta = obs::snapshot_counters().delta_since(before);
   const bool finished_first = !batch_done.load();
   batcher.join();
   EXPECT_TRUE(finished_first)
       << "the single-frame call waited for the batch to finish";
-  // The pool was busy throughout, so the frame ran serially.
-  EXPECT_EQ(delta[Counter::kSpecProbes], 0u);
   EXPECT_FALSE(faults.at(0).degraded);
   expect_identical(result.at(0), reference.result, "beside a batch");
 }
@@ -415,22 +411,22 @@ TEST(SpeculativeProbes, MemberPoolsWarmOncePerShape) {
   ProbeLanes::MemberPools members;
   for (auto& m : members) m = std::make_unique<util::BufferPool>();
   ProbeLanes lanes(pool, std::move(members));
-  int probes = 0;
+  // An idle worker may run a warm-up probe: count them atomically.
+  std::atomic<int> probes{0};
+  const auto probe = [&probes](std::size_t) { ++probes; };
   for (int pass = 0; pass < 3; ++pass) {
-    for (int s = 0; s < 9; ++s) {
-      lanes.warm({128 + 16 * s, 128, 256, 8}, [&probes] { ++probes; });
-    }
+    for (int s = 0; s < 9; ++s) lanes.warm({128 + 16 * s, 128, 256, 8}, probe);
   }
-  EXPECT_EQ(probes, 9 * static_cast<int>(ProbeLanes::kMaxRound - 1));
+  EXPECT_EQ(probes.load(), 9 * static_cast<int>(ProbeLanes::kMaxRound - 1));
   // Every field of the shape counts.
-  lanes.warm({128, 128, 1024, 8}, [&probes] { ++probes; });
-  lanes.warm({128, 128, 256, 6}, [&probes] { ++probes; });
-  EXPECT_EQ(probes, 11 * static_cast<int>(ProbeLanes::kMaxRound - 1));
+  lanes.warm({128, 128, 1024, 8}, probe);
+  lanes.warm({128, 128, 256, 6}, probe);
+  EXPECT_EQ(probes.load(), 11 * static_cast<int>(ProbeLanes::kMaxRound - 1));
 }
 
 TEST(SpeculativeProbes, BatchDoesNotQueueBehindSpeculatingFrames) {
   // Single frames large enough that one outlasts a small batch many
-  // times over keep the pool's idle workers lent as probe servers.
+  // times over keep the pool's idle workers serving probe rounds.
   const GrayImage big = hebs::image::make_usid(hebs::image::UsidId::kLena, 768);
   std::vector<GrayImage> batch;
   for (const Frame& f : mix()) {
@@ -447,7 +443,7 @@ TEST(SpeculativeProbes, BatchDoesNotQueueBehindSpeculatingFrames) {
   PipelineEngine engine = make_engine(4);
   if (engine.thread_count() < 2 ||
       ThreadPool(4).effective_concurrency() < 2) {
-    GTEST_SKIP() << "no idle worker to lend on this machine";
+    GTEST_SKIP() << "no idle worker to serve rounds on this machine";
   }
   std::atomic<bool> stop{false};
   std::atomic<int> singles_done{0};
